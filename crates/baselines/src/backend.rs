@@ -22,10 +22,10 @@
 
 use std::sync::Arc;
 
-use malleus_cluster::{ClusterSnapshot, GpuId};
+use malleus_cluster::{ClusterSnapshot, Fnv1a, GpuId};
 use malleus_core::{
-    BackendConstructor, BackendId, ClusterEvent, ConfigFingerprint, ParallelizationPlan,
-    PlanBackend, PlanError, PlannedOutcome, PlannerConfig,
+    BackendConstructor, BackendId, ClusterEvent, ParallelizationPlan, PlanBackend, PlanError,
+    PlannedOutcome, PlannerConfig,
 };
 
 use crate::deepspeed::DeepSpeedPlanner;
@@ -64,7 +64,7 @@ impl PlanBackend for MegatronPlanner {
     }
 
     fn fingerprint_config(&self) -> u64 {
-        ConfigFingerprint::new()
+        Fnv1a::new()
             .u64(BackendId::Megatron.code())
             .u64(u64::from(self.gpus_per_node))
             .u64(self.global_batch_size)
@@ -152,7 +152,7 @@ impl PlanBackend for DeepSpeedPlanner {
     }
 
     fn fingerprint_config(&self) -> u64 {
-        ConfigFingerprint::new()
+        Fnv1a::new()
             .u64(BackendId::DeepSpeed.code())
             .u64(self.global_batch_size)
             .finish()
@@ -236,7 +236,7 @@ impl PlanBackend for OobleckPlanner {
     }
 
     fn fingerprint_config(&self) -> u64 {
-        ConfigFingerprint::new()
+        Fnv1a::new()
             .u64(BackendId::Oobleck.code())
             .u64(u64::from(self.gpus_per_node))
             .u64(self.global_batch_size)
@@ -328,7 +328,7 @@ impl PlanBackend for RestartPlanner {
     }
 
     fn fingerprint_config(&self) -> u64 {
-        ConfigFingerprint::new()
+        Fnv1a::new()
             .u64(self.id().code())
             .u64(u64::from(self.gpus_per_node))
             .u64(self.global_batch_size)
@@ -593,6 +593,13 @@ mod tests {
         let after = PlanBackend::replan(&restart, &straggled, &initial, event).unwrap();
         assert!(after.transition_cost > 60.0, "{}", after.transition_cost);
         assert!(after.active_gpus.len() < initial.active_gpus.len());
+    }
+
+    #[test]
+    fn megatron_fingerprint_is_pinned() {
+        // Part of the service cache key for Megatron plans; it must not move.
+        let m = MegatronPlanner::new(coeffs(), 64, 8);
+        assert_eq!(PlanBackend::fingerprint_config(&m), 0x1503_d315_2feb_c13a);
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //! as in the paper, where the profiler reduces all root causes (thermal
 //! throttling, jitter, co-located jobs) to this one number.
 
+pub mod fnv;
 pub mod snapshot;
 pub mod straggler;
 pub mod topology;
 pub mod trace;
 
+pub use fnv::Fnv1a;
 pub use snapshot::ClusterSnapshot;
 pub use straggler::{StragglerEvent, StragglerLevel};
 pub use topology::{Cluster, Gpu, GpuId, Node};

@@ -1,5 +1,6 @@
 //! Immutable cluster snapshots consumed by the profiler and planner.
 
+use crate::fnv::Fnv1a;
 use crate::topology::GpuId;
 use serde::{Deserialize, Serialize};
 
@@ -65,22 +66,15 @@ impl ClusterSnapshot {
     /// (e.g. the planner's shared grouping memo); collisions are possible and
     /// callers must confirm hits with a full equality check.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(mut h: u64, v: u64) -> u64 {
-            for byte in v.to_le_bytes() {
-                h = (h ^ byte as u64).wrapping_mul(PRIME);
-            }
-            h
-        }
-        let mut h = mix(OFFSET, self.num_nodes as u64);
+        let mut h = Fnv1a::new();
+        h.u64(self.num_nodes as u64);
         for &n in &self.node_of {
-            h = mix(h, n as u64);
+            h.u64(u64::from(n));
         }
         for &r in &self.rates {
-            h = mix(h, r.to_bits());
+            h.f64(r);
         }
-        h
+        h.finish()
     }
 
     /// Whether another snapshot shares this one's structure: same node
@@ -162,6 +156,15 @@ mod tests {
         // Failures (infinite rates) are representable and distinguishable.
         c.set_rate(GpuId(3), f64::INFINITY);
         assert_ne!(b.fingerprint(), c.snapshot().fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // Cache and memo keys derive from this value; it must not move.
+        let mut c = Cluster::homogeneous(2, 8);
+        c.set_rate(GpuId(3), 2.57);
+        c.set_rate(GpuId(9), f64::INFINITY);
+        assert_eq!(c.snapshot().fingerprint(), 0xe05e_faad_ba5a_81cf);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use malleus_cluster::{ClusterSnapshot, GpuId};
+use malleus_cluster::{ClusterSnapshot, Fnv1a, GpuId};
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
 
@@ -322,39 +322,6 @@ pub fn malleus_constructor() -> Arc<BackendConstructor> {
     Arc::new(|coeffs, config| Box::new(Planner::new(coeffs.clone(), config.clone())))
 }
 
-/// FNV-1a accumulator for [`PlanBackend::fingerprint_config`] implementations,
-/// so every backend fingerprints its knobs the same way.
-#[derive(Debug, Clone)]
-pub struct ConfigFingerprint(u64);
-
-impl ConfigFingerprint {
-    pub fn new() -> Self {
-        ConfigFingerprint(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub fn u64(mut self, value: u64) -> Self {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self
-    }
-
-    pub fn f64(self, value: f64) -> Self {
-        self.u64(value.to_bits())
-    }
-
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for ConfigFingerprint {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl PlanBackend for Planner {
     fn id(&self) -> BackendId {
         BackendId::Malleus
@@ -363,9 +330,7 @@ impl PlanBackend for Planner {
     fn fingerprint_config(&self) -> u64 {
         // Every Malleus knob lives in `PlannerConfig`, which the service
         // request key already covers; the fingerprint only pins the backend.
-        ConfigFingerprint::new()
-            .u64(BackendId::Malleus.code())
-            .finish()
+        Fnv1a::new().u64(BackendId::Malleus.code()).finish()
     }
 
     fn plan(
@@ -616,9 +581,9 @@ mod tests {
 
     #[test]
     fn config_fingerprints_are_order_sensitive_and_stable() {
-        let a = ConfigFingerprint::new().u64(1).f64(1.9).finish();
-        let b = ConfigFingerprint::new().u64(1).f64(1.9).finish();
-        let c = ConfigFingerprint::new().f64(1.9).u64(1).finish();
+        let a = Fnv1a::new().u64(1).f64(1.9).finish();
+        let b = Fnv1a::new().u64(1).f64(1.9).finish();
+        let c = Fnv1a::new().f64(1.9).u64(1).finish();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

@@ -35,12 +35,13 @@
 //! is hit, keeping memory bounded under snapshot churn.
 
 use crate::grouping::GroupingResult;
+use crate::parallel::{lock_rank, RankedMutex};
 use crate::planner::PlanOutcome;
-use malleus_cluster::ClusterSnapshot;
+use malleus_cluster::{ClusterSnapshot, Fnv1a};
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Environment override for the incremental-replanning knob (`0`/`false`/
 /// `off` disable, `1`/`true`/`on` enable); used by the CI equivalence matrix
@@ -142,7 +143,7 @@ impl CandidateInputs<'_> {
     /// FNV-1a fingerprint of the inputs (collisions are resolved by the
     /// per-key bucket plus full-equality confirmation).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv1a::new();
         h.u64(self.global_batch_size);
         h.u64(self.num_gpus as u64);
         h.u64(self.dp as u64);
@@ -206,9 +207,21 @@ impl MemoizedEval {
 /// the storage (the same sharing idiom as [`crate::GroupingCache`]), so
 /// planners built for successive replanning rounds — or for different
 /// tenants by the planning service — pool their candidate work.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CandidateMemo {
-    entries: Arc<Mutex<HashMap<u64, Vec<Arc<MemoizedEval>>>>>,
+    entries: Arc<RankedMutex<HashMap<u64, Vec<Arc<MemoizedEval>>>>>,
+}
+
+impl Default for CandidateMemo {
+    fn default() -> Self {
+        Self {
+            entries: Arc::new(RankedMutex::new(
+                lock_rank::CANDIDATE_MEMO_ENTRIES,
+                "CandidateMemo.entries",
+                HashMap::new(),
+            )),
+        }
+    }
 }
 
 impl CandidateMemo {
@@ -220,7 +233,7 @@ impl CandidateMemo {
         key: u64,
         inputs: &CandidateInputs<'_>,
     ) -> Option<Arc<MemoizedEval>> {
-        let entries = self.entries.lock().unwrap();
+        let entries = self.entries.lock();
         entries
             .get(&key)?
             .iter()
@@ -252,7 +265,7 @@ impl CandidateMemo {
             outcome,
             failure,
         };
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.entries.lock();
         if entries.values().map(Vec::len).sum::<usize>() >= MEMO_CAPACITY {
             entries.clear();
         }
@@ -268,32 +281,11 @@ impl CandidateMemo {
 
     /// Number of memoized evaluations (diagnostics / tests).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().values().map(Vec::len).sum()
+        self.entries.lock().values().map(Vec::len).sum()
     }
 
     /// Whether the memo is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Incremental FNV-1a hasher (same construction as
-/// `ClusterSnapshot::fingerprint`, kept dependency-free).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(PRIME);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }

@@ -42,8 +42,8 @@ pub mod plan;
 pub mod planner;
 
 pub use backend::{
-    malleus_constructor, BackendConstructor, BackendId, ClusterEvent, ConfigFingerprint,
-    PlanBackend, PlannedOutcome, DEFAULT_STRAGGLER_THRESHOLD,
+    malleus_constructor, BackendConstructor, BackendId, ClusterEvent, PlanBackend, PlannedOutcome,
+    DEFAULT_STRAGGLER_THRESHOLD,
 };
 pub use cost::CostModel;
 pub use delta::{
@@ -52,6 +52,8 @@ pub use delta::{
 pub use error::PlanError;
 pub use grouping::{group_cluster, GroupingResult};
 pub use migration::{plan_migration, MigrationPlan, SliceMove};
-pub use parallel::{GroupingCache, Parallelism, ParseParallelismError, RankedGuard, RankedMutex};
+pub use parallel::{
+    lock_rank, GroupingCache, Parallelism, ParseParallelismError, RankedGuard, RankedMutex,
+};
 pub use plan::{ParallelizationPlan, PipelinePlan, StagePlan, TpGroup};
 pub use planner::{PlanOutcome, PlanTiming, Planner, PlannerConfig};

@@ -22,6 +22,8 @@
 //!   external dependencies) that evaluates `num_items` closures on `workers`
 //!   threads and returns the results **indexed by item**, not by completion
 //!   order.
+//! * [`RankedMutex`] and [`lock_rank`] — the workspace's only lock type and
+//!   the table of lock ranks it checks in debug builds.
 //!
 //! # Deterministic tie-break
 //!
@@ -169,9 +171,21 @@ impl CachedGrouping {
 /// flag).  Entries are immutable once inserted; cloning the cache shares the
 /// underlying storage, so every clone of a `Planner` (and every worker thread)
 /// sees the same memo.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct GroupingCache {
-    entries: Arc<Mutex<GroupingMap>>,
+    entries: Arc<RankedMutex<GroupingMap>>,
+}
+
+impl Default for GroupingCache {
+    fn default() -> Self {
+        Self {
+            entries: Arc::new(RankedMutex::new(
+                lock_rank::GROUPING_CACHE_ENTRIES,
+                "GroupingCache.entries",
+                HashMap::new(),
+            )),
+        }
+    }
 }
 
 /// Memo key: (snapshot fingerprint, max TP degree, straggler threshold bits,
@@ -203,7 +217,7 @@ impl GroupingCache {
             straggler_threshold.to_bits(),
             enable_splitting,
         );
-        if let Some(hit) = self.entries.lock().unwrap().get(&key) {
+        if let Some(hit) = self.entries.lock().get(&key) {
             if hit.matches(snapshot, coeffs) {
                 return Arc::clone(&hit.grouping);
             }
@@ -218,7 +232,7 @@ impl GroupingCache {
             straggler_threshold,
             enable_splitting,
         ));
-        let mut entries = self.entries.lock().unwrap();
+        let mut entries = self.entries.lock();
         if entries.len() >= CACHE_CAPACITY {
             entries.clear();
         }
@@ -245,7 +259,7 @@ impl GroupingCache {
 
     /// Number of memoized groupings (diagnostics / tests).
     pub fn len(&self) -> usize {
-        self.entries.lock().unwrap().len()
+        self.entries.lock().len()
     }
 
     /// Whether the cache is empty.
@@ -292,17 +306,49 @@ where
 }
 
 // ---------------------------------------------------------------------------
-// RankedMutex: debug-mode lock-rank runtime checker.
+// RankedMutex: the workspace's only lock type, with a debug-mode lock-rank
+// runtime checker.
 //
-// The dynamic complement to `malleus-lint`'s static ML001 pass.  Every
-// ranked lock carries the rank declared for it in
-// `crates/lint/lock_order.toml` (the lint cross-checks the literal at the
-// construction site against the manifest).  In debug builds each thread
-// records its acquisition stack; taking a lock whose rank is not strictly
-// greater than the rank on top of the stack panics immediately, turning a
-// potential deadlock into a deterministic test failure.  Release builds
-// compile the checks out entirely.
+// Every lock is built with a rank from `lock_rank` (`malleus-lint` ML001
+// rejects a raw `Mutex` or `RwLock` anywhere else in core, service and
+// runtime).  In debug builds each thread records its acquisition stack;
+// taking a lock whose rank is not strictly greater than the rank on top of
+// the stack panics immediately, turning a potential deadlock into a
+// deterministic test failure.  Release builds compile the checks out
+// entirely.
 // ---------------------------------------------------------------------------
+
+/// The workspace lock order: the rank of every [`RankedMutex`].  A thread
+/// may only acquire locks in strictly increasing rank while it holds others.
+/// Ranks are spaced by 10 so new locks can slot in without a renumber.
+/// Every `Condvar` pairs with the mutex its wait loop re-acquires through
+/// [`RankedMutex::wait`].
+pub mod lock_rank {
+    /// Admission gate: outermost — held while blocking on capacity (its
+    /// `freed` condvar waits on it).
+    pub const ADMISSION_GATE_STATE: u32 = 10;
+    /// Request coalescer: the in-flight table, then each slot's result
+    /// (whose `ready` condvar waits on it).
+    pub const IN_FLIGHT_TABLE_SLOTS: u32 = 20;
+    /// See [`IN_FLIGHT_TABLE_SLOTS`].
+    pub const IN_FLIGHT_RESULT: u32 = 30;
+    /// Plan cache shards (leaf for the serving path).
+    pub const SHARDED_PLAN_CACHE_SHARDS: u32 = 40;
+    /// Backend registry (constructor table; short critical sections).
+    pub const BACKEND_REGISTRY_CTORS: u32 = 50;
+    /// Metrics stripes (leaf; never held across another acquisition).
+    pub const METRICS_RECORDER_LATENCIES: u32 = 60;
+    /// Server connection accounting (its `freed` condvar waits on it).
+    pub const CONN_SLOTS_LIVE: u32 = 70;
+    /// Client-side state: the per-tenant L1 cache, then the connection.
+    pub const L1_CACHE_INNER: u32 = 80;
+    /// See [`L1_CACHE_INNER`].
+    pub const PLAN_CLIENT_STREAM: u32 = 90;
+    /// Core planner caches (leaf-level memoization).
+    pub const GROUPING_CACHE_ENTRIES: u32 = 100;
+    /// See [`GROUPING_CACHE_ENTRIES`].
+    pub const CANDIDATE_MEMO_ENTRIES: u32 = 110;
+}
 
 #[cfg(debug_assertions)]
 thread_local! {
@@ -320,7 +366,7 @@ fn check_and_push_rank(rank: u32, name: &'static str) {
                 top_rank < rank,
                 "lock-rank violation: acquiring `{name}` (rank {rank}) while holding \
                  `{top_name}` (rank {top_rank}); ranks must strictly increase \
-                 (see crates/lint/lock_order.toml)"
+                 (see `malleus_core::parallel::lock_rank`)"
             );
         }
         held.push((rank, name));
@@ -341,38 +387,34 @@ fn pop_rank(rank: u32, name: &'static str) {
 
 /// A `Mutex` that participates in the workspace lock ranking.
 ///
-/// `lock()` recovers from poisoning (the protected state is valid at every
-/// intermediate point for all current users — see `lock_or_poisoned` in
-/// `malleus-service` for the recovery rationale) and, in debug builds only,
-/// panics when acquired out of rank order.  Condvar interaction goes through
-/// [`RankedMutex::wait`] / [`RankedMutex::wait_timeout`], which model the
-/// wait as a release + rank-checked reacquisition — exactly what the OS does.
+/// `lock()` recovers from poisoning and, in debug builds only, panics when
+/// acquired out of rank order.  Recovery is sound for every current user:
+/// each critical section mutates its state with plain assignments and
+/// collection ops that cannot be observed half-applied, and the planner
+/// memos confirm every hit by full equality.  A lock whose state a panic can
+/// leave torn (the client connection mid-frame) checks
+/// [`RankedMutex::is_poisoned`] while holding the guard and fails closed.
+/// Condvar interaction goes through [`RankedMutex::wait`] /
+/// [`RankedMutex::wait_timeout`], which model the wait as a release +
+/// rank-checked reacquisition — exactly what the OS does.
 #[derive(Debug)]
 pub struct RankedMutex<T> {
+    /// Read only by the debug-build rank checker.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
     rank: u32,
     name: &'static str,
     inner: Mutex<T>,
 }
 
 impl<T> RankedMutex<T> {
-    /// `rank` and `name` must match the lock's entry in
-    /// `crates/lint/lock_order.toml`; `malleus-lint` verifies the literals.
+    /// `rank` is the lock's [`lock_rank`] constant; `name` (`"Struct.field"`)
+    /// labels it in rank-violation panics.
     pub const fn new(rank: u32, name: &'static str, value: T) -> Self {
         Self {
             rank,
             name,
             inner: Mutex::new(value),
         }
-    }
-
-    /// Declared rank (strictly increasing along any acquisition chain).
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
-    /// Manifest name, `"Struct.field"`.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Acquire, recovering from poisoning.  Panics in debug builds if the
@@ -388,6 +430,12 @@ impl<T> RankedMutex<T> {
             lock: self,
             guard: Some(guard),
         }
+    }
+
+    /// Whether a holder panicked while holding the lock.  Check it while
+    /// holding the guard to fail closed on state a panic may have torn.
+    pub fn is_poisoned(&self) -> bool {
+        self.inner.is_poisoned()
     }
 
     /// Condvar wait: releases the lock (popping the rank stack), parks on

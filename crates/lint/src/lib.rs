@@ -6,7 +6,7 @@
 //!
 //! | code  | invariant |
 //! |-------|-----------|
-//! | ML001 | locks acquire in strictly increasing `lock_order.toml` rank; graph acyclic; every lock/condvar field ranked; `RankedMutex::new` literals match |
+//! | ML001 | no raw `Mutex`/`RwLock` outside `core::parallel`: every lock is a `RankedMutex`, whose rank comes from `lock_rank` and is checked at runtime in debug builds |
 //! | ML002 | no panic paths (`unwrap`/`expect`/`panic!`/computed indexing) in request-serving code |
 //! | ML003 | no float `==`/`!=`/hash outside `to_bits()` byte-identity helpers |
 //! | ML004 | no wall-clock or entropy reads in planner-scoring code |
@@ -16,14 +16,12 @@
 //! its target line.  ML005 itself is never suppressible.
 
 pub mod lexer;
-pub mod manifest;
 pub mod pragma;
 pub mod rules;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use manifest::Manifest;
 use pragma::Allow;
 
 /// One diagnostic.
@@ -87,6 +85,8 @@ const ML001_SCOPE: [&str; 3] = [
     "crates/service/src",
     "crates/runtime/src",
 ];
+/// `RankedMutex` itself wraps the one raw `Mutex` ML001 allows.
+const ML001_EXEMPT: &str = "crates/core/src/parallel.rs";
 const ML002_SCOPE: [&str; 2] = ["crates/service/src/server.rs", "crates/wire/src"];
 const ML003_SCOPE: [&str; 3] = ["crates/core/src", "crates/solver/src", "crates/wire/src"];
 const ML004_SCOPE: [&str; 7] = [
@@ -157,16 +157,8 @@ fn sort_findings(findings: &mut [Finding]) {
     });
 }
 
-/// Scan the workspace rooted at `root` using the manifest at
-/// `crates/lint/lock_order.toml` (or `manifest_override`).
-pub fn run_workspace(root: &Path, manifest_override: Option<&Path>) -> Result<Report, String> {
-    let manifest_path = manifest_override
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| root.join("crates/lint/lock_order.toml"));
-    let manifest_text = std::fs::read_to_string(&manifest_path)
-        .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-    let manifest = manifest::parse(&manifest_text)?;
-
+/// Scan the workspace rooted at `root`.
+pub fn run_workspace(root: &Path) -> Result<Report, String> {
     let mut findings = Vec::new();
     let mut files = Vec::new();
     for rel in collect_sources(root)? {
@@ -177,15 +169,6 @@ pub fn run_workspace(root: &Path, manifest_override: Option<&Path>) -> Result<Re
     }
     let files_scanned = files.len();
 
-    // ML001 runs over its whole scope at once (the lock graph is global);
-    // the per-file rules run file by file.
-    let ml001_files: Vec<(String, Vec<lexer::Token>)> = files
-        .iter()
-        .filter(|f| in_scope(&f.rel, &ML001_SCOPE))
-        .map(|f| (f.rel.clone(), f.tokens.clone()))
-        .collect();
-    rules::ml001::run(&ml001_files, &manifest, &mut findings);
-
     // Float fields are harvested across the whole ML003 scope so that a
     // comparison in one file sees fields declared in another.
     let mut float_fields = std::collections::BTreeSet::new();
@@ -194,6 +177,9 @@ pub fn run_workspace(root: &Path, manifest_override: Option<&Path>) -> Result<Re
     }
 
     for f in &files {
+        if in_scope(&f.rel, &ML001_SCOPE) && f.rel != ML001_EXEMPT {
+            rules::ml001::run(&f.rel, &f.tokens, &mut findings);
+        }
         if in_scope(&f.rel, &ML002_SCOPE) {
             rules::ml002::run(&f.rel, &f.tokens, &mut findings);
         }
@@ -217,12 +203,11 @@ pub fn run_workspace(root: &Path, manifest_override: Option<&Path>) -> Result<Re
 
 /// Run every rule, unscoped, over a single in-memory source file.  Fixture
 /// tests use this to assert exact expected codes.
-pub fn run_source(rel: &str, source: &str, manifest: &Manifest) -> Vec<Finding> {
+pub fn run_source(rel: &str, source: &str) -> Vec<Finding> {
     let mut findings = Vec::new();
     let file = load_file(rel.to_string(), source, &mut findings);
 
-    let ml001_files = vec![(file.rel.clone(), file.tokens.clone())];
-    rules::ml001::run(&ml001_files, manifest, &mut findings);
+    rules::ml001::run(&file.rel, &file.tokens, &mut findings);
     rules::ml002::run(&file.rel, &file.tokens, &mut findings);
     let float_fields = rules::ml003::collect_float_fields(&file.tokens);
     rules::ml003::run(&file.rel, &file.tokens, &float_fields, &mut findings);
@@ -297,18 +282,16 @@ mod tests {
 
     #[test]
     fn allow_pragma_suppresses_on_target_line_only() {
-        let m = Manifest::default();
         let src = "fn f(x: f64) -> bool {\n    // malleus-lint: allow(ML003, reason = \"sentinel\")\n    x == 1.5\n}\nfn g(x: f64) -> bool { x == 2.5 }\n";
-        let findings = run_source("t.rs", src, &m);
+        let findings = run_source("t.rs", src);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].line, 5);
     }
 
     #[test]
     fn malformed_pragma_is_ml005_and_suppresses_nothing() {
-        let m = Manifest::default();
         let src = "fn f(x: f64) -> bool {\n    // malleus-lint: allow(ML003)\n    x == 1.5\n}\n";
-        let findings = run_source("t.rs", src, &m);
+        let findings = run_source("t.rs", src);
         let codes: Vec<&str> = findings.iter().map(|f| f.code.as_str()).collect();
         assert_eq!(codes, ["ML005", "ML003"], "{findings:?}");
     }

@@ -1,7 +1,7 @@
 //! malleus-lint CLI.
 //!
 //! ```text
-//! malleus-lint --workspace [--root PATH] [--manifest PATH] [--github]
+//! malleus-lint --workspace [--root PATH] [--github]
 //! ```
 //!
 //! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
@@ -13,7 +13,6 @@ fn main() -> ExitCode {
     let mut workspace = false;
     let mut github = false;
     let mut root = PathBuf::from(".");
-    let mut manifest: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -24,15 +23,12 @@ fn main() -> ExitCode {
                 Some(p) => root = PathBuf::from(p),
                 None => return usage("--root requires a path"),
             },
-            "--manifest" => match args.next() {
-                Some(p) => manifest = Some(PathBuf::from(p)),
-                None => return usage("--manifest requires a path"),
-            },
             "--help" | "-h" => {
                 println!(
-                    "malleus-lint --workspace [--root PATH] [--manifest PATH] [--github]\n\n\
-                     Checks lock ordering (ML001), panic paths (ML002), float byte-identity\n\
-                     (ML003), nondeterminism sources (ML004), and allow-pragma hygiene (ML005).\n\
+                    "malleus-lint --workspace [--root PATH] [--github]\n\n\
+                     Checks raw locks that bypass the lock-rank checker (ML001), panic paths\n\
+                     (ML002), float byte-identity (ML003), nondeterminism sources (ML004), and\n\
+                     allow-pragma hygiene (ML005).\n\
                      Exit codes: 0 clean, 1 findings, 2 usage/IO error."
                 );
                 return ExitCode::SUCCESS;
@@ -44,7 +40,7 @@ fn main() -> ExitCode {
         return usage("missing required mode: --workspace");
     }
 
-    match malleus_lint::run_workspace(&root, manifest.as_deref()) {
+    match malleus_lint::run_workspace(&root) {
         Ok(report) => {
             for finding in &report.findings {
                 if github {
@@ -72,6 +68,6 @@ fn main() -> ExitCode {
 }
 
 fn usage(message: &str) -> ExitCode {
-    eprintln!("malleus-lint: {message}\nusage: malleus-lint --workspace [--root PATH] [--manifest PATH] [--github]");
+    eprintln!("malleus-lint: {message}\nusage: malleus-lint --workspace [--root PATH] [--github]");
     ExitCode::from(2)
 }

@@ -1,1011 +1,30 @@
-//! ML001 — lock-order discipline.
+//! ML001 — every lock is a `RankedMutex`.
 //!
-//! Extracts every `Mutex`/`RwLock`/`RankedMutex`/`Condvar` struct field in
-//! scope, reconstructs the nested-acquisition graph from `.lock()` /
-//! `.read()` / `.write()` call sites (plus manifest-declared helper
-//! functions and accessor aliases), and checks:
-//!
-//! 1. every lock field is ranked in `lock_order.toml` (and every `Condvar`
-//!    is paired with a ranked mutex);
-//! 2. every nested acquisition goes from a lower rank to a strictly higher
-//!    rank;
-//! 3. the acquisition graph is acyclic (catches inversions even between
-//!    locks the manifest missed);
-//! 4. `RankedMutex::new(rank, "Struct.field", ..)` literals agree with the
-//!    manifest, so the runtime checker and the static checker can never
-//!    drift apart.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! The lock order lives in one place, `malleus_core::parallel::lock_rank`,
+//! and `RankedMutex` enforces it on every acquisition in debug builds.  A
+//! raw `Mutex` or `RwLock` would bypass that checker, so this pass flags
+//! every `Mutex` or `RwLock` identifier in its scope.  `Condvar` stays
+//! allowed: with no raw mutex in scope it can only wait through
+//! `RankedMutex::wait`, which re-checks the rank on wake.
 
 use crate::lexer::{Token, TokenKind};
-use crate::manifest::Manifest;
-use crate::rules::{is_ident, skip_delimited};
 use crate::Finding;
 
-const LOCK_TYPES: [&str; 3] = ["Mutex", "RwLock", "RankedMutex"];
+const RAW_LOCKS: [&str; 2] = ["Mutex", "RwLock"];
 
-/// A `Mutex`/`RwLock`/`RankedMutex`/`Condvar` field declaration.
-#[derive(Debug, Clone)]
-pub struct LockField {
-    pub struct_name: String,
-    pub field_name: String,
-    pub is_condvar: bool,
-    /// Generic lock wrappers (`RankedMutex.inner`) are discovered but exempt
-    /// from ranking: their order is a property of each ranked instance, not
-    /// of the wrapper type.
-    pub exempt: bool,
-    pub file: String,
-    pub line: u32,
-}
-
-impl LockField {
-    pub fn id(&self) -> String {
-        format!("{}.{}", self.struct_name, self.field_name)
-    }
-}
-
-/// One observed nested acquisition: `acquired` taken while `held` was held.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Edge {
-    held: String,
-    acquired: String,
-    file: String,
-    line: u32,
-}
-
-/// Harvest lock fields from every `struct` item in a token stream.
-pub fn collect_lock_fields(file: &str, tokens: &[Token]) -> Vec<LockField> {
-    let mut fields = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if !is_ident(&tokens[i], "struct") {
-            i += 1;
-            continue;
-        }
-        let Some(name_tok) = tokens.get(i + 1) else {
-            break;
-        };
-        let struct_name = name_tok.text.clone();
-        // Find the field block `{`, skipping generics; tuple structs (`(`)
-        // and unit structs (`;`) carry no named lock fields we track.
-        let mut j = i + 2;
-        let mut angle = 0i32;
-        let body_start = loop {
-            match tokens.get(j).map(|t| t.text.as_str()) {
-                Some("<") => angle += 1,
-                Some(">") => angle -= 1,
-                Some("{") if angle == 0 => break Some(j),
-                Some("(") | Some(";") if angle == 0 => break None,
-                None => break None,
-                _ => {}
-            }
-            j += 1;
-        };
-        let Some(body_start) = body_start else {
-            i += 2;
-            continue;
-        };
-        let body_end = skip_delimited(tokens, body_start) - 1;
-
-        // Walk `field_name: Type` entries at depth 0 of the body.
-        let mut k = body_start + 1;
-        while k < body_end {
-            // Skip attributes and visibility.
-            if tokens[k].text == "#" && tokens.get(k + 1).is_some_and(|t| t.text == "[") {
-                k = skip_delimited(tokens, k + 1);
-                continue;
-            }
-            if is_ident(&tokens[k], "pub") {
-                k += 1;
-                if tokens.get(k).is_some_and(|t| t.text == "(") {
-                    k = skip_delimited(tokens, k);
-                }
-                continue;
-            }
-            if tokens[k].kind == TokenKind::Ident
-                && tokens.get(k + 1).is_some_and(|t| t.text == ":")
-            {
-                let field_name = tokens[k].text.clone();
-                let field_line = tokens[k].line;
-                // Type tokens run to the `,` (or body end) at angle/paren
-                // depth 0.
-                let mut depth = 0i32;
-                let mut t = k + 2;
-                let mut type_idents: Vec<&str> = Vec::new();
-                // `guard: &'a Mutex<T>` aliases a lock ranked at its owning
-                // struct; only owned lock fields get their own identity.
-                let is_reference = tokens[t].text == "&";
-                while t < body_end {
-                    match tokens[t].text.as_str() {
-                        "<" | "(" | "[" => depth += 1,
-                        ">" | ")" | "]" => depth -= 1,
-                        "," if depth == 0 => break,
-                        _ => {}
-                    }
-                    if tokens[t].kind == TokenKind::Ident {
-                        type_idents.push(tokens[t].text.as_str());
-                    }
-                    t += 1;
-                }
-                let is_condvar = !is_reference && type_idents.contains(&"Condvar");
-                let is_lock = !is_reference && LOCK_TYPES.iter().any(|l| type_idents.contains(l));
-                if is_lock || is_condvar {
-                    fields.push(LockField {
-                        exempt: struct_name == "RankedMutex",
-                        struct_name: struct_name.clone(),
-                        field_name,
-                        is_condvar,
-                        file: file.to_string(),
-                        line: field_line,
-                    });
-                }
-                k = t + 1;
-                continue;
-            }
-            k += 1;
-        }
-        i = body_end + 1;
-    }
-    fields
-}
-
-/// Resolve a field-access chain (last identifier = field name) to a lock id.
-///
-/// Resolution order: the impl target's own fields, then a workspace-unique
-/// field-name match.  Ambiguous or unknown names resolve to `None` — the
-/// coverage pass still guarantees every *field* is ranked, so an unresolved
-/// call site can only lose edge precision, not hide an unranked lock.
-fn resolve_field(
-    field: &str,
-    impl_target: Option<&str>,
-    fields_by_struct: &BTreeMap<String, BTreeSet<String>>,
-    structs_by_field: &BTreeMap<String, BTreeSet<String>>,
-) -> Option<String> {
-    if let Some(target) = impl_target {
-        if fields_by_struct
-            .get(target)
-            .is_some_and(|f| f.contains(field))
-        {
-            return Some(format!("{target}.{field}"));
-        }
-    }
-    let owners = structs_by_field.get(field)?;
-    if owners.len() == 1 {
-        let owner = owners.iter().next().expect("len checked");
-        return Some(format!("{owner}.{field}"));
-    }
-    None
-}
-
-/// Resolve an accessor-method call (`self.shard(key)`) through the
-/// `[aliases]` manifest section.
-fn resolve_alias(method: &str, impl_target: Option<&str>, manifest: &Manifest) -> Option<String> {
-    if let Some(target) = impl_target {
-        if let Some(field) = manifest.aliases.get(&format!("{target}.{method}")) {
-            return Some(format!("{target}.{field}"));
-        }
-    }
-    let suffix = format!(".{method}");
-    let mut hits = manifest
-        .aliases
-        .iter()
-        .filter(|(key, _)| key.ends_with(&suffix));
-    let first = hits.next()?;
-    if hits.next().is_some() {
-        return None;
-    }
-    let owner = first.0.strip_suffix(&suffix).expect("filtered on suffix");
-    Some(format!("{owner}.{}", first.1))
-}
-
-/// Extract the receiver chain that ends at `end` (inclusive), walking
-/// backwards over `ident`/`number` segments joined by `.`.
-///
-/// Returns the chain in source order.  Bails (None) on receivers containing
-/// interior calls or indexing — those are handled by the forward parser at
-/// helper-call sites, and are unresolvable here anyway.
-fn receiver_chain(tokens: &[Token], end: usize) -> Option<Vec<String>> {
-    let mut chain = vec![tokens[end].text.clone()];
-    let mut j = end;
-    while j >= 2
-        && tokens[j - 1].text == "."
-        && matches!(tokens[j - 2].kind, TokenKind::Ident | TokenKind::Number)
-    {
-        chain.insert(0, tokens[j - 2].text.clone());
-        j -= 2;
-    }
-    Some(chain)
-}
-
-/// Forward-parse the first argument of a helper call starting at `start`
-/// (just past the helper's `(`): a `&`/`mut`-prefixed chain of fields,
-/// indexes, and at most one trailing accessor call.
-///
-/// Returns `(chain, trailing_method)`.
-fn helper_arg_chain(tokens: &[Token], start: usize) -> (Vec<String>, Option<String>) {
-    let mut j = start;
-    while tokens
-        .get(j)
-        .is_some_and(|t| t.text == "&" || is_ident(t, "mut"))
-    {
-        j += 1;
-    }
-    let mut chain = Vec::new();
-    let mut method = None;
-    while let Some(tok) = tokens.get(j) {
-        if !matches!(tok.kind, TokenKind::Ident | TokenKind::Number) {
-            break;
-        }
-        chain.push(tok.text.clone());
-        j += 1;
-        match tokens.get(j).map(|t| t.text.as_str()) {
-            Some("(") => {
-                // Accessor call: `self.shard(key)`.
-                method = Some(chain.pop().unwrap_or_default());
-                break;
-            }
-            Some("[") => {
-                // Indexing (`self.latencies[stripe]`) — the lock identity is
-                // the field, so skip the index expression.
-                j = skip_delimited(tokens, j);
-                if tokens.get(j).is_some_and(|t| t.text == ".") {
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            Some(".") => j += 1,
-            _ => break,
-        }
-    }
-    (chain, method)
-}
-
-/// Does the acquisition expression beginning at `expr_start` sit in a
-/// `let`-binding?  Returns the bound variable name.
-fn let_binding(tokens: &[Token], expr_start: usize) -> Option<String> {
-    if expr_start < 2 || tokens[expr_start - 1].text != "=" {
-        return None;
-    }
-    let mut j = expr_start - 2;
-    // Skip a type ascription `let x: Foo = ...` back to the ident.
-    // (Not produced by our code today, but cheap to accept.)
-    let var = if tokens[j].kind == TokenKind::Ident {
-        tokens[j].text.clone()
-    } else {
-        return None;
-    };
-    if j >= 1 && is_ident(&tokens[j - 1], "mut") {
-        j -= 1;
-    }
-    if j >= 1 && is_ident(&tokens[j - 1], "let") {
-        Some(var)
-    } else {
-        None
-    }
-}
-
-struct FnAnalyzer<'a> {
-    file: String,
-    manifest: &'a Manifest,
-    fields_by_struct: &'a BTreeMap<String, BTreeSet<String>>,
-    structs_by_field: &'a BTreeMap<String, BTreeSet<String>>,
-    exempt: &'a BTreeSet<String>,
-    edges: Vec<Edge>,
-    findings: Vec<Finding>,
-}
-
-#[derive(Debug)]
-struct Held {
-    lock_id: String,
-    var: Option<String>,
-    depth: i32,
-}
-
-impl FnAnalyzer<'_> {
-    /// Walk one function body, tracking guard lifetimes and recording a
-    /// nested-acquisition edge for every lock taken while another is held.
-    fn analyze_fn(
-        &mut self,
-        tokens: &[Token],
-        range: std::ops::Range<usize>,
-        target: Option<&str>,
-    ) {
-        let mut held: Vec<Held> = Vec::new();
-        let mut depth = 0i32;
-        let mut i = range.start;
-        while i < range.end {
-            match tokens[i].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    held.retain(|h| h.depth <= depth);
-                }
-                _ => {}
-            }
-
-            // `drop(guard)` releases a named guard early.
-            if is_ident(&tokens[i], "drop")
-                && tokens.get(i + 1).is_some_and(|t| t.text == "(")
-                && tokens
-                    .get(i + 2)
-                    .is_some_and(|t| t.kind == TokenKind::Ident)
-                && tokens.get(i + 3).is_some_and(|t| t.text == ")")
-            {
-                let var = &tokens[i + 2].text;
-                held.retain(|h| h.var.as_deref() != Some(var.as_str()));
-                i += 4;
-                continue;
-            }
-
-            let acquisition = self.acquisition_at(tokens, i, target);
-            if let Some((lock_id, expr_start)) = acquisition {
-                let line = tokens[i].line;
-                if !self.exempt.contains(&lock_id) {
-                    for h in &held {
-                        if h.lock_id == lock_id {
-                            self.findings.push(Finding::new(
-                                "ML001",
-                                &self.file,
-                                line,
-                                format!(
-                                    "`{lock_id}` re-acquired while already held; this self-deadlocks"
-                                ),
-                            ));
-                        } else {
-                            self.edges.push(Edge {
-                                held: h.lock_id.clone(),
-                                acquired: lock_id.clone(),
-                                file: self.file.to_string(),
-                                line,
-                            });
-                        }
-                    }
-                    let var = let_binding(tokens, expr_start);
-                    if var.is_some() {
-                        held.push(Held {
-                            lock_id,
-                            var,
-                            depth,
-                        });
-                    }
-                    // Temporaries (`*self.x.lock() += 1`) release at the end
-                    // of the statement; edges from currently-held locks were
-                    // already recorded, so they need no tracking.
-                }
-            }
-            i += 1;
-        }
-    }
-
-    /// If an acquisition happens at token `i`, return the lock id and the
-    /// index where the acquisition expression starts (for let-binding
-    /// detection).
-    fn acquisition_at(
-        &self,
-        tokens: &[Token],
-        i: usize,
-        target: Option<&str>,
-    ) -> Option<(String, usize)> {
-        let tok = &tokens[i];
-        if tok.kind != TokenKind::Ident {
-            return None;
-        }
-        // Method form: `recv.lock()` / `.read()` / `.write()` — all nullary
-        // on std and ranked locks, which conveniently excludes io `write`.
-        if matches!(tok.text.as_str(), "lock" | "read" | "write")
-            && i >= 2
-            && tokens[i - 1].text == "."
-            && tokens.get(i + 1).is_some_and(|t| t.text == "(")
-            && tokens.get(i + 2).is_some_and(|t| t.text == ")")
-        {
-            let recv_end = i - 2;
-            if tokens[recv_end].text == ")" {
-                // Accessor receiver: `self.shard(key).lock()`.
-                let open = matching_open(tokens, recv_end)?;
-                if open >= 1 && tokens[open - 1].kind == TokenKind::Ident {
-                    let method = tokens[open - 1].text.clone();
-                    let lock_id = resolve_alias(&method, target, self.manifest)?;
-                    let chain_start = chain_start_index(tokens, open - 1);
-                    return Some((lock_id, chain_start));
-                }
-                return None;
-            }
-            if matches!(tokens[recv_end].kind, TokenKind::Ident | TokenKind::Number) {
-                let chain = receiver_chain(tokens, recv_end)?;
-                let field = chain.last()?.clone();
-                let in_self = chain.first().is_some_and(|c| c == "self");
-                let lock_id = resolve_field(
-                    &field,
-                    if in_self { target } else { None },
-                    self.fields_by_struct,
-                    self.structs_by_field,
-                )?;
-                let chain_start = chain_start_index(tokens, recv_end);
-                return Some((lock_id, chain_start));
-            }
-            return None;
-        }
-        // Helper form: `lock_or_poisoned(&self.x)` — manifest-declared.
-        if self.manifest.lock_fns.contains_key(&tok.text)
-            && tokens.get(i + 1).is_some_and(|t| t.text == "(")
-            && (i == 0 || tokens[i - 1].text != ".")
-        {
-            let (chain, method) = helper_arg_chain(tokens, i + 2);
-            let lock_id = if let Some(method) = method {
-                resolve_alias(&method, target, self.manifest)?
-            } else {
-                let field = chain.last()?.clone();
-                let in_self = chain.first().is_some_and(|c| c == "self");
-                resolve_field(
-                    &field,
-                    if in_self { target } else { None },
-                    self.fields_by_struct,
-                    self.structs_by_field,
-                )?
-            };
-            return Some((lock_id, i));
-        }
-        None
-    }
-}
-
-/// Index of the `(` matching the `)` at `close`.
-fn matching_open(tokens: &[Token], close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut j = close;
-    loop {
-        match tokens[j].text.as_str() {
-            ")" | "]" | "}" => depth += 1,
-            "(" | "[" | "{" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            _ => {}
-        }
-        if j == 0 {
-            return None;
-        }
-        j -= 1;
-    }
-}
-
-/// Walk a dotted chain backwards from `end` to its first segment's index.
-fn chain_start_index(tokens: &[Token], end: usize) -> usize {
-    let mut j = end;
-    while j >= 2
-        && tokens[j - 1].text == "."
-        && matches!(tokens[j - 2].kind, TokenKind::Ident | TokenKind::Number)
-    {
-        j -= 2;
-    }
-    j
-}
-
-/// Scan items in `range`, dispatching function bodies to the analyzer with
-/// the enclosing `impl` target attached.
-fn scan_items(
-    analyzer: &mut FnAnalyzer<'_>,
-    tokens: &[Token],
-    range: std::ops::Range<usize>,
-    impl_target: Option<&str>,
-) {
-    let mut i = range.start;
-    while i < range.end {
-        let tok = &tokens[i];
-        if is_ident(tok, "impl") {
-            // `impl<G> Trait for Type { .. }` — the target is the last
-            // angle-depth-0 path ident before the body, reset at `for`,
-            // frozen at `where`.
-            let mut angle = 0i32;
-            let mut target: Option<String> = None;
-            let mut frozen = false;
-            let mut j = i + 1;
-            while j < range.end {
-                let t = &tokens[j];
-                match t.text.as_str() {
-                    "<" => angle += 1,
-                    ">" => angle -= 1,
-                    "{" if angle == 0 => break,
-                    ";" if angle == 0 => break,
-                    "for" if angle == 0 => target = None,
-                    "where" if angle == 0 => frozen = true,
-                    _ => {
-                        if angle == 0 && !frozen && t.kind == TokenKind::Ident {
-                            target = Some(t.text.clone());
-                        }
-                    }
-                }
-                j += 1;
-            }
-            if j < range.end && tokens[j].text == "{" {
-                let end = skip_delimited(tokens, j) - 1;
-                scan_items(analyzer, tokens, j + 1..end, target.as_deref());
-                i = end + 1;
-            } else {
-                i = j + 1;
-            }
-            continue;
-        }
-        if is_ident(tok, "fn") {
-            // Find the body `{` (or a bodiless `;`) at delimiter depth 0.
-            let mut depth = 0i32;
-            let mut j = i + 1;
-            while j < range.end {
-                match tokens[j].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    ";" if depth == 0 => break,
-                    "{" if depth == 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            if j < range.end && tokens[j].text == "{" {
-                let end = skip_delimited(tokens, j) - 1;
-                analyzer.analyze_fn(tokens, j + 1..end, impl_target);
-                i = end + 1;
-            } else {
-                i = j + 1;
-            }
-            continue;
-        }
-        if is_ident(tok, "mod") || is_ident(tok, "trait") {
-            // Recurse into inline modules and trait default bodies; neither
-            // carries an impl target.
-            let mut j = i + 1;
-            while j < range.end && tokens[j].text != "{" && tokens[j].text != ";" {
-                j += 1;
-            }
-            if j < range.end && tokens[j].text == "{" {
-                let end = skip_delimited(tokens, j) - 1;
-                scan_items(analyzer, tokens, j + 1..end, None);
-                i = end + 1;
-            } else {
-                i = j + 1;
-            }
-            continue;
-        }
-        i += 1;
-    }
-}
-
-/// Check `RankedMutex::new(rank, "Struct.field", ..)` literals against the
-/// manifest so the runtime checker cannot drift from the static one.
-fn check_ranked_ctors(
-    file: &str,
-    tokens: &[Token],
-    manifest: &Manifest,
-    findings: &mut Vec<Finding>,
-) {
-    let mut i = 0usize;
-    while i + 4 < tokens.len() {
-        if is_ident(&tokens[i], "RankedMutex")
-            && tokens[i + 1].text == "::"
-            && is_ident(&tokens[i + 2], "new")
-            && tokens[i + 3].text == "("
-        {
-            let line = tokens[i].line;
-            let rank_tok = &tokens[i + 4];
-            let name_tok = tokens.get(i + 6);
-            if rank_tok.kind != TokenKind::Number
-                || tokens.get(i + 5).is_none_or(|t| t.text != ",")
-                || !name_tok.is_some_and(|t| t.kind == TokenKind::Str)
-            {
-                findings.push(Finding::new(
-                    "ML001",
-                    file,
-                    line,
-                    "RankedMutex::new must take a literal rank and a literal \
-                     \"Struct.field\" name so the manifest can cross-check them"
-                        .to_string(),
-                ));
-                i += 1;
-                continue;
-            }
-            let name = name_tok
-                .map(|t| t.text.trim_matches('"').to_string())
-                .unwrap_or_default();
-            let rank: Option<u32> = rank_tok.text.parse().ok();
-            match (manifest.ranks.get(&name), rank) {
-                (None, _) => findings.push(Finding::new(
-                    "ML001",
-                    file,
-                    line,
-                    format!("RankedMutex `{name}` is not declared in lock_order.toml"),
-                )),
-                (Some(&declared), Some(literal)) if declared != literal => {
-                    findings.push(Finding::new(
-                        "ML001",
-                        file,
-                        line,
-                        format!(
-                            "RankedMutex `{name}` constructed with rank {literal} but \
-                             lock_order.toml declares {declared}"
-                        ),
-                    ))
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Run ML001 over a set of files (already cfg(test)-stripped).
-pub fn run(files: &[(String, Vec<Token>)], manifest: &Manifest, findings: &mut Vec<Finding>) {
-    // Pass 1: harvest lock fields everywhere.
-    let mut all_fields: Vec<LockField> = Vec::new();
-    for (file, tokens) in files {
-        all_fields.extend(collect_lock_fields(file, tokens));
-    }
-    let mut fields_by_struct: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut structs_by_field: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut exempt: BTreeSet<String> = BTreeSet::new();
-    for f in &all_fields {
-        if f.is_condvar {
-            continue;
-        }
-        fields_by_struct
-            .entry(f.struct_name.clone())
-            .or_default()
-            .insert(f.field_name.clone());
-        structs_by_field
-            .entry(f.field_name.clone())
-            .or_default()
-            .insert(f.struct_name.clone());
-        if f.exempt {
-            exempt.insert(f.id());
-        }
-    }
-
-    // Pass 2: manifest coverage — every discovered lock must be ranked,
-    // every condvar paired.
-    for f in &all_fields {
-        if f.exempt {
-            continue;
-        }
-        let id = f.id();
-        if f.is_condvar {
-            if !manifest.condvars.contains_key(&id) {
-                findings.push(Finding::new(
-                    "ML001",
-                    &f.file,
-                    f.line,
-                    format!("condvar `{id}` is not paired with a ranked lock in lock_order.toml"),
-                ));
-            }
-        } else if !manifest.ranks.contains_key(&id) {
+pub fn run(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
+    for tok in tokens {
+        if tok.kind == TokenKind::Ident && RAW_LOCKS.contains(&tok.text.as_str()) {
             findings.push(Finding::new(
                 "ML001",
-                &f.file,
-                f.line,
-                format!("lock `{id}` has no rank in lock_order.toml"),
+                file,
+                tok.line,
+                format!(
+                    "raw `{}` bypasses the lock-rank checker; use `RankedMutex` with a \
+                     `lock_rank` constant",
+                    tok.text
+                ),
             ));
         }
-    }
-    // Stale manifest entries point at locks that no longer exist.
-    let known: BTreeSet<String> = all_fields.iter().map(|f| f.id()).collect();
-    for name in manifest.ranks.keys().chain(manifest.condvars.keys()) {
-        if !known.contains(name) {
-            findings.push(Finding::new(
-                "ML001",
-                "crates/lint/lock_order.toml",
-                0,
-                format!("manifest names `{name}` but no such lock field exists"),
-            ));
-        }
-    }
-
-    // Pass 3: acquisition edges.
-    let mut analyzer = FnAnalyzer {
-        file: String::new(),
-        manifest,
-        fields_by_struct: &fields_by_struct,
-        structs_by_field: &structs_by_field,
-        exempt: &exempt,
-        edges: Vec::new(),
-        findings: Vec::new(),
-    };
-    for (file, tokens) in files {
-        analyzer.file = file.clone();
-        scan_items(&mut analyzer, tokens, 0..tokens.len(), None);
-        check_ranked_ctors(file, tokens, manifest, findings);
-    }
-    let FnAnalyzer {
-        edges,
-        findings: fn_findings,
-        ..
-    } = analyzer;
-    findings.extend(fn_findings);
-
-    // Pass 4: rank monotonicity on each edge.
-    let mut edge_set: BTreeSet<(String, String)> = BTreeSet::new();
-    for e in &edges {
-        edge_set.insert((e.held.clone(), e.acquired.clone()));
-        if let (Some(&from), Some(&to)) =
-            (manifest.ranks.get(&e.held), manifest.ranks.get(&e.acquired))
-        {
-            if from >= to {
-                findings.push(Finding::new(
-                    "ML001",
-                    &e.file,
-                    e.line,
-                    format!(
-                        "`{}` (rank {to}) acquired while holding `{}` (rank {from}); \
-                         ranks must strictly increase along acquisition chains",
-                        e.acquired, e.held
-                    ),
-                ));
-            }
-        }
-    }
-
-    // Pass 5: cycles in the raw graph (covers unranked locks too).
-    if let Some(cycle) = find_cycle(&edge_set) {
-        findings.push(Finding::new(
-            "ML001",
-            files.first().map(|(f, _)| f.as_str()).unwrap_or(""),
-            0,
-            format!(
-                "acquisition graph contains a cycle: {} — concurrent callers can deadlock",
-                cycle.join(" -> ")
-            ),
-        ));
-    }
-}
-
-/// DFS cycle detection over the acquisition edge set.
-fn find_cycle(edges: &BTreeSet<(String, String)>) -> Option<Vec<String>> {
-    let mut adjacency: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (a, b) in edges {
-        adjacency.entry(a.as_str()).or_default().push(b.as_str());
-    }
-    let mut visited: BTreeSet<&str> = BTreeSet::new();
-    for start in adjacency.keys().copied().collect::<Vec<_>>() {
-        if visited.contains(start) {
-            continue;
-        }
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        let mut path: Vec<&str> = vec![start];
-        let mut on_path: BTreeSet<&str> = [start].into();
-        visited.insert(start);
-        while let Some((node, next)) = stack.last_mut() {
-            let succ = adjacency.get(*node).map(|v| v.as_slice()).unwrap_or(&[]);
-            if *next < succ.len() {
-                let child = succ[*next];
-                *next += 1;
-                if on_path.contains(child) {
-                    let from = path.iter().position(|n| *n == child).unwrap_or(0);
-                    let mut cycle: Vec<String> =
-                        path[from..].iter().map(|s| s.to_string()).collect();
-                    cycle.push(child.to_string());
-                    return Some(cycle);
-                }
-                if visited.insert(child) {
-                    stack.push((child, 0));
-                    path.push(child);
-                    on_path.insert(child);
-                }
-            } else {
-                on_path.remove(*node);
-                path.pop();
-                stack.pop();
-            }
-        }
-    }
-    None
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    fn manifest(text: &str) -> Manifest {
-        crate::manifest::parse(text).expect("test manifest parses")
-    }
-
-    fn run_on(src: &str, m: &Manifest) -> Vec<Finding> {
-        let tokens = crate::rules::strip_cfg_test(&lex(src).tokens);
-        let files = vec![("test.rs".to_string(), tokens)];
-        let mut findings = Vec::new();
-        run(&files, m, &mut findings);
-        findings
-    }
-
-    const TWO_LOCKS: &str = r#"
-use std::sync::Mutex;
-struct A { low: Mutex<u32>, high: Mutex<u32> }
-"#;
-
-    #[test]
-    fn collects_lock_and_condvar_fields() {
-        let src = r#"
-struct Gate { state: Mutex<GateState>, freed: Condvar, limit: usize }
-struct Table { slots: RankedMutex<HashMap<u64, u64>> }
-"#;
-        let fields = collect_lock_fields("f.rs", &lex(src).tokens);
-        let ids: Vec<String> = fields.iter().map(|f| f.id()).collect();
-        assert_eq!(ids, ["Gate.state", "Gate.freed", "Table.slots"]);
-        assert!(fields[1].is_condvar);
-    }
-
-    #[test]
-    fn in_order_acquisition_is_clean() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n");
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn ordered(&self) {{
-        let a = self.low.lock().unwrap();
-        let b = self.high.lock().unwrap();
-    }}
-}}"
-        );
-        assert!(run_on(&src, &m).is_empty(), "{:?}", run_on(&src, &m));
-    }
-
-    #[test]
-    fn inverted_acquisition_is_flagged() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n");
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn inverted(&self) {{
-        let b = self.high.lock().unwrap();
-        let a = self.low.lock().unwrap();
-    }}
-}}"
-        );
-        let findings = run_on(&src, &m);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("strictly increase")));
-    }
-
-    #[test]
-    fn dropped_guard_is_released() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n");
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn sequential(&self) {{
-        let b = self.high.lock().unwrap();
-        drop(b);
-        let a = self.low.lock().unwrap();
-    }}
-}}"
-        );
-        assert!(run_on(&src, &m).is_empty());
-    }
-
-    #[test]
-    fn scope_exit_releases_guard() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n");
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn scoped(&self) {{
-        {{ let b = self.high.lock().unwrap(); }}
-        let a = self.low.lock().unwrap();
-    }}
-}}"
-        );
-        assert!(run_on(&src, &m).is_empty());
-    }
-
-    #[test]
-    fn unranked_lock_is_a_coverage_finding() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n");
-        let src = "struct A { low: Mutex<u32>, high: Mutex<u32> }";
-        let findings = run_on(src, &m);
-        assert!(findings.iter().any(|f| f.message.contains("A.high")));
-    }
-
-    #[test]
-    fn stale_manifest_entry_is_flagged() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"Gone.lock\" = 9\n");
-        let src = "struct A { low: Mutex<u32> }";
-        let findings = run_on(src, &m);
-        assert!(findings.iter().any(|f| f.message.contains("Gone.lock")));
-    }
-
-    #[test]
-    fn helper_fn_acquisitions_build_edges() {
-        let m = manifest(
-            "[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n[lock_fns]\nlock_or_poisoned = \"lock\"\n",
-        );
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn inverted(&self) {{
-        let b = lock_or_poisoned(&self.high);
-        let a = lock_or_poisoned(&self.low);
-    }}
-}}"
-        );
-        let findings = run_on(&src, &m);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("strictly increase")));
-    }
-
-    #[test]
-    fn alias_accessor_resolves_through_manifest() {
-        let m = manifest(
-            "[ranks]\n\"Cache.shards\" = 5\n\"A.low\" = 1\n[aliases]\n\"Cache.shard\" = \"shards\"\n",
-        );
-        let src = r#"
-struct Cache { shards: Vec<Mutex<u32>> }
-struct A { low: Mutex<u32> }
-impl Cache {
-    fn get(&self, a: &A) {
-        let s = self.shard(0).lock().unwrap();
-        let x = a.low.lock().unwrap();
-    }
-}
-"#;
-        let findings = run_on(src, &m);
-        // shards rank 5 then low rank 1 — inversion through the alias.
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("strictly increase")));
-    }
-
-    #[test]
-    fn ranked_ctor_literal_must_match_manifest() {
-        let m = manifest("[ranks]\n\"Gate.state\" = 10\n");
-        let src = r#"
-struct Gate { state: RankedMutex<u32> }
-impl Gate {
-    fn new() -> Self {
-        Self { state: RankedMutex::new(99, "Gate.state", 0) }
-    }
-}
-"#;
-        let findings = run_on(src, &m);
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("rank 99") && f.message.contains("declares 10")));
-    }
-
-    #[test]
-    fn cycle_without_ranks_is_detected() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n");
-        // Two functions acquiring in opposite orders: classic AB-BA.
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn ab(&self) {{
-        let a = self.low.lock().unwrap();
-        let b = self.high.lock().unwrap();
-    }}
-    fn ba(&self) {{
-        let b = self.high.lock().unwrap();
-        let a = self.low.lock().unwrap();
-    }}
-}}"
-        );
-        let findings = run_on(&src, &m);
-        assert!(findings.iter().any(|f| f.message.contains("cycle")));
-    }
-
-    #[test]
-    fn same_lock_reacquisition_is_flagged() {
-        let m = manifest("[ranks]\n\"A.low\" = 1\n\"A.high\" = 2\n");
-        let src = format!(
-            "{TWO_LOCKS}
-impl A {{
-    fn twice(&self) {{
-        let a = self.low.lock().unwrap();
-        let b = self.low.lock().unwrap();
-    }}
-}}"
-        );
-        let findings = run_on(&src, &m);
-        assert!(findings.iter().any(|f| f.message.contains("self-deadlock")));
     }
 }

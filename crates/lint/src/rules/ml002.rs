@@ -5,9 +5,9 @@
 //! multiplexed client.  In the serving scope (`crates/service/src/server.rs`
 //! and `crates/wire/src`), this pass flags:
 //!
-//! - `.unwrap()` / `.expect(..)` — poisoned-lock recovery must go through
-//!   the named `lock_or_poisoned` helper instead, and decoded input must
-//!   surface typed `WireError`/`ServiceError` values;
+//! - `.unwrap()` / `.expect(..)` — locks recover from poisoning through
+//!   `RankedMutex::lock`, and decoded input must surface typed
+//!   `WireError`/`ServiceError` values;
 //! - `panic!(..)` / `unreachable!(..)` / `todo!(..)` / `unimplemented!(..)`;
 //! - postfix slice indexing `buf[i]` / `buf[a..b]` with a non-literal
 //!   index, which panics out-of-bounds — `get()` returns an Option.
@@ -37,7 +37,7 @@ pub fn run(file: &str, tokens: &[Token], findings: &mut Vec<Finding>) {
                     tok.line,
                     format!(
                         "`.{}()` in request-serving code can panic and poison shared state; \
-                         return a typed error (or use `lock_or_poisoned` for poisoned locks)",
+                         return a typed error (`RankedMutex::lock` already recovers from poisoning)",
                         tok.text
                     ),
                 ));

@@ -2,25 +2,10 @@
 //! exactly the expected diagnostic codes, so every rule has a pinned
 //! positive and negative example that fails loudly if a heuristic drifts.
 
-use malleus_lint::{manifest, run_source, Finding};
+use malleus_lint::{run_source, Finding};
 
-/// Manifest used by the ML001 fixtures: the admission/coalesce rank shape
-/// from the real lock_order.toml, plus the poisoned-lock helper.
-const FIXTURE_MANIFEST: &str = r#"
-[ranks]
-"AdmissionGate.state" = 10
-"InFlightTable.slots" = 20
-
-[condvars]
-"AdmissionGate.freed" = "AdmissionGate.state"
-
-[lock_fns]
-lock_or_poisoned = "lock"
-"#;
-
-fn check(name: &str, source: &str, manifest_text: &str, expected_codes: &[&str]) {
-    let m = manifest::parse(manifest_text).expect("fixture manifest parses");
-    let findings: Vec<Finding> = run_source(name, source, &m);
+fn check(name: &str, source: &str, expected_codes: &[&str]) {
+    let findings: Vec<Finding> = run_source(name, source);
     let codes: Vec<&str> = findings.iter().map(|f| f.code.as_str()).collect();
     assert_eq!(
         codes, expected_codes,
@@ -29,22 +14,18 @@ fn check(name: &str, source: &str, manifest_text: &str, expected_codes: &[&str])
 }
 
 #[test]
-fn ml001_inverted_acquisition_is_flagged() {
-    let src = include_str!("fixtures/ml001_inverted.rs");
-    check("ml001_inverted.rs", src, FIXTURE_MANIFEST, &["ML001"]);
-    // And the finding is the rank inversion, not a coverage gap.
-    let m = manifest::parse(FIXTURE_MANIFEST).unwrap();
-    let findings = run_source("ml001_inverted.rs", src, &m);
-    assert!(findings[0].message.contains("strictly increase"));
-    assert!(findings[0].message.contains("AdmissionGate.state"));
+fn ml001_raw_mutex_field_is_flagged() {
+    let src = include_str!("fixtures/ml001_raw_mutex.rs");
+    check("ml001_raw_mutex.rs", src, &["ML001"]);
+    let findings = run_source("ml001_raw_mutex.rs", src);
+    assert!(findings[0].message.contains("RankedMutex"));
 }
 
 #[test]
-fn ml001_ordered_acquisition_is_clean() {
+fn ml001_ranked_mutex_and_condvar_are_clean() {
     check(
-        "ml001_ordered.rs",
-        include_str!("fixtures/ml001_ordered.rs"),
-        FIXTURE_MANIFEST,
+        "ml001_ranked.rs",
+        include_str!("fixtures/ml001_ranked.rs"),
         &[],
     );
 }
@@ -54,7 +35,6 @@ fn ml002_panic_paths_are_flagged() {
     check(
         "ml002_panics.rs",
         include_str!("fixtures/ml002_panics.rs"),
-        "",
         &["ML002", "ML002", "ML002", "ML002"],
     );
 }
@@ -64,7 +44,6 @@ fn ml002_typed_errors_are_clean() {
     check(
         "ml002_typed.rs",
         include_str!("fixtures/ml002_typed.rs"),
-        "",
         &[],
     );
 }
@@ -74,7 +53,6 @@ fn ml003_float_identity_breaks_are_flagged() {
     check(
         "ml003_float_eq.rs",
         include_str!("fixtures/ml003_float_eq.rs"),
-        "",
         &["ML003", "ML003", "ML003"],
     );
 }
@@ -84,7 +62,6 @@ fn ml003_to_bits_comparisons_are_clean() {
     check(
         "ml003_to_bits.rs",
         include_str!("fixtures/ml003_to_bits.rs"),
-        "",
         &[],
     );
 }
@@ -94,7 +71,6 @@ fn ml004_nondeterminism_sources_are_flagged() {
     check(
         "ml004_wallclock.rs",
         include_str!("fixtures/ml004_wallclock.rs"),
-        "",
         &["ML004", "ML004", "ML004"],
     );
 }
@@ -104,7 +80,6 @@ fn ml004_seeded_randomness_is_clean() {
     check(
         "ml004_seeded.rs",
         include_str!("fixtures/ml004_seeded.rs"),
-        "",
         &[],
     );
 }
@@ -112,8 +87,7 @@ fn ml004_seeded_randomness_is_clean() {
 #[test]
 fn ml005_reasoned_pragma_suppresses_and_reasonless_is_flagged() {
     let src = include_str!("fixtures/ml005_pragmas.rs");
-    check("ml005_pragmas.rs", src, "", &["ML005", "ML004"]);
-    let m = manifest::parse("").unwrap();
-    let findings = run_source("ml005_pragmas.rs", src, &m);
+    check("ml005_pragmas.rs", src, &["ML005", "ML004"]);
+    let findings = run_source("ml005_pragmas.rs", src);
     assert!(findings[0].message.contains("reason"));
 }

@@ -441,6 +441,7 @@ mod tests {
     use super::*;
     use malleus_cluster::{GpuId, PaperSituation, Situation, TracePhase};
     use malleus_model::{HardwareParams, ModelSpec};
+    use std::sync::{mpsc, Mutex};
 
     fn session(cluster: Cluster) -> TrainingSession {
         let coeffs =
@@ -554,9 +555,54 @@ mod tests {
         assert!(metrics.hits + metrics.coalesced > 0);
     }
 
+    /// Holds the service's only execution slot: `plan` reports that it has
+    /// entered, then blocks until the test releases it.
+    #[derive(Debug)]
+    struct GatedBackend {
+        entered: mpsc::Sender<()>,
+        release: Arc<Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl PlanBackend for GatedBackend {
+        fn id(&self) -> BackendId {
+            BackendId::Megatron
+        }
+
+        fn fingerprint_config(&self) -> u64 {
+            0
+        }
+
+        fn plan(
+            &self,
+            _snapshot: &ClusterSnapshot,
+            _config: &PlannerConfig,
+        ) -> Result<PlannedOutcome, PlanError> {
+            self.entered.send(()).expect("test waits for entry");
+            // Returns once the test releases the slot (or gives up on it).
+            let _ = self.release.lock().unwrap().recv();
+            Err(PlanError::NoUsableGpus)
+        }
+
+        fn replan(
+            &self,
+            snapshot: &ClusterSnapshot,
+            _previous: &PlannedOutcome,
+            _event: malleus_core::ClusterEvent,
+        ) -> Result<PlannedOutcome, PlanError> {
+            self.plan(snapshot, &PlannerConfig::default())
+        }
+
+        fn estimate_step_time(
+            &self,
+            _plan: &malleus_core::ParallelizationPlan,
+            _snapshot: &ClusterSnapshot,
+        ) -> Option<f64> {
+            None
+        }
+    }
+
     #[test]
     fn session_survives_service_backpressure_by_planning_locally() {
-        use malleus_model::{HardwareParams, ModelSpec};
         use malleus_service::{PlanRequest, PlanService, ServiceConfig};
         let cluster = Cluster::homogeneous(4, 8);
         let trace = short_trace(&cluster, &[PaperSituation::Normal, PaperSituation::S2]);
@@ -568,40 +614,50 @@ mod tests {
             max_queue_depth: 0,
             ..ServiceConfig::default()
         }));
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        service.register_backend(
+            BackendId::Megatron,
+            Arc::new(move |_, _| {
+                Box::new(GatedBackend {
+                    entered: entered_tx.clone(),
+                    release: Arc::clone(&release_rx),
+                })
+            }),
+        );
         let blocker = {
             let service = Arc::clone(&service);
-            std::thread::spawn(move || {
-                // 110B on 64 GPUs: slow enough to hold the slot for a while.
-                let coeffs = ProfiledCoefficients::derive(
-                    ModelSpec::llama2_110b(),
+            let request = PlanRequest::new(
+                ProfiledCoefficients::derive(
+                    ModelSpec::llama2_7b(),
                     HardwareParams::a800_cluster(),
-                );
-                let request = PlanRequest::new(
-                    coeffs,
-                    Cluster::homogeneous(8, 8).snapshot(),
-                    PlannerConfig::default(),
-                );
-                service.plan(&request).expect("blocker plan");
-            })
+                ),
+                cluster.snapshot(),
+                PlannerConfig::default(),
+            );
+            std::thread::spawn(move || service.plan_backend(BackendId::Megatron, &request))
         };
-        while service.metrics().active_plans == 0 {
-            std::thread::yield_now();
-        }
+        entered.recv().expect("the blocker holds the only slot");
         // The session must degrade to its own planner (byte-identical plans)
         // instead of dying on the transient overload.
         let report = session(cluster)
             .with_service(Arc::clone(&service))
             .run(&trace)
             .expect("session must survive backpressure");
+        release.send(()).expect("the blocker waits for release");
+        blocker
+            .join()
+            .expect("blocker thread")
+            .expect_err("gated backend");
         for (ours, theirs) in report.phases.iter().zip(baseline.phases.iter()) {
-            assert_eq!(ours.step_time, theirs.step_time);
+            assert_eq!(ours.step_time.to_bits(), theirs.step_time.to_bits());
             assert_eq!(ours.dp, theirs.dp);
         }
         assert!(
             service.metrics().rejected > 0,
             "the saturated service should have shed at least the first request"
         );
-        blocker.join().unwrap();
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! waiters queued behind it.
 
 use crate::ServiceError;
-use malleus_core::RankedMutex;
+use malleus_core::{lock_rank, RankedMutex};
 use std::collections::BTreeSet;
 use std::sync::Condvar;
 use std::time::{Duration, Instant};
@@ -88,8 +88,11 @@ impl AdmissionGate {
             max_active: max_active.max(1),
             max_queue_depth,
             queue_wait_timeout,
-            // Rank from crates/lint/lock_order.toml (checked by malleus-lint).
-            state: RankedMutex::new(10, "AdmissionGate.state", GateState::default()),
+            state: RankedMutex::new(
+                lock_rank::ADMISSION_GATE_STATE,
+                "AdmissionGate.state",
+                GateState::default(),
+            ),
             freed: Condvar::new(),
         }
     }
@@ -166,6 +169,14 @@ impl AdmissionGate {
     pub fn depths(&self) -> (usize, usize) {
         let state = self.state.lock();
         (state.active, state.waiting)
+    }
+
+    /// Queue tickets handed out so far.  Unlike the queue depth it never
+    /// drops when a waiter times out, so tests can wait on it without racing
+    /// the timeout.
+    #[cfg(test)]
+    fn tickets_issued(&self) -> u64 {
+        self.state.lock().next_ticket
     }
 }
 
@@ -330,7 +341,7 @@ mod tests {
                 drop(p);
             })
         };
-        while gate.depths().1 < 1 {
+        while gate.tickets_issued() < 1 {
             std::thread::yield_now();
         }
         // B queues second with a short timeout — it will abandon its ticket
@@ -342,10 +353,11 @@ mod tests {
                     .map(|_| ())
             })
         };
-        while gate.depths().1 < 2 {
+        while gate.tickets_issued() < 2 {
             std::thread::yield_now();
         }
-        // C queues third, unbounded.
+        // C queues third, unbounded.  B may time out before or after C
+        // queues; either way A is served first and C second.
         let c = {
             let (gate, order) = (Arc::clone(&gate), Arc::clone(&order));
             std::thread::spawn(move || {
@@ -354,7 +366,7 @@ mod tests {
                 drop(p);
             })
         };
-        while gate.depths().1 < 3 {
+        while gate.tickets_issued() < 3 {
             std::thread::yield_now();
         }
 

@@ -24,11 +24,10 @@
 //!   optional `max_bytes_per_shard`, so a handful of 512-GPU lattice-bearing
 //!   plans cannot squeeze out every small tenant.
 
-use crate::sync::lock_or_poisoned;
 use crate::KeyedRequest;
-use malleus_core::PlannedOutcome;
+use malleus_core::{lock_rank, PlannedOutcome, RankedMutex};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Approximate resident bytes of a planned outcome — the variable-size parts
@@ -149,7 +148,7 @@ impl Shard {
 /// The sharded plan cache.
 #[derive(Debug)]
 pub(crate) struct ShardedPlanCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<RankedMutex<Shard>>,
     capacity_per_shard: usize,
     ttl: Option<Duration>,
     max_bytes_per_shard: Option<usize>,
@@ -164,7 +163,13 @@ impl ShardedPlanCache {
     ) -> Self {
         Self {
             shards: (0..shards.max(1))
-                .map(|_| Mutex::new(Shard::default()))
+                .map(|_| {
+                    RankedMutex::new(
+                        lock_rank::SHARDED_PLAN_CACHE_SHARDS,
+                        "ShardedPlanCache.shards",
+                        Shard::default(),
+                    )
+                })
                 .collect(),
             capacity_per_shard,
             ttl,
@@ -172,7 +177,7 @@ impl ShardedPlanCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, key: u64) -> &RankedMutex<Shard> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
@@ -181,7 +186,7 @@ impl ShardedPlanCache {
     /// untouched.  Returns the outcome (if any) and the number of expired
     /// entries purged from the touched bucket along the way.
     pub fn get(&self, key: u64, request: &KeyedRequest) -> (Option<Arc<PlannedOutcome>>, u64) {
-        let mut shard = lock_or_poisoned(self.shard(key));
+        let mut shard = self.shard(key).lock();
         shard.clock += 1;
         let now = shard.clock;
         let mut expired = 0;
@@ -207,7 +212,7 @@ impl ShardedPlanCache {
             return 0;
         }
         let size = approx_outcome_size(&outcome);
-        let mut shard = lock_or_poisoned(self.shard(key));
+        let mut shard = self.shard(key).lock();
         shard.clock += 1;
         let now = shard.clock;
         let mut evicted = 0;
@@ -250,12 +255,12 @@ impl ShardedPlanCache {
 
     /// Total number of cached plans across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_or_poisoned(s).len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Approximate resident bytes across all shards (diagnostics).
     pub fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(|s| lock_or_poisoned(s).bytes).sum()
+        self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 }
 

@@ -17,7 +17,7 @@
 //! a synthetic error.
 
 use crate::{KeyedRequest, ServiceError};
-use malleus_core::{PlannedOutcome, RankedMutex};
+use malleus_core::{lock_rank, PlannedOutcome, RankedMutex};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar};
 
@@ -48,11 +48,10 @@ impl InFlight {
     fn new(request: KeyedRequest) -> Self {
         Self {
             request,
-            // Rank from crates/lint/lock_order.toml (checked by malleus-lint).
             // `RankedMutex` recovers from poisoning: the slot is an `Option`
             // set exactly once, so a leader panic must not cascade poison
             // panics into every follower.
-            result: RankedMutex::new(30, "InFlight.result", None),
+            result: RankedMutex::new(lock_rank::IN_FLIGHT_RESULT, "InFlight.result", None),
             ready: Condvar::new(),
         }
     }
@@ -94,8 +93,11 @@ pub(crate) struct InFlightTable {
 impl Default for InFlightTable {
     fn default() -> Self {
         Self {
-            // Rank from crates/lint/lock_order.toml (checked by malleus-lint).
-            slots: RankedMutex::new(20, "InFlightTable.slots", HashMap::new()),
+            slots: RankedMutex::new(
+                lock_rank::IN_FLIGHT_TABLE_SLOTS,
+                "InFlightTable.slots",
+                HashMap::new(),
+            ),
         }
     }
 }

@@ -41,7 +41,6 @@ mod cache;
 mod coalesce;
 mod metrics;
 pub mod server;
-mod sync;
 
 pub use metrics::{BackendMetrics, ServiceMetrics};
 pub use server::{ClientConfig, Endpoint, L1Stats, PlanClient, PlanServer, ServerConfig};
@@ -49,15 +48,15 @@ pub use server::{ClientConfig, Endpoint, L1Stats, PlanClient, PlanServer, Server
 use admission::AdmissionGate;
 use cache::ShardedPlanCache;
 use coalesce::{InFlightTable, Publication, Role};
-use malleus_cluster::ClusterSnapshot;
+use malleus_cluster::{ClusterSnapshot, Fnv1a};
 use malleus_core::{
-    BackendConstructor, BackendId, GroupingCache, Parallelism, PlanBackend, PlanError, PlanOutcome,
-    PlannedOutcome, Planner, PlannerConfig,
+    lock_rank, BackendConstructor, BackendId, GroupingCache, Parallelism, PlanBackend, PlanError,
+    PlanOutcome, PlannedOutcome, Planner, PlannerConfig, RankedMutex,
 };
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One tenant's planning request: the profiled coefficients (model spec +
@@ -94,11 +93,11 @@ impl PlanRequest {
     /// fingerprint.  Collisions are possible; every consumer confirms with
     /// [`PlanRequest::matches`].
     pub fn key(&self) -> u64 {
-        let mut f = Fnv::new();
-        f.u64(self.snapshot.fingerprint());
-        f.u64(coeffs_fingerprint(&self.coeffs));
-        f.u64(config_fingerprint(&self.config));
-        f.finish()
+        Fnv1a::new()
+            .u64(self.snapshot.fingerprint())
+            .u64(coeffs_fingerprint(&self.coeffs))
+            .u64(config_fingerprint(&self.config))
+            .finish()
     }
 
     /// Full-equality confirmation for fingerprint hits: same coefficients,
@@ -136,11 +135,11 @@ impl KeyedRequest {
     /// backend identity.  Collisions are possible; every consumer confirms
     /// with [`KeyedRequest::matches`].
     pub fn key(&self) -> u64 {
-        let mut f = Fnv::new();
-        f.u64(self.request.key());
-        f.u64(self.backend.code());
-        f.u64(self.backend_fingerprint);
-        f.finish()
+        Fnv1a::new()
+            .u64(self.request.key())
+            .u64(self.backend.code())
+            .u64(self.backend_fingerprint)
+            .finish()
     }
 
     /// Full-equality confirmation for fingerprint hits.
@@ -164,43 +163,11 @@ fn config_equivalent(a: &PlannerConfig, b: &PlannerConfig) -> bool {
     a == b
 }
 
-/// Incremental FNV-1a hasher (same construction as
-/// `ClusterSnapshot::fingerprint`, kept dependency-free).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        for byte in v.to_le_bytes() {
-            self.0 = (self.0 ^ byte as u64).wrapping_mul(PRIME);
-        }
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        self.u64(bytes.len() as u64);
-        for &b in bytes {
-            self.u64(b as u64);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Structural fingerprint of a coefficient bundle (spec + hardware; the
 /// memory model is derived from the spec, and equality confirmation covers
 /// hand-constructed bundles anyway).
 fn coeffs_fingerprint(c: &ProfiledCoefficients) -> u64 {
-    let mut f = Fnv::new();
+    let mut f = Fnv1a::new();
     f.bytes(c.spec.name.as_bytes());
     f.u64(c.spec.num_layers as u64);
     f.u64(c.spec.hidden_size);
@@ -224,7 +191,7 @@ fn coeffs_fingerprint(c: &ProfiledCoefficients) -> u64 {
 /// Structural fingerprint of a planner configuration, excluding the
 /// parallelism knob (see [`PlanRequest::config`]).
 fn config_fingerprint(c: &PlannerConfig) -> u64 {
-    let mut f = Fnv::new();
+    let mut f = Fnv1a::new();
     f.u64(c.global_batch_size);
     f.u64(c.candidate_tp_degrees.len() as u64);
     for &tp in &c.candidate_tp_degrees {
@@ -235,7 +202,9 @@ fn config_fingerprint(c: &PlannerConfig) -> u64 {
         f.u64(b);
     }
     match &c.candidate_dp {
-        None => f.u64(0),
+        None => {
+            f.u64(0);
+        }
         Some(dps) => {
             f.u64(1 + dps.len() as u64);
             for &dp in dps {
@@ -244,7 +213,9 @@ fn config_fingerprint(c: &PlannerConfig) -> u64 {
         }
     }
     match c.fixed_dp {
-        None => f.u64(0),
+        None => {
+            f.u64(0);
+        }
         Some(dp) => {
             f.u64(1);
             f.u64(dp as u64);
@@ -426,15 +397,12 @@ impl Drop for CompleteSlotOnDrop<'_> {
 /// instance is specific to one (coefficients, config) pair, while the service
 /// is multi-tenant across both.
 struct BackendRegistry {
-    ctors: Mutex<BTreeMap<BackendId, Arc<BackendConstructor>>>,
+    ctors: RankedMutex<BTreeMap<BackendId, Arc<BackendConstructor>>>,
 }
 
 impl std::fmt::Debug for BackendRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ids: Vec<BackendId> = sync::lock_or_poisoned(&self.ctors)
-            .keys()
-            .copied()
-            .collect();
+        let ids: Vec<BackendId> = self.ctors.lock().keys().copied().collect();
         f.debug_struct("BackendRegistry")
             .field("ids", &ids)
             .finish()
@@ -471,7 +439,11 @@ impl PlanService {
                 config.queue_wait_timeout,
             ),
             registry: BackendRegistry {
-                ctors: Mutex::new(BTreeMap::new()),
+                ctors: RankedMutex::new(
+                    lock_rank::BACKEND_REGISTRY_CTORS,
+                    "BackendRegistry.ctors",
+                    BTreeMap::new(),
+                ),
             },
             metrics: metrics::MetricsRecorder::default(),
             config,
@@ -503,15 +475,12 @@ impl PlanService {
     /// fingerprint differently (see
     /// [`malleus_core::PlanBackend::fingerprint_config`]).
     pub fn register_backend(&self, id: BackendId, ctor: Arc<BackendConstructor>) {
-        sync::lock_or_poisoned(&self.registry.ctors).insert(id, ctor);
+        self.registry.ctors.lock().insert(id, ctor);
     }
 
     /// The backends currently registered, in [`BackendId`] order.
     pub fn registered_backends(&self) -> Vec<BackendId> {
-        sync::lock_or_poisoned(&self.registry.ctors)
-            .keys()
-            .copied()
-            .collect()
+        self.registry.ctors.lock().keys().copied().collect()
     }
 
     /// Serve one planning request.
@@ -556,7 +525,10 @@ impl PlanService {
         metrics::MetricsRecorder::bump(&self.metrics.requests);
         metrics::MetricsRecorder::bump(&self.metrics.backend(backend).requests);
 
-        let ctor = sync::lock_or_poisoned(&self.registry.ctors)
+        let ctor = self
+            .registry
+            .ctors
+            .lock()
             .get(&backend)
             .cloned()
             .ok_or(ServiceError::UnknownBackend { backend })?;
@@ -731,6 +703,7 @@ mod tests {
     use super::*;
     use malleus_cluster::{Cluster, GpuId};
     use malleus_model::{HardwareParams, ModelSpec};
+    use std::sync::Mutex;
 
     fn small_request(rate_on_gpu3: f64) -> PlanRequest {
         let coeffs =
@@ -747,6 +720,17 @@ mod tests {
                 ..PlannerConfig::default()
             },
         )
+    }
+
+    #[test]
+    fn keyed_request_key_is_pinned() {
+        // The L1/L2 cache and singleflight key; it must not move.
+        let keyed = KeyedRequest {
+            backend: BackendId::Oobleck,
+            backend_fingerprint: 0xfeed,
+            request: small_request(2.57),
+        };
+        assert_eq!(keyed.key(), 0x0be5_b03e_6413_76d4);
     }
 
     #[test]

@@ -7,11 +7,9 @@
 //! individually, so a snapshot taken while requests are in flight may be off
 //! by the requests that completed mid-read.
 
-use crate::sync::lock_or_poisoned;
-use malleus_core::BackendId;
+use malleus_core::{lock_rank, BackendId, RankedMutex};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Number of service-time samples retained for the percentile estimates.
 const LATENCY_WINDOW: usize = 4096;
@@ -36,7 +34,7 @@ pub(crate) struct MetricsRecorder {
     /// Per-backend counter breakout, indexed by [`BackendId::index`].
     per_backend: Vec<BackendCounters>,
     next_stripe: AtomicU64,
-    latencies: Vec<Mutex<LatencyRing>>,
+    latencies: Vec<RankedMutex<LatencyRing>>,
 }
 
 /// Lock-free counters for one registered backend.
@@ -64,7 +62,13 @@ impl Default for MetricsRecorder {
                 .collect(),
             next_stripe: AtomicU64::new(0),
             latencies: (0..LATENCY_STRIPES)
-                .map(|_| Mutex::new(LatencyRing::default()))
+                .map(|_| {
+                    RankedMutex::new(
+                        lock_rank::METRICS_RECORDER_LATENCIES,
+                        "MetricsRecorder.latencies",
+                        LatencyRing::default(),
+                    )
+                })
                 .collect(),
         }
     }
@@ -101,14 +105,14 @@ impl MetricsRecorder {
     /// Record the end-to-end service time of one request (seconds).
     pub fn record_service_time(&self, seconds: f64) {
         let stripe = self.next_stripe.fetch_add(1, Ordering::Relaxed) as usize % LATENCY_STRIPES;
-        lock_or_poisoned(&self.latencies[stripe]).record(seconds);
+        self.latencies[stripe].lock().record(seconds);
     }
 
     pub fn snapshot(&self, queue_depth: usize, active_plans: usize) -> ServiceMetrics {
         let mut samples: Vec<f64> = self
             .latencies
             .iter()
-            .flat_map(|stripe| lock_or_poisoned(stripe).samples.clone())
+            .flat_map(|stripe| stripe.lock().samples.clone())
             .collect();
         samples.sort_by(f64::total_cmp);
         ServiceMetrics {
@@ -270,7 +274,7 @@ mod tests {
         let total: usize = recorder
             .latencies
             .iter()
-            .map(|stripe| stripe.lock().unwrap().samples.len())
+            .map(|stripe| stripe.lock().samples.len())
             .sum();
         assert_eq!(total, LATENCY_WINDOW);
     }

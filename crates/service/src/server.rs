@@ -44,10 +44,9 @@
 //! facade's `tests/remote_equivalence.rs` proves it across the S1–S6
 //! transitions.
 
-use crate::sync::{lock_or_poisoned, wait_or_poisoned};
 use crate::{KeyedRequest, PlanRequest, PlanService, PlanTransport, ServiceError};
 use malleus_cluster::ClusterSnapshot;
-use malleus_core::{BackendId, PlanError, PlanOutcome, PlannedOutcome};
+use malleus_core::{lock_rank, BackendId, PlanError, PlanOutcome, PlannedOutcome, RankedMutex};
 use malleus_wire::{
     from_bytes, read_frame, read_frame_opt, to_bytes, write_frame, Decoder, Encoder, Wire,
     WireError, DEFAULT_MAX_FRAME_LEN,
@@ -60,7 +59,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -297,7 +296,7 @@ impl Default for ServerConfig {
 #[derive(Debug)]
 struct ConnSlots {
     limit: usize,
-    live: Mutex<usize>,
+    live: RankedMutex<usize>,
     freed: Condvar,
 }
 
@@ -305,15 +304,15 @@ impl ConnSlots {
     fn new(limit: usize) -> Self {
         Self {
             limit: limit.max(1),
-            live: Mutex::new(0),
+            live: RankedMutex::new(lock_rank::CONN_SLOTS_LIVE, "ConnSlots.live", 0),
             freed: Condvar::new(),
         }
     }
 
     fn acquire(self: &Arc<Self>) -> SlotGuard {
-        let mut live = lock_or_poisoned(&self.live);
+        let mut live = self.live.lock();
         while *live >= self.limit {
-            live = wait_or_poisoned(&self.freed, live);
+            live = self.live.wait(&self.freed, live);
         }
         *live += 1;
         SlotGuard(Arc::clone(self))
@@ -325,7 +324,7 @@ struct SlotGuard(Arc<ConnSlots>);
 
 impl Drop for SlotGuard {
     fn drop(&mut self) {
-        *lock_or_poisoned(&self.0.live) -= 1;
+        *self.0.live.lock() -= 1;
         self.0.freed.notify_all();
     }
 }
@@ -628,7 +627,7 @@ impl L1Inner {
 /// The per-tenant L1 plan cache (single mutex: one tenant, low fan-in).
 #[derive(Debug)]
 struct L1Cache {
-    inner: Mutex<L1Inner>,
+    inner: RankedMutex<L1Inner>,
     capacity: usize,
     ttl: Option<Duration>,
     max_bytes: Option<usize>,
@@ -637,7 +636,11 @@ struct L1Cache {
 impl L1Cache {
     fn new(config: &ClientConfig) -> Self {
         Self {
-            inner: Mutex::new(L1Inner::default()),
+            inner: RankedMutex::new(
+                lock_rank::L1_CACHE_INNER,
+                "L1Cache.inner",
+                L1Inner::default(),
+            ),
             capacity: config.l1_capacity,
             ttl: config.l1_ttl,
             max_bytes: config.l1_max_bytes,
@@ -648,7 +651,7 @@ impl L1Cache {
     /// relative to the live snapshot (structural changes — different GPU
     /// count or availability — always count as drifted).
     fn invalidate_drifted(&self, live: &ClusterSnapshot, threshold: f64) {
-        let mut inner = lock_or_poisoned(&self.inner);
+        let mut inner = self.inner.lock();
         let mut freed = 0usize;
         let mut evicted = 0u64;
         for bucket in inner.entries.values_mut() {
@@ -669,7 +672,7 @@ impl L1Cache {
     }
 
     fn get(&self, key: u64, keyed: &KeyedRequest) -> Option<Arc<PlannedOutcome>> {
-        let mut inner = lock_or_poisoned(&self.inner);
+        let mut inner = self.inner.lock();
         inner.requests += 1;
         inner.clock += 1;
         let now = inner.clock;
@@ -712,7 +715,7 @@ impl L1Cache {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = lock_or_poisoned(&self.inner);
+        let mut inner = self.inner.lock();
         inner.clock += 1;
         let now = inner.clock;
         if let Some(bucket) = inner.entries.get_mut(&key) {
@@ -745,7 +748,7 @@ impl L1Cache {
     }
 
     fn stats(&self) -> L1Stats {
-        let inner = lock_or_poisoned(&self.inner);
+        let inner = self.inner.lock();
         L1Stats {
             requests: inner.requests,
             hits: inner.hits,
@@ -772,7 +775,7 @@ fn transport_error(what: impl std::fmt::Display) -> ServiceError {
 #[derive(Debug)]
 pub struct PlanClient {
     endpoint: Endpoint,
-    stream: Mutex<Conn>,
+    stream: RankedMutex<Conn>,
     l1: L1Cache,
     config: ClientConfig,
 }
@@ -784,7 +787,11 @@ impl PlanClient {
         let _ = stream.set_nodelay(true);
         Ok(Self {
             endpoint: Endpoint::Tcp(addr),
-            stream: Mutex::new(Conn::Tcp(stream)),
+            stream: RankedMutex::new(
+                lock_rank::PLAN_CLIENT_STREAM,
+                "PlanClient.stream",
+                Conn::Tcp(stream),
+            ),
             l1: L1Cache::new(&config),
             config,
         })
@@ -797,7 +804,11 @@ impl PlanClient {
         let stream = UnixStream::connect(&path)?;
         Ok(Self {
             endpoint: Endpoint::Unix(path),
-            stream: Mutex::new(Conn::Unix(stream)),
+            stream: RankedMutex::new(
+                lock_rank::PLAN_CLIENT_STREAM,
+                "PlanClient.stream",
+                Conn::Unix(stream),
+            ),
             l1: L1Cache::new(&config),
             config,
         })
@@ -866,10 +877,14 @@ impl PlanClient {
 
     fn roundtrip(&self, keyed: &KeyedRequest) -> Result<Vec<u8>, ServiceError> {
         let payload = to_bytes(keyed);
-        let mut stream = self
-            .stream
-            .lock()
-            .map_err(|_| transport_error("client connection poisoned by a panicked request"))?;
+        let mut stream = self.stream.lock();
+        // A request that panicked mid-frame leaves the stream desynchronised:
+        // fail closed instead of reading another request's bytes.
+        if self.stream.is_poisoned() {
+            return Err(transport_error(
+                "client connection poisoned by a panicked request",
+            ));
+        }
         write_frame(&mut *stream, &payload, self.config.max_frame_len).map_err(transport_error)?;
         stream.flush().map_err(transport_error)?;
         read_frame(&mut *stream, self.config.max_frame_len).map_err(transport_error)
@@ -1140,6 +1155,27 @@ mod tests {
             .expect_err("infeasible");
         assert!(matches!(err, ServiceError::Plan(_)), "{err:?}");
         assert_eq!(client.l1_stats().resident, 0);
+    }
+
+    /// A request that panics while holding the connection may leave a
+    /// half-written frame behind, so every later call must fail closed
+    /// instead of reading another request's bytes.
+    #[test]
+    fn client_fails_closed_after_a_request_panics_mid_frame() {
+        let (_service, _server, addr) = spawn_server();
+        let client = PlanClient::connect_tcp(addr, ClientConfig::default()).expect("connect");
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _stream = client.stream.lock();
+                panic!("request panicked mid-frame");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        match client.plan(&small_request(2.57)) {
+            Err(ServiceError::Transport { reason }) => assert!(reason.contains("poisoned")),
+            other => panic!("expected a transport error, got {other:?}"),
+        }
     }
 
     #[cfg(unix)]
