@@ -22,10 +22,30 @@ struct Case {
 }
 
 fn cases() -> Vec<Case> {
+    let tied = 0.1328328240067972;
     vec![
+        // The two dp = 4 divisions that dominate the 64-GPU LLaMA-110B S3
+        // plan, at 64 micro-batches: 65k assignments each, walked as 1,344
+        // and 6,400 once bitwise-tied slow groups are collapsed.
         Case {
-            label: "dp2_ms2_fast6 (64-GPU S3 shape)",
-            problem: DivisionProblem::new(2, 6, 0.17, vec![0.4, 0.9], 64),
+            label: "dp4_ms8_fast14 TP-8 (64-GPU S3 shape, tied)",
+            problem: DivisionProblem::new(
+                4,
+                14,
+                1.0,
+                vec![5.42, 2.57, tied, tied, tied, tied, tied, tied],
+                64,
+            ),
+        },
+        Case {
+            label: "dp4_ms8_fast14 TP-4 (64-GPU S3 shape, tied)",
+            problem: DivisionProblem::new(
+                4,
+                14,
+                0.25679840610196364,
+                vec![1.0, 1.0, 1.0, 5.42, 1.0, 1.0, 1.0, 2.57],
+                64,
+            ),
         },
         Case {
             label: "dp8_ms4_fast24 (4k candidates)",

@@ -24,7 +24,7 @@
 //!
 //! This is where the planner spends essentially all of its time (the smoke
 //! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around three ideas, each proven byte-identical to the frozen
+//! engineered around four ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
 //! * **Scratch arena** ([`DivisionScratch`]): every buffer the per-candidate
@@ -36,6 +36,15 @@
 //!   only the touched pipelines — by re-folding their `1/y_k` contributions in
 //!   ascending-`k` order, which reproduces the seed's per-slot summation order
 //!   bit for bit.
+//! * **Canonical walk over tied slow groups**: permuting the digits inside a
+//!   contiguous run of slow groups whose units `1/y_k` are bitwise equal
+//!   leaves every pipeline's ascending-`k` fold of units the same sequence of
+//!   values, so counts, capacities, the greedy, the weights, the allocation
+//!   and the objective bits are all unchanged.  The walk scores only the
+//!   first such permutation in counter order — the one whose digits are
+//!   non-increasing in `k` inside every run.  The others could never pass the
+//!   strict-improvement test after it, so the fold picks the seed's winner.
+//!   Without adjacent ties this is the plain counter.
 //! * **Bound pruning and intra-candidate parallelism**: the relaxed optimum
 //!   `M / Σ_i W_i` is an assignment-invariant lower bound; once the incumbent
 //!   objective reaches it (modulo a margin strictly larger than the float
@@ -186,6 +195,10 @@ struct DivisionScratch {
     /// `slow_units[k]` = `1/y_k` when `y_k` is finite and positive, else `0.0`
     /// (adding `+0.0` is bit-identical to the seed's skip), length `ms`.
     slow_units: Vec<f64>,
+    /// `tied_to_next[k]`: slow groups `k` and `k + 1` have bitwise-equal
+    /// units, so the canonical walk keeps `assignment[k] >= assignment[k +
+    /// 1]`; length `ms - 1` (empty when `ms == 0`).
+    tied_to_next: Vec<bool>,
     /// `1/ŷ` under the greedy distribution's validity test, else `0.0`.
     fast_unit: f64,
     /// Pipelines whose slow capacity must be re-folded after a counter step.
@@ -257,6 +270,12 @@ impl DivisionScratch {
                 0.0
             }
         }));
+        self.tied_to_next.clear();
+        self.tied_to_next.extend(
+            self.slow_units
+                .windows(2)
+                .map(|pair| pair[0].to_bits() == pair[1].to_bits()),
+        );
     }
 
     /// Assignment-invariant lower bound on the objective: the total capacity
@@ -309,6 +328,14 @@ impl DivisionScratch {
         }
     }
 
+    /// The counter index of `assignment` (the inverse of `set_counter`).
+    fn counter_index(&self, dp: usize) -> u64 {
+        self.assignment
+            .iter()
+            .rev()
+            .fold(0, |idx, &p| idx * dp as u64 + p as u64)
+    }
+
     fn mark_touched(&mut self, p: usize) {
         if !self.touched_mask[p] {
             self.touched_mask[p] = true;
@@ -334,46 +361,9 @@ impl DivisionScratch {
         self.touched.clear();
     }
 
-    /// Advance the mixed-radix counter by one, incrementally maintaining
-    /// `slow_counts` and `slow_capacity`.  Returns `false` when the counter
-    /// wraps (enumeration exhausted).
-    fn advance(&mut self, dp: usize) -> bool {
-        let ms = self.assignment.len();
-        let mut pos = 0;
-        loop {
-            if pos == ms {
-                break;
-            }
-            let old = self.assignment[pos];
-            self.mark_touched(old);
-            let next = old + 1;
-            if next < dp {
-                self.assignment[pos] = next;
-                self.mark_touched(next);
-                self.slow_counts[old] -= 1;
-                self.slow_counts[next] += 1;
-                break;
-            }
-            self.assignment[pos] = 0;
-            self.mark_touched(0);
-            self.slow_counts[old] -= 1;
-            self.slow_counts[0] += 1;
-            pos += 1;
-        }
-        if pos == ms {
-            for &t in &self.touched {
-                self.touched_mask[t] = false;
-            }
-            self.touched.clear();
-            return false;
-        }
-        self.recompute_touched_capacities();
-        true
-    }
-
-    /// Reassign slow group `k` to pipeline `p` (local-search move),
-    /// incrementally maintaining the slot state.
-    fn move_digit(&mut self, k: usize, p: usize) {
+    /// Put slow group `k` on pipeline `p`, keeping `slow_counts` exact and
+    /// marking both pipelines for the next capacity re-fold.
+    fn set_digit(&mut self, k: usize, p: usize) {
         let old = self.assignment[k];
         if old == p {
             return;
@@ -383,6 +373,55 @@ impl DivisionScratch {
         self.slow_counts[p] += 1;
         self.mark_touched(old);
         self.mark_touched(p);
+    }
+
+    /// Give the digits below `pos` their smallest canonical values, top
+    /// down: a digit tied to its higher neighbour copies it, any other digit
+    /// restarts at pipeline 0.
+    fn reset_below(&mut self, pos: usize) {
+        for k in (0..pos).rev() {
+            let p = if self.tied_to_next[k] {
+                self.assignment[k + 1]
+            } else {
+                0
+            };
+            self.set_digit(k, p);
+        }
+    }
+
+    /// Step to the next canonical assignment in counter order, incrementally
+    /// maintaining `slow_counts` and `slow_capacity`: increment the lowest
+    /// digit below `dp - 1` and reset the digits below it.  Returns `false`
+    /// when the walk is exhausted.
+    fn advance(&mut self, dp: usize) -> bool {
+        let Some(pos) = self.assignment.iter().position(|&p| p + 1 < dp) else {
+            return false;
+        };
+        self.set_digit(pos, self.assignment[pos] + 1);
+        self.reset_below(pos);
+        self.recompute_touched_capacities();
+        true
+    }
+
+    /// Raise `assignment` to the first canonical assignment at or after it in
+    /// counter order (a parallel chunk may start inside a run of tied
+    /// digits): lift the highest out-of-order tied digit to its higher
+    /// neighbour and reset the digits below it.
+    fn round_up_to_canonical(&mut self) {
+        let highest_violation = (0..self.tied_to_next.len())
+            .rev()
+            .find(|&k| self.tied_to_next[k] && self.assignment[k] < self.assignment[k + 1]);
+        if let Some(k) = highest_violation {
+            self.set_digit(k, self.assignment[k + 1]);
+            self.reset_below(k);
+        }
+        self.recompute_touched_capacities();
+    }
+
+    /// Reassign slow group `k` to pipeline `p` (local-search move),
+    /// incrementally maintaining the slot state.
+    fn move_digit(&mut self, k: usize, p: usize) {
+        self.set_digit(k, p);
         self.recompute_touched_capacities();
     }
 
@@ -499,8 +538,9 @@ impl DivisionScratch {
     }
 }
 
-/// Sequential exact enumeration with incremental counter maintenance and
-/// lower-bound early exit.  Expects `prepare` + `init_slots` to have run.
+/// Sequential exact enumeration of the canonical walk with incremental
+/// counter maintenance and lower-bound early exit.  Expects `prepare` +
+/// `init_slots` to have run.
 /// Returns whether any feasible candidate was found; the winner is left in
 /// `scratch.best_assignment`.
 fn enumerate_serial(
@@ -532,11 +572,12 @@ fn enumerate_serial(
 }
 
 /// Parallel exact enumeration: the counter range is split into contiguous
-/// chunks, each worker records its candidates' objective bits into an
-/// index-ordered array (NaN = infeasible or locally pruned), and a serial
-/// index-order fold picks the winner with the exact tie-breaking of the
-/// sequential loop.  Workers prune only on their own local incumbent, which is
-/// safe for the same reason the serial early-exit is.
+/// chunks, each worker walks the canonical assignments inside its chunk and
+/// records their objective bits into an index-ordered array (NaN =
+/// infeasible, locally pruned or not canonical), and a serial index-order
+/// fold picks the winner with the exact tie-breaking of the sequential loop.
+/// Workers prune only on their own local incumbent, which is safe for the
+/// same reason the serial early-exit is.
 fn enumerate_parallel(
     problem: &DivisionProblem,
     min_groups: usize,
@@ -544,46 +585,7 @@ fn enumerate_parallel(
     search_space: u64,
     workers: usize,
 ) -> Option<u64> {
-    let n = search_space as usize;
-    let mut bits = vec![f64::NAN.to_bits(); n];
-    let workers_eff = workers.min(n).max(1);
-    let base = n / workers_eff;
-    let rem = n % workers_eff;
-    std::thread::scope(|s| {
-        let mut rest: &mut [u64] = &mut bits;
-        let mut start = 0_usize;
-        for w in 0..workers_eff {
-            let len = base + usize::from(w < rem);
-            let (chunk, tail) = rest.split_at_mut(len);
-            rest = tail;
-            let chunk_start = start;
-            start += len;
-            s.spawn(move || {
-                let mut scratch = DivisionScratch::default();
-                scratch.prepare(problem);
-                scratch.set_counter(chunk_start as u64, problem.dp);
-                scratch.init_slots();
-                let mut have = false;
-                let mut local_best = 0.0_f64;
-                for out in chunk.iter_mut() {
-                    if have && local_best <= lb {
-                        break;
-                    }
-                    let obj = scratch.score_current(problem, min_groups);
-                    if !obj.is_nan() {
-                        *out = obj.to_bits();
-                        if !have || obj < local_best - 1e-12 {
-                            have = true;
-                            local_best = obj;
-                        }
-                    }
-                    if !scratch.advance(problem.dp) {
-                        break;
-                    }
-                }
-            });
-        }
-    });
+    let bits = parallel_objective_bits(problem, min_groups, lb, search_space, workers);
     let mut best: Option<(u64, f64)> = None;
     for (idx, &b) in bits.iter().enumerate() {
         let obj = f64::from_bits(b);
@@ -599,6 +601,62 @@ fn enumerate_parallel(
         }
     }
     best.map(|(idx, _)| idx)
+}
+
+/// The scoring half of [`enumerate_parallel`]: the objective bits of every
+/// counter index, NaN where no worker scored a feasible candidate.
+fn parallel_objective_bits(
+    problem: &DivisionProblem,
+    min_groups: usize,
+    lb: f64,
+    search_space: u64,
+    workers: usize,
+) -> Vec<u64> {
+    let n = search_space as usize;
+    let mut bits = vec![f64::NAN.to_bits(); n];
+    let workers_eff = workers.min(n).max(1);
+    let base = n / workers_eff;
+    let rem = n % workers_eff;
+    std::thread::scope(|s| {
+        let mut rest: &mut [u64] = &mut bits;
+        let mut start = 0_usize;
+        for w in 0..workers_eff {
+            let len = base + usize::from(w < rem);
+            let (chunk, tail) = rest.split_at_mut(len);
+            rest = tail;
+            let chunk_start = start;
+            start += len;
+            let chunk_end = start;
+            s.spawn(move || {
+                let mut scratch = DivisionScratch::default();
+                scratch.prepare(problem);
+                scratch.set_counter(chunk_start as u64, problem.dp);
+                scratch.init_slots();
+                scratch.round_up_to_canonical();
+                let mut idx = scratch.counter_index(problem.dp) as usize;
+                let mut have = false;
+                let mut local_best = 0.0_f64;
+                while idx < chunk_end {
+                    if have && local_best <= lb {
+                        break;
+                    }
+                    let obj = scratch.score_current(problem, min_groups);
+                    if !obj.is_nan() {
+                        chunk[idx - chunk_start] = obj.to_bits();
+                        if !have || obj < local_best - 1e-12 {
+                            have = true;
+                            local_best = obj;
+                        }
+                    }
+                    if !scratch.advance(problem.dp) {
+                        break;
+                    }
+                    idx = scratch.counter_index(problem.dp) as usize;
+                }
+            });
+        }
+    });
+    bits
 }
 
 /// Deterministic local search for oversized search spaces: greedy seeding
@@ -692,6 +750,17 @@ pub fn divide_pipelines_parallel(
     problem: &DivisionProblem,
     workers: usize,
 ) -> Result<Division, DivisionError> {
+    divide(problem, workers, PARALLEL_MIN_SEARCH)
+}
+
+/// [`divide_pipelines_parallel`], splitting exact searches of at least
+/// `parallel_min_search` assignments across the workers (tests split every
+/// size, to reach chunk boundaries inside small tied instances).
+fn divide(
+    problem: &DivisionProblem,
+    workers: usize,
+    parallel_min_search: u64,
+) -> Result<Division, DivisionError> {
     let dp = problem.dp;
     if dp == 0 {
         return Err(DivisionError::ZeroPipelines);
@@ -714,7 +783,7 @@ pub fn divide_pipelines_parallel(
         scratch.prepare(problem);
         let lb = scratch.lower_bound(problem);
         let found = if search_space <= problem.exact_enumeration_limit {
-            if workers > 1 && (PARALLEL_MIN_SEARCH..=PARALLEL_MAX_SEARCH).contains(&search_space) {
+            if workers > 1 && (parallel_min_search..=PARALLEL_MAX_SEARCH).contains(&search_space) {
                 match enumerate_parallel(problem, min_groups, lb, search_space, workers) {
                     Some(best_idx) => {
                         scratch.decode_best(best_idx, dp);
@@ -837,6 +906,116 @@ mod tests {
         assert_eq!(ca, cb, "{ctx}");
     }
 
+    /// The TP-8 `dp = 4` division of the 64-GPU LLaMA-110B S3 plan at 64
+    /// micro-batches: tied runs of 1, 1 and 6 slow groups.
+    fn s3_tp8() -> DivisionProblem {
+        let tied = 0.1328328240067972;
+        let slow = vec![5.42, 2.57, tied, tied, tied, tied, tied, tied];
+        DivisionProblem::new(4, 14, 1.0, slow, 64)
+    }
+
+    /// The TP-4 `dp = 4` division of the same plan: the 5.42 and 2.57
+    /// stragglers split the 1.0 groups into tied runs of 3, 1, 3 and 1.
+    fn s3_tp4() -> DivisionProblem {
+        let slow = vec![1.0, 1.0, 1.0, 5.42, 1.0, 1.0, 1.0, 2.57];
+        DivisionProblem::new(4, 14, 0.25679840610196364, slow, 64)
+    }
+
+    /// Walk `p` from the all-zero counter, checking the incrementally
+    /// maintained slot state against a from-scratch rebuild after every
+    /// step; returns the visited counter indices.
+    fn canonical_walk(p: &DivisionProblem) -> Vec<u64> {
+        let mut s = DivisionScratch::default();
+        s.prepare(p);
+        s.init_slots();
+        let mut visited = vec![s.counter_index(p.dp)];
+        while s.advance(p.dp) {
+            assert_slots_match_rebuild(&mut s);
+            visited.push(s.counter_index(p.dp));
+        }
+        visited
+    }
+
+    fn assert_slots_match_rebuild(s: &mut DivisionScratch) {
+        let counts = s.slow_counts.clone();
+        let capacity: Vec<u64> = s.slow_capacity.iter().map(|c| c.to_bits()).collect();
+        s.init_slots();
+        assert_eq!(counts, s.slow_counts);
+        let rebuilt: Vec<u64> = s.slow_capacity.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(capacity, rebuilt);
+    }
+
+    /// Brute force: the counter indices whose digits are non-increasing in
+    /// `k` inside every run of bitwise-tied units.
+    fn canonical_indices(p: &DivisionProblem) -> Vec<u64> {
+        let mut s = DivisionScratch::default();
+        s.prepare(p);
+        let n = (p.dp as u64).pow(p.slow_rates.len() as u32);
+        (0..n)
+            .filter(|&idx| {
+                s.set_counter(idx, p.dp);
+                (0..s.tied_to_next.len())
+                    .all(|k| !s.tied_to_next[k] || s.assignment[k] >= s.assignment[k + 1])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn canonical_walk_visits_the_first_assignment_of_each_tied_permutation_class() {
+        let untied = DivisionProblem::new(4, 12, 1.0, vec![2.0, 2.5, 3.0, 3.5, 4.0, 4.5], 256);
+        // Distinct rates whose units tie bitwise, next to a failed group and a
+        // zero rate (both unit 0.0).
+        let unit_ties = DivisionProblem::new(
+            3,
+            4,
+            1.0,
+            vec![3.5, 3.5000000000000004, f64::INFINITY, 0.0, 2.0, 2.0],
+            32,
+        );
+        for p in [s3_tp8(), s3_tp4(), untied, unit_ties.clone()] {
+            assert_eq!(canonical_walk(&p), canonical_indices(&p), "{p:?}");
+        }
+        // 4 * 4 * C(9, 6) and C(6, 3) * 4 * C(6, 3) * 4 of the 4^8 = 65,536;
+        // three tied pairs at dp 3: C(4, 2)^3 of 3^6 = 729.
+        assert_eq!(canonical_walk(&s3_tp8()).len(), 1_344);
+        assert_eq!(canonical_walk(&s3_tp4()).len(), 6_400);
+        assert_eq!(canonical_walk(&unit_ties).len(), 216);
+    }
+
+    #[test]
+    fn parallel_workers_score_exactly_the_canonical_assignments() {
+        // Every candidate is feasible and nothing is pruned (lb = -inf), so
+        // the scored indices are the walk whatever the chunk boundaries.
+        // Several of them fall inside tied runs, where a worker must round
+        // up rather than score the non-canonical head of its chunk.
+        let p = DivisionProblem::new(3, 6, 1.0, vec![2.0, 2.0, 2.0, 3.0, 2.0, 2.0], 32);
+        let canonical = canonical_indices(&p);
+        for workers in 1..=7 {
+            let bits = parallel_objective_bits(&p, 1, f64::NEG_INFINITY, 729, workers);
+            let scored: Vec<u64> = (0..729)
+                .filter(|&i| !f64::from_bits(bits[i as usize]).is_nan())
+                .collect();
+            assert_eq!(scored, canonical, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn round_up_reaches_the_first_canonical_assignment_from_any_counter() {
+        // Every counter a parallel chunk could start at.
+        let p = DivisionProblem::new(3, 4, 1.0, vec![2.0, 2.0, 2.0, 3.0, 2.0, 2.0], 32);
+        let canonical = canonical_indices(&p);
+        let mut s = DivisionScratch::default();
+        s.prepare(&p);
+        for idx in 0..3u64.pow(6) {
+            s.set_counter(idx, p.dp);
+            s.init_slots();
+            s.round_up_to_canonical();
+            let first = canonical.iter().copied().find(|&c| c >= idx);
+            assert_eq!(Some(s.counter_index(p.dp)), first, "from counter {idx}");
+            assert_slots_match_rebuild(&mut s);
+        }
+    }
+
     #[test]
     fn parallel_division_is_bitwise_identical_to_serial_at_any_worker_count() {
         let instances = vec![
@@ -845,6 +1024,9 @@ mod tests {
             DivisionProblem::new(4, 10, 1.25, vec![2.0, 2.0, 3.5, 5.0, 2.25, 4.0], 192),
             // 8^5 = 32768 with ties in the rates.
             DivisionProblem::new(8, 40, 0.5, vec![1.5, 1.5, 2.5, 3.0, 3.5], 512),
+            // 4^8 = 65536: the tied 64-GPU S3 shapes.
+            s3_tp8(),
+            s3_tp4(),
         ];
         for p in instances {
             let serial = divide_pipelines(&p).unwrap();
@@ -855,13 +1037,16 @@ mod tests {
         }
     }
 
-    fn assert_matches_reference(p: &DivisionProblem, workers: usize) {
-        let new = divide_pipelines_parallel(p, workers);
+    /// Solve `p` at each worker count (more than one worker forces the
+    /// parallel walk whatever the search size) and compare with the seed.
+    fn assert_matches_reference(p: &DivisionProblem, workers: &[usize]) {
         let old = divide_pipelines_reference(p);
-        match (new, old) {
-            (Ok(a), Ok(b)) => assert_bitwise_equal(&a, &b, &format!("workers={workers} {p:?}")),
-            (Err(a), Err(b)) => assert_eq!(a, b, "{p:?}"),
-            (a, b) => panic!("divergent outcomes for {p:?}: new={a:?} reference={b:?}"),
+        for &w in workers {
+            match (divide(p, w, 1), &old) {
+                (Ok(a), Ok(b)) => assert_bitwise_equal(&a, b, &format!("workers={w} {p:?}")),
+                (Err(a), Err(b)) => assert_eq!(&a, b, "{p:?}"),
+                (a, b) => panic!("divergent outcomes for {p:?}: new={a:?} reference={b:?}"),
+            }
         }
     }
 
@@ -889,8 +1074,7 @@ mod tests {
         ls.exact_enumeration_limit = 4; // force the local-search path
         cases.push(ls);
         for p in &cases {
-            assert_matches_reference(p, 1);
-            assert_matches_reference(p, 4);
+            assert_matches_reference(p, &[1, 4]);
         }
     }
 
@@ -920,7 +1104,36 @@ mod tests {
             if next() % 5 == 0 {
                 p.exact_enumeration_limit = 2; // exercise local search
             }
-            assert_matches_reference(&p, 1);
+            assert_matches_reference(&p, &[1]);
+        }
+    }
+
+    #[test]
+    fn tied_palette_sweep_matches_reference_exhaustively() {
+        // Every slow-rate vector of length <= 6 over a three-rate palette (a
+        // failed group's unit is 0.0), for dp 1..=4 and both minimum-group
+        // bounds, while the walk has at most 256 assignments: the seed alone
+        // needs ~13 s on a 2-core host for the 3^6 vectors at dp 4.  That
+        // gives ties at every position, fast pools from empty to 2 * dp + 1
+        // groups, and 4-worker chunks that start inside tied runs.
+        const PALETTE: [f64; 3] = [2.0, 3.5, f64::INFINITY];
+        let mut case = 0_u64;
+        for dp in 1..=4_usize {
+            for ms in (0..=6).take_while(|&ms| dp.pow(ms) <= 256) {
+                for code in 0..3_usize.pow(ms) {
+                    let slow: Vec<f64> = (0..ms)
+                        .map(|k| PALETTE[code / 3_usize.pow(k) % 3])
+                        .collect();
+                    for min_groups in 1..=2 {
+                        case += 1;
+                        let fast_count = case as usize % (2 * dp + 2);
+                        let mut p =
+                            DivisionProblem::new(dp, fast_count, 1.5, slow.clone(), 8 + case % 57);
+                        p.min_groups_per_pipeline = min_groups;
+                        assert_matches_reference(&p, &[1, 4]);
+                    }
+                }
+            }
         }
     }
 
@@ -954,6 +1167,25 @@ mod tests {
                 (a, b) => panic!("divergent outcomes: new={a:?} reference={b:?}"),
             }
         }
+
+        /// The same identity when the slow rates come from a small palette,
+        /// so adjacent groups tie: equal rates, distinct rates with bitwise-
+        /// equal units, and non-finite or zero rates (unit 0.0).
+        #[test]
+        fn canonical_walk_on_tied_palette_rates_is_bitwise_equal_to_reference(
+            dp in 1usize..5,
+            fast_count in 0usize..12,
+            fast_rate in 0.2f64..4.0,
+            slow in prop::collection::vec(
+                prop::sample::select(vec![2.0, 3.5, 3.5000000000000004, f64::INFINITY, 0.0]),
+                0..8,
+            ),
+            total in 1u64..512,
+            workers in prop::sample::select(vec![1usize, 2, 4]),
+        ) {
+            let p = DivisionProblem::new(dp, fast_count, fast_rate, slow, total);
+            assert_matches_reference(&p, &[workers]);
+        }
     }
 
     #[test]
@@ -961,14 +1193,19 @@ mod tests {
         // 8^4 = 4096 enumerated candidates.  After a warm call on this thread,
         // a full search may only allocate O(1) times (the returned Division's
         // four owned vectors and small bookkeeping) — nothing per candidate.
-        let p = DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256);
-        let warm = divide_pipelines(&p).unwrap();
-        let (allocs, d) = crate::alloc_counter::count_allocations(|| divide_pipelines(&p));
-        let d = d.unwrap();
-        assert_eq!(d, warm);
-        assert!(
-            allocs <= 32,
-            "steady-state solve allocated {allocs} times across 4096 candidates"
-        );
+        // The tied TP-8 shape walks 1,344 of its 4^8 assignments the same way.
+        for p in [
+            DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256),
+            s3_tp8(),
+        ] {
+            let warm = divide_pipelines(&p).unwrap();
+            let (allocs, d) = crate::alloc_counter::count_allocations(|| divide_pipelines(&p));
+            let d = d.unwrap();
+            assert_eq!(d, warm);
+            assert!(
+                allocs <= 32,
+                "steady-state solve of {p:?} allocated {allocs} times"
+            );
+        }
     }
 }

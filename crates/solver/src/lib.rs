@@ -21,8 +21,9 @@
 //!   used by Theorem 2 to rank grouping results in constant time.
 //!
 //! The division search is the planner's hot path and is implemented
-//! allocation-free over a reusable scratch arena with incremental enumeration,
-//! bound pruning, and optional intra-candidate parallelism
+//! allocation-free over a reusable scratch arena with incremental enumeration
+//! that skips permutations of bitwise-tied slow groups, bound pruning, and
+//! optional intra-candidate parallelism
 //! ([`division::divide_pipelines_parallel`]).  The [`reference`] module keeps
 //! the original straightforward implementations frozen as the byte-identity
 //! oracle for those optimizations.
