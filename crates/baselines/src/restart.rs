@@ -218,7 +218,6 @@ impl RestartPlanner {
     }
 }
 
-#[allow(unused_imports)]
 pub use RestartFamily::{DeepSpeed, Megatron};
 
 #[cfg(test)]

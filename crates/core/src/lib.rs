@@ -29,6 +29,9 @@
 //! evaluations — confirmed bitwise, so delta replans stay byte-identical to
 //! full enumeration.
 
+// Floats are compared bitwise (`to_bits`), so plans stay byte-identical.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod assignment;
 pub mod backend;
 pub mod cost;

@@ -40,7 +40,10 @@ const RATE_TOLERANCE: f64 = 1e-6;
 /// this one division (the result is byte-identical at any value; pass 1 for
 /// strictly sequential solving, e.g. when the caller already saturates the
 /// cores with candidate-level fan-out).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent input of the Eq. (4) division"
+)]
 pub fn divide_groups(
     cost: &CostModel,
     grouping: &GroupingResult,

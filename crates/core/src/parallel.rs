@@ -44,7 +44,12 @@ use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+#[expect(
+    clippy::disallowed_types,
+    reason = "RankedMutex wraps the raw lock; everything else locks through it"
+)]
+use std::sync::Mutex;
+use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration;
 
 /// Environment variable overriding [`Parallelism::Auto`] resolution
@@ -309,7 +314,7 @@ where
 // RankedMutex: the workspace's only lock type, with a debug-mode lock-rank
 // runtime checker.
 //
-// Every lock is built with a rank from `lock_rank` (`malleus-lint` ML001
+// Every lock is built with a rank from `lock_rank` (`clippy::disallowed_types`
 // rejects a raw `Mutex` or `RwLock` anywhere else in core, service and
 // runtime).  In debug builds each thread records its acquisition stack;
 // taking a lock whose rank is not strictly greater than the rank on top of
@@ -400,9 +405,16 @@ fn pop_rank(rank: u32, name: &'static str) {
 #[derive(Debug)]
 pub struct RankedMutex<T> {
     /// Read only by the debug-build rank checker.
-    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    #[cfg_attr(
+        not(debug_assertions),
+        expect(dead_code, reason = "release builds compile the rank checker out")
+    )]
     rank: u32,
     name: &'static str,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the one raw lock behind RankedMutex"
+    )]
     inner: Mutex<T>,
 }
 
@@ -413,6 +425,10 @@ impl<T> RankedMutex<T> {
         Self {
             rank,
             name,
+            #[expect(
+                clippy::disallowed_types,
+                reason = "the one raw lock behind RankedMutex"
+            )]
             inner: Mutex::new(value),
         }
     }

@@ -159,9 +159,11 @@ impl PartialEq for PlanOutcome {
     /// warm-start state (its reuse statistics depend on memo history, not on
     /// what was planned) and is excluded.
     fn eq(&self, other: &Self) -> bool {
-        // Bitwise float comparison (ML003): outcome equality backs the
-        // byte-identity oracle checks, where `==` would declare +0.0 == -0.0
-        // equal and NaN unequal to itself — both wrong for "same bytes".
+        // Bitwise float comparison: outcome equality backs the byte-identity
+        // oracle checks, where `==` would declare +0.0 == -0.0 equal and NaN
+        // unequal to itself — both wrong for "same bytes".  `clippy::float_cmp`
+        // skips `eq` bodies, so `outcome_equality_is_bitwise_over_step_times`
+        // guards this one.
         self.plan == other.plan
             && self.estimated_step_time.to_bits() == other.estimated_step_time.to_bits()
             && self.estimated_step_time_simplified.to_bits()
@@ -436,7 +438,10 @@ impl Planner {
             timing,
         };
 
-        // malleus-lint: allow(ML004, reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
+        )]
         let t0 = Instant::now();
         let division = match divide_groups(
             &self.cost,
@@ -456,7 +461,10 @@ impl Planner {
         };
         timing.division += t0.elapsed();
 
-        // malleus-lint: allow(ML004, reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
+        )]
         let t0 = Instant::now();
         let mut assignments = Vec::with_capacity(dp);
         let mut feasible = true;
@@ -487,7 +495,10 @@ impl Planner {
             );
         }
 
-        // malleus-lint: allow(ML004, reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
+        )]
         let t0 = Instant::now();
         let objectives: Vec<f64> = assignments.iter().map(|a| a.objective).collect();
         let Some(micro_batches) = assign_data(
@@ -620,9 +631,14 @@ impl Planner {
         // across workers; each grouping is pure, so the fan-out is
         // order-independent.
         let tp_degrees = &self.config.candidate_tp_degrees;
-        let grouped: Vec<(Arc<GroupingResult>, Duration)> =
-            fan_out(tp_degrees.len(), workers.min(tp_degrees.len()), |i| {
-                // malleus-lint: allow(ML004, reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection")
+        let grouped: Vec<(Arc<GroupingResult>, Duration)> = fan_out(
+            tp_degrees.len(),
+            workers.min(tp_degrees.len()),
+            |i| {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
+                )]
                 let t0 = Instant::now();
                 let grouping = self.grouping_memo.get_or_compute(
                     snapshot,
@@ -632,7 +648,8 @@ impl Planner {
                     self.config.enable_group_splitting,
                 );
                 (grouping, t0.elapsed())
-            });
+            },
+        );
         let groupings: Vec<Arc<GroupingResult>> =
             grouped.iter().map(|(g, _)| Arc::clone(g)).collect();
         for (_, elapsed) in &grouped {
@@ -796,10 +813,10 @@ mod tests {
         )
     }
 
-    /// Regression for an ML003 finding: `PlanOutcome::eq` compared its step
-    /// times with float `==`, which is the wrong relation for byte-identity
-    /// oracles — `+0.0 == -0.0` holds despite different bytes, and
-    /// `NaN != NaN` despite identical bytes.  Equality must be bitwise.
+    /// Byte-identity oracles need bitwise equality: float `==` holds for
+    /// `+0.0 == -0.0` despite different bytes, and `NaN != NaN` despite
+    /// identical bytes.  `clippy::float_cmp` does not look inside `eq`, so
+    /// this test keeps `PlanOutcome::eq` bitwise.
     #[test]
     fn outcome_equality_is_bitwise_over_step_times() {
         let cluster = Cluster::homogeneous(2, 8);

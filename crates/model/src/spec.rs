@@ -30,7 +30,10 @@ pub struct ModelSpec {
 
 impl ModelSpec {
     /// Construct a custom spec.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one argument per ModelSpec field"
+    )]
     pub fn new(
         name: impl Into<String>,
         num_layers: u32,

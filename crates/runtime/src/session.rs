@@ -437,6 +437,10 @@ impl TrainingSession {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only fixture locks sit outside the production lock ranks"
+)]
 mod tests {
     use super::*;
     use malleus_cluster::{GpuId, PaperSituation, Situation, TracePhase};

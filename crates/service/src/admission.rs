@@ -181,6 +181,10 @@ impl AdmissionGate {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only fixture locks sit outside the production lock ranks"
+)]
 mod tests {
     use super::*;
 

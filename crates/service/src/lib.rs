@@ -699,6 +699,10 @@ impl PlanTransport for PlanService {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "test-only fixture locks sit outside the production lock ranks"
+)]
 mod tests {
     use super::*;
     use malleus_cluster::{Cluster, GpuId};

@@ -44,6 +44,21 @@
 //! facade's `tests/remote_equivalence.rs` proves it across the S1–S6
 //! transitions.
 
+// Request-serving code answers every failure with a typed error; tests may
+// panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::{KeyedRequest, PlanRequest, PlanService, PlanTransport, ServiceError};
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{lock_rank, BackendId, PlanError, PlanOutcome, PlannedOutcome, RankedMutex};

@@ -28,6 +28,9 @@
 //! the original straightforward implementations frozen as the byte-identity
 //! oracle for those optimizations.
 
+// Floats are compared bitwise (`to_bits`), so plans stay byte-identical.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 pub mod division;
 pub mod minmax;
 pub mod reference;

@@ -14,8 +14,8 @@
 //! Do not "improve" this module: its value is that it does not change.
 //! (The only edits vs the seed are three `== 0.0` comparisons rewritten to the
 //! equivalent `<= 0.0` — weights are validated non-negative, and the folds that
-//! produce `finite_max_w`/`cur_obj` start at `+0.0` — so the module passes the
-//! ML003 float byte-identity lint without pragmas.)
+//! produce `finite_max_w`/`cur_obj` start at `+0.0` — so the module holds no
+//! float `==` at all; `clippy::float_cmp`, denied crate-wide, exempts zero.)
 
 use crate::division::{Division, DivisionError, DivisionProblem};
 use crate::minmax::{AllocationError, AllocationResult};

@@ -31,6 +31,23 @@
 //! `Vec` reservation, so a hostile "2^60 elements follow" prefix costs
 //! nothing.
 
+// Request-serving code answers every failure with a typed error; tests may
+// panic freely.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+// Floats are compared bitwise (`to_bits`), so plans stay byte-identical.
+#![cfg_attr(not(test), deny(clippy::float_cmp))]
+
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_core::{
     BackendId, LatticeEntry, Parallelism, ParallelizationPlan, PipelinePlan, PlanError,
@@ -256,7 +273,7 @@ impl<'a> Decoder<'a> {
     }
 
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take_array::<1>()?))
     }
 
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
@@ -379,9 +396,8 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8], cap: usize) -> Result<()
 /// Read until `buf` is full or EOF; returns bytes read.
 fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
     let mut got = 0;
-    while got < buf.len() {
-        // malleus-lint: allow(ML002, reason = "got < buf.len() loop invariant keeps the slice start in bounds")
-        match r.read(&mut buf[got..]) {
+    while let Some(rest) = buf.get_mut(got..).filter(|rest| !rest.is_empty()) {
+        match r.read(rest) {
             Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -1025,5 +1041,49 @@ mod tests {
             read_frame(&mut &buf[..], 16),
             Err(WireError::Oversized { len: 32, cap: 16 })
         ));
+    }
+
+    /// A reader that fails every other `read` with `Interrupted` and
+    /// otherwise hands out one byte, as a socket may under signals.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        reads: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.reads % 2 == 1 {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let (Some(slot), Some((&byte, rest))) = (out.first_mut(), self.bytes.split_first())
+            else {
+                return Ok(0);
+            };
+            *slot = byte;
+            self.bytes = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn frames_survive_one_byte_reads_and_interrupts() {
+        let first = to_bytes(&"straggler".to_string());
+        let second = to_bytes(&vec![1u64, 2, 3]);
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &first, DEFAULT_MAX_FRAME_LEN).unwrap();
+        write_frame(&mut buf, &second, DEFAULT_MAX_FRAME_LEN).unwrap();
+        let mut reader = Trickle {
+            bytes: &buf,
+            reads: 0,
+        };
+        assert_eq!(read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN), Ok(first));
+        assert_eq!(
+            read_frame_opt(&mut reader, DEFAULT_MAX_FRAME_LEN),
+            Ok(Some(second))
+        );
+        assert_eq!(read_frame_opt(&mut reader, DEFAULT_MAX_FRAME_LEN), Ok(None));
+        // Every frame byte cost one interrupted and one one-byte read.
+        assert!(reader.reads >= 2 * buf.len(), "{}", reader.reads);
     }
 }

@@ -1,26 +1,40 @@
-//! Tier-1 gate: `malleus-lint --workspace` must report zero findings.
+//! Tier-1 gate: `cargo clippy --workspace --all-targets -- -D warnings` must
+//! report zero findings.
 //!
-//! This keeps the concurrency and byte-identity invariants (ranked locks,
-//! panic-free serving paths, bitwise float comparisons, deterministic
-//! scoring) enforced by `cargo test -q`, not just by the CI lint job — a
-//! regression in any of them fails the suite with the exact diagnostic.
+//! The workspace's static invariants are clippy lints configured in the crate
+//! manifests, crate roots and per-crate `clippy.toml` files: ranked locks,
+//! panic-free serving paths, bitwise float comparison, no wall clock in plan
+//! scoring, and a reason on every suppression (see the README's "Static
+//! analysis"). This test keeps them enforced by `cargo test -q`, not just by
+//! the CI lint job. A toolchain without clippy fails it rather than skipping.
 
 use std::path::Path;
+use std::process::Command;
 
 #[test]
 fn workspace_has_zero_lint_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = malleus_lint::run_workspace(root).expect("lint scan runs");
+    // A target directory of its own, so this run never waits on the build
+    // lock held by the enclosing `cargo test`.
+    let output = Command::new(env!("CARGO"))
+        .current_dir(root)
+        .args([
+            "clippy",
+            "--offline",
+            "--workspace",
+            "--all-targets",
+            "--target-dir",
+            "target/lint-clean",
+            "--",
+            "-D",
+            "warnings",
+        ])
+        .output()
+        .expect("cargo runs");
     assert!(
-        report.files_scanned > 50,
-        "suspiciously few files scanned ({}); did the source walk break?",
-        report.files_scanned
-    );
-    let rendered: Vec<String> = report.findings.iter().map(|f| f.render()).collect();
-    assert!(
-        report.findings.is_empty(),
-        "malleus-lint found {} violation(s):\n{}",
-        report.findings.len(),
-        rendered.join("\n")
+        output.status.success(),
+        "cargo clippy failed ({}):\n{}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
     );
 }
