@@ -1,6 +1,6 @@
 //! Division-solver micro-benchmark: the frozen seed reference
 //! (`malleus_solver::reference`) vs the allocation-free scratch-arena solver,
-//! serial and parallel, with byte-identity asserted on every instance.
+//! with byte-identity asserted on every instance.
 //!
 //! ```bash
 //! cargo bench -p malleus-bench --bench division_bench            # full
@@ -12,7 +12,7 @@
 
 use malleus_bench::table::Table;
 use malleus_solver::reference::divide_pipelines_reference;
-use malleus_solver::{divide_pipelines, divide_pipelines_parallel, Division, DivisionProblem};
+use malleus_solver::{divide_pipelines, Division, DivisionProblem};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -94,69 +94,33 @@ fn best_secs(iters: usize, mut f: impl FnMut() -> Division) -> (f64, Division) {
     (best, out.expect("at least one iteration"))
 }
 
-fn assert_bitwise_equal(a: &Division, b: &Division, label: &str) {
-    assert_eq!(a.fast_per_pipeline, b.fast_per_pipeline, "{label}");
-    assert_eq!(a.slow_assignment, b.slow_assignment, "{label}");
-    assert_eq!(a.micro_batches, b.micro_batches, "{label}");
-    assert_eq!(
-        a.objective.to_bits(),
-        b.objective.to_bits(),
-        "{label}: objective {} vs {}",
-        a.objective,
-        b.objective
-    );
-    let ca: Vec<u64> = a.capacities.iter().map(|c| c.to_bits()).collect();
-    let cb: Vec<u64> = b.capacities.iter().map(|c| c.to_bits()).collect();
-    assert_eq!(ca, cb, "{label}");
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let iters = if smoke { 1 } else { 5 };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
     println!(
-        "Division-solver micro-benchmark (best of {iters}, parallel at {workers} workers){}",
+        "Division-solver micro-benchmark (best of {iters}){}",
         if smoke { " [smoke]" } else { "" }
     );
 
-    let mut table = Table::new([
-        "instance",
-        "seed ref (ms)",
-        "optimized (ms)",
-        "parallel (ms)",
-        "speedup",
-        "speedup (par)",
-    ]);
-    let mut worst_serial = f64::INFINITY;
-    let mut worst_parallel = f64::INFINITY;
+    let mut table = Table::new(["instance", "seed ref (ms)", "optimized (ms)", "speedup"]);
+    let mut worst = f64::INFINITY;
     for case in cases() {
         let p = &case.problem;
         let (ref_secs, ref_d) =
             best_secs(iters, || divide_pipelines_reference(p).expect("reference"));
         let (opt_secs, opt_d) = best_secs(iters, || divide_pipelines(p).expect("optimized"));
-        let (par_secs, par_d) = best_secs(iters, || {
-            divide_pipelines_parallel(p, workers).expect("parallel")
-        });
-        assert_bitwise_equal(&opt_d, &ref_d, case.label);
-        assert_bitwise_equal(&par_d, &ref_d, case.label);
+        assert_eq!(opt_d, ref_d, "{}", case.label);
         let speedup = ref_secs / opt_secs.max(1e-12);
-        let speedup_par = ref_secs / par_secs.max(1e-12);
-        worst_serial = worst_serial.min(speedup);
-        worst_parallel = worst_parallel.min(speedup_par);
+        worst = worst.min(speedup);
         table.row([
             case.label.to_string(),
             format!("{:.2}", ref_secs * 1e3),
             format!("{:.2}", opt_secs * 1e3),
-            format!("{:.2}", par_secs * 1e3),
             format!("{speedup:.2}x"),
-            format!("{speedup_par:.2}x"),
         ]);
     }
     table.print();
     println!(
-        "\nAll instances byte-identical to the seed reference. Worst-case speedup: {worst_serial:.2}x serial, {worst_parallel:.2}x parallel."
+        "\nAll instances byte-identical to the seed reference. Worst-case speedup: {worst:.2}x."
     );
 }

@@ -397,21 +397,12 @@ fn check_service_route() {
         let routed = service.plan_backend(backend.id(), &request);
         match (direct, routed) {
             (Ok(a), Ok(b)) => {
-                assert_eq!(a.plan, b.plan, "{}: plans diverge", backend.id());
-                assert_eq!(
-                    a.estimated_step_time.to_bits(),
-                    b.estimated_step_time.to_bits(),
-                    "{}: estimates diverge",
-                    backend.id()
-                );
+                assert_eq!(a, *b, "{}: outcomes diverge", backend.id());
                 // Second request: must be served from the cache.
                 let again = service
                     .plan_backend(backend.id(), &request)
                     .expect("cached");
-                assert_eq!(
-                    again.estimated_step_time.to_bits(),
-                    b.estimated_step_time.to_bits()
-                );
+                assert_eq!(again, b);
             }
             (Err(a), Err(b)) => assert_eq!(
                 format!("planning failed: {a}"),

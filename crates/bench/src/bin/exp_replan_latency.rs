@@ -28,27 +28,8 @@
 use malleus_bench::table::Table;
 use malleus_bench::{write_json, JsonValue, ScenarioMatrix};
 use malleus_cluster::{GpuId, StragglerLevel};
-use malleus_core::{Parallelism, PlanOutcome};
+use malleus_core::Parallelism;
 use std::time::Instant;
-
-fn assert_identical(delta: &PlanOutcome, full: &PlanOutcome, label: &str) {
-    assert_eq!(delta.plan, full.plan, "{label}: plans diverge");
-    assert_eq!(
-        delta.chosen_tp, full.chosen_tp,
-        "{label}: chosen TP diverges"
-    );
-    assert_eq!(delta.dp, full.dp, "{label}: DP diverges");
-    assert_eq!(
-        delta.estimated_step_time.to_bits(),
-        full.estimated_step_time.to_bits(),
-        "{label}: exact estimates diverge"
-    );
-    assert_eq!(
-        delta.estimated_step_time_simplified.to_bits(),
-        full.estimated_step_time_simplified.to_bits(),
-        "{label}: simplified estimates diverge"
-    );
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
@@ -75,7 +56,7 @@ fn main() {
 
     let mut delta_prev = delta_planner.plan(&base).expect("initial delta plan");
     let mut full_prev = full_planner.plan(&base).expect("initial full plan");
-    assert_identical(&delta_prev, &full_prev, "initial plan");
+    assert_eq!(delta_prev, full_prev, "initial plan");
     assert!(
         delta_prev.lattice.is_some(),
         "incremental planner must attach the scored lattice"
@@ -136,7 +117,7 @@ fn main() {
                 .unwrap_or_else(|e| panic!("{event}: full replan: {e}"));
             let full_secs = t0.elapsed().as_secs_f64();
 
-            assert_identical(&delta_out, &full_out, &event);
+            assert_eq!(delta_out, full_out, "{event}");
             let lattice = delta_out.lattice.clone().expect("delta lattice");
             assert!(
                 lattice.delta,
@@ -192,7 +173,7 @@ fn main() {
             .replan(&snapshot, &full_prev.plan)
             .unwrap_or_else(|e| panic!("{event}: full replan: {e}"));
         let full_secs = t0.elapsed().as_secs_f64();
-        assert_identical(&delta_out, &full_out, &event);
+        assert_eq!(delta_out, full_out, "{event}");
         let lattice = delta_out.lattice.clone().expect("delta lattice");
         assert!(
             !lattice.delta,

@@ -304,11 +304,7 @@ fn main() {
         );
         for (request, expected) in workload.requests.iter().zip(&serial_outcomes) {
             let served = service.plan(request).expect("verification plan");
-            assert_eq!(served.plan, expected.plan, "service plan diverges");
-            assert_eq!(
-                served.estimated_step_time.to_bits(),
-                expected.estimated_step_time.to_bits()
-            );
+            assert_eq!(*served, *expected, "service plan diverges");
         }
 
         table.row([
@@ -379,11 +375,7 @@ fn main() {
             PlanClient::connect_tcp(addr, ClientConfig::default()).expect("verifier client");
         for (request, expected) in workload.requests.iter().zip(&serial_outcomes) {
             let served = verifier.plan(request).expect("socket verification plan");
-            assert_eq!(served.plan, expected.plan, "socket plan diverges");
-            assert_eq!(
-                served.estimated_step_time.to_bits(),
-                expected.estimated_step_time.to_bits()
-            );
+            assert_eq!(*served, *expected, "socket plan diverges");
         }
 
         table.row([

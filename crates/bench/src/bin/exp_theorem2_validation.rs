@@ -36,8 +36,7 @@ fn plan_from_grouping(
     num_layers: u64,
 ) -> Option<ParallelizationPlan> {
     let division =
-        orchestration::divide_groups(cost, grouping, snapshot, dp, global_batch, 1, true, 1)
-            .ok()?;
+        orchestration::divide_groups(cost, grouping, snapshot, dp, global_batch, 1, true).ok()?;
     let mut assignments = Vec::new();
     for groups in &division.pipelines {
         assignments.push(orchestration::order_and_assign_layers(

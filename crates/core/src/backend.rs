@@ -225,7 +225,7 @@ impl std::fmt::Display for ClusterEvent {
 /// describe their configuration in `description` instead.  The Malleus
 /// backend additionally carries its full native [`PlanOutcome`] so the
 /// service's legacy `plan()` entry point stays byte-identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PlannedOutcome {
     /// Which backend produced this outcome.
     pub backend: BackendId,
@@ -244,6 +244,22 @@ pub struct PlannedOutcome {
     pub description: String,
     /// The native Malleus outcome, populated only by the Malleus backend.
     pub malleus: Option<Arc<PlanOutcome>>,
+}
+
+impl PartialEq for PlannedOutcome {
+    /// Bitwise over the two floats, like [`PlanOutcome`]'s equality, which
+    /// compares the native outcome (timing and lattice excluded).
+    /// `clippy::float_cmp` skips `eq` bodies, so
+    /// `planned_outcome_equality_is_bitwise` guards this one.
+    fn eq(&self, other: &Self) -> bool {
+        self.backend == other.backend
+            && self.plan == other.plan
+            && self.active_gpus == other.active_gpus
+            && self.estimated_step_time.to_bits() == other.estimated_step_time.to_bits()
+            && self.transition_cost.to_bits() == other.transition_cost.to_bits()
+            && self.description == other.description
+            && self.malleus == other.malleus
+    }
 }
 
 impl PlannedOutcome {
@@ -419,21 +435,24 @@ mod tests {
         let via_trait =
             PlanBackend::plan(&planner, &snapshot, &planner.config.clone()).expect("trait plan");
 
-        let inner = via_trait.malleus.as_ref().expect("malleus outcome");
-        assert_eq!(direct.plan, inner.plan);
-        assert_eq!(direct.chosen_tp, inner.chosen_tp);
-        assert_eq!(direct.dp, inner.dp);
-        assert_eq!(
-            direct.estimated_step_time.to_bits(),
-            inner.estimated_step_time.to_bits()
-        );
-        assert_eq!(
-            direct.estimated_step_time_simplified.to_bits(),
-            inner.estimated_step_time_simplified.to_bits()
-        );
-        assert_eq!(via_trait.plan.as_ref(), Some(&direct.plan));
-        assert_eq!(via_trait.backend, BackendId::Malleus);
-        assert_eq!(via_trait.transition_cost, 0.0);
+        assert_eq!(via_trait, PlannedOutcome::from_malleus(direct));
+    }
+
+    #[test]
+    fn planned_outcome_equality_is_bitwise() {
+        let outcome = PlannedOutcome {
+            backend: BackendId::DeepSpeed,
+            plan: None,
+            active_gpus: vec![GpuId(0)],
+            estimated_step_time: f64::NAN,
+            transition_cost: 0.0,
+            description: "DP1".into(),
+            malleus: None,
+        };
+        assert_eq!(outcome, outcome.clone(), "equal NaN bits compare equal");
+        let mut neg_zero = outcome.clone();
+        neg_zero.transition_cost = -0.0;
+        assert_ne!(outcome, neg_zero, "+0.0 and -0.0 must not compare equal");
     }
 
     #[test]
@@ -450,11 +469,7 @@ mod tests {
 
         let direct = Planner::replan(&planner, &snapshot, initial.plan.as_ref().unwrap()).unwrap();
         let via_trait = PlanBackend::replan(&planner, &snapshot, &initial, event).unwrap();
-        assert_eq!(via_trait.plan.as_ref(), Some(&direct.plan));
-        assert_eq!(
-            via_trait.estimated_step_time.to_bits(),
-            direct.estimated_step_time.to_bits()
-        );
+        assert_eq!(via_trait, PlannedOutcome::from_malleus(direct));
     }
 
     #[test]
@@ -512,11 +527,7 @@ mod tests {
             initial.plan.as_ref().expect("plan"),
         )
         .unwrap();
-        assert_eq!(via.malleus.as_ref().unwrap().plan, direct.plan);
-        assert_eq!(
-            via.estimated_step_time.to_bits(),
-            direct.estimated_step_time.to_bits()
-        );
+        assert_eq!(via, PlannedOutcome::from_malleus(direct));
     }
 
     #[test]
@@ -568,15 +579,7 @@ mod tests {
         assert!(inner.lattice.as_ref().unwrap().delta, "memo consulted");
         let direct =
             Planner::replan(&planner, &drifted, initial.plan.as_ref().expect("plan")).unwrap();
-        assert_eq!(inner.plan, direct.plan);
-        assert_eq!(
-            inner.estimated_step_time.to_bits(),
-            direct.estimated_step_time.to_bits()
-        );
-        assert_eq!(
-            inner.estimated_step_time_simplified.to_bits(),
-            direct.estimated_step_time_simplified.to_bits()
-        );
+        assert_eq!(**inner, direct);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::error::PlanError;
 use crate::grouping::GroupingResult;
 use crate::plan::TpGroup;
 use malleus_cluster::ClusterSnapshot;
-use malleus_solver::{divide_pipelines_parallel, DivisionProblem};
+use malleus_solver::{divide_pipelines, DivisionProblem};
 use serde::{Deserialize, Serialize};
 
 /// The groups of each pipeline after division (not yet ordered).
@@ -35,15 +35,6 @@ const RATE_TOLERANCE: f64 = 1e-6;
 /// When `nonuniform_stages` is false (Figure 9 ablation and the uniform
 /// baselines) every pipeline receives the same number of groups, assigned
 /// round-robin by descending rate so slow groups still spread out.
-///
-/// `division_workers` bounds the threads the Eq. (4) search may use *within*
-/// this one division (the result is byte-identical at any value; pass 1 for
-/// strictly sequential solving, e.g. when the caller already saturates the
-/// cores with candidate-level fan-out).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "each argument is one independent input of the Eq. (4) division"
-)]
 pub fn divide_groups(
     cost: &CostModel,
     grouping: &GroupingResult,
@@ -52,7 +43,6 @@ pub fn divide_groups(
     total_micro_batches: u64,
     micro_batch_size: u64,
     nonuniform_stages: bool,
-    division_workers: usize,
 ) -> Result<PipelineDivision, PlanError> {
     let groups = &grouping.groups;
     if dp == 0 || groups.len() < dp {
@@ -106,10 +96,8 @@ pub fn divide_groups(
         slow_rates,
         total_micro_batches,
     );
-    let division = divide_pipelines_parallel(&problem, division_workers.max(1)).map_err(|e| {
-        PlanError::NoFeasiblePlan {
-            reason: format!("pipeline division failed: {e}"),
-        }
+    let division = divide_pipelines(&problem).map_err(|e| PlanError::NoFeasiblePlan {
+        reason: format!("pipeline division failed: {e}"),
     })?;
 
     let mut pipelines: Vec<Vec<TpGroup>> = vec![Vec::new(); dp];
@@ -243,7 +231,7 @@ mod tests {
         let snapshot = cluster.snapshot();
         let grouping = group_cluster(&snapshot, &cost.coeffs, 8, 1, 1.05, true);
         let division =
-            divide_groups(&cost, &grouping, &snapshot, 2, 64, 1, true, 1).expect("division");
+            divide_groups(&cost, &grouping, &snapshot, 2, 64, 1, true).expect("division");
         assert_eq!(division.pipelines.len(), 2);
         assert_eq!(division.pipelines[0].len(), 2);
         assert_eq!(division.pipelines[1].len(), 2);
@@ -257,7 +245,7 @@ mod tests {
         let snapshot = cluster.snapshot();
         let grouping = group_cluster(&snapshot, &cost.coeffs, 4, 1, 1.05, false);
         let division =
-            divide_groups(&cost, &grouping, &snapshot, 4, 64, 1, false, 1).expect("division");
+            divide_groups(&cost, &grouping, &snapshot, 4, 64, 1, false).expect("division");
         assert!(division.pipelines.iter().all(|p| p.len() == 2));
     }
 
@@ -268,7 +256,7 @@ mod tests {
         let snapshot = cluster.snapshot();
         let grouping = group_cluster(&snapshot, &cost.coeffs, 8, 1, 1.05, true);
         assert!(matches!(
-            divide_groups(&cost, &grouping, &snapshot, 4, 64, 1, true, 1),
+            divide_groups(&cost, &grouping, &snapshot, 4, 64, 1, true),
             Err(PlanError::InfeasibleDataParallel { .. })
         ));
     }
@@ -317,23 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn division_is_identical_at_any_worker_count() {
-        let cost = cost_model(ModelSpec::llama2_32b());
-        let mut cluster = Cluster::homogeneous(4, 8);
-        cluster.set_rate(GpuId(3), 5.42);
-        cluster.set_rate(GpuId(9), 2.57);
-        let snapshot = cluster.snapshot();
-        let grouping = group_cluster(&snapshot, &cost.coeffs, 8, 1, 1.05, true);
-        let serial =
-            divide_groups(&cost, &grouping, &snapshot, 2, 64, 1, true, 1).expect("division");
-        for workers in [2usize, 4, 8] {
-            let par = divide_groups(&cost, &grouping, &snapshot, 2, 64, 1, true, workers)
-                .expect("division");
-            assert_eq!(par, serial, "workers={workers}");
-        }
-    }
-
-    #[test]
     fn division_keeps_every_group_exactly_once() {
         let cost = cost_model(ModelSpec::llama2_32b());
         let mut cluster = Cluster::homogeneous(4, 8);
@@ -342,7 +313,7 @@ mod tests {
         let snapshot = cluster.snapshot();
         let grouping = group_cluster(&snapshot, &cost.coeffs, 8, 1, 1.05, true);
         let division =
-            divide_groups(&cost, &grouping, &snapshot, 2, 64, 1, true, 1).expect("division");
+            divide_groups(&cost, &grouping, &snapshot, 2, 64, 1, true).expect("division");
         let mut seen: Vec<GpuId> = division
             .pipelines
             .iter()

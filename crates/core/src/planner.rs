@@ -155,9 +155,11 @@ pub struct PlanOutcome {
 }
 
 impl PartialEq for PlanOutcome {
-    /// Equality over the planning *result*; the attached lattice is advisory
-    /// warm-start state (its reuse statistics depend on memo history, not on
-    /// what was planned) and is excluded.
+    /// Equality over the planning *result*.  The per-phase timing is wall
+    /// clock, and the attached lattice is advisory warm-start state (its
+    /// reuse statistics depend on memo history, not on what was planned), so
+    /// both are excluded: two independently computed identical plans compare
+    /// equal.  Compare the wire encodings where those must match too.
     fn eq(&self, other: &Self) -> bool {
         // Bitwise float comparison: outcome equality backs the byte-identity
         // oracle checks, where `==` would declare +0.0 == -0.0 equal and NaN
@@ -170,7 +172,6 @@ impl PartialEq for PlanOutcome {
                 == other.estimated_step_time_simplified.to_bits()
             && self.chosen_tp == other.chosen_tp
             && self.dp == other.dp
-            && self.timing == other.timing
     }
 }
 
@@ -422,12 +423,7 @@ impl Planner {
     /// assignment, data assignment, validation, and cost estimation.  Entirely
     /// self-contained — no shared mutable state — so candidates can run on any
     /// worker thread.
-    fn evaluate_candidate(
-        &self,
-        snapshot: &ClusterSnapshot,
-        cand: &Candidate,
-        division_workers: usize,
-    ) -> CandidateEval {
+    fn evaluate_candidate(&self, snapshot: &ClusterSnapshot, cand: &Candidate) -> CandidateEval {
         let num_layers = self.cost.coeffs.spec.num_layers as u64;
         let (max_tp, dp, b) = (cand.max_tp, cand.dp, cand.micro_batch);
         let total_micro_batches = self.config.global_batch_size / b;
@@ -451,7 +447,6 @@ impl Planner {
             total_micro_batches,
             b,
             cand.nonuniform_division,
-            division_workers,
         ) {
             Ok(d) => d,
             Err(e) => {
@@ -687,23 +682,10 @@ impl Planner {
         // unchanged since a previous invocation is served from the memo —
         // bitwise what a fresh evaluation would produce — and every fresh
         // evaluation is memoized for the next event.
-        //
-        // When the lattice is narrower than the worker budget, the leftover
-        // threads go *inside* each candidate's division search (the dominant
-        // cost).  Division results are worker-count-invariant, so this is
-        // invisible to the memo and to the serial oracle.
-        let division_workers = if candidates.is_empty() || candidates.len() >= workers {
-            1
-        } else {
-            workers / candidates.len()
-        };
         let evals: Vec<(CandidateEval, bool)> = fan_out(candidates.len(), workers, |i| {
             let cand = &candidates[i];
             if !memoize {
-                return (
-                    self.evaluate_candidate(snapshot, cand, division_workers),
-                    false,
-                );
+                return (self.evaluate_candidate(snapshot, cand), false);
             }
             let inputs = self.candidate_inputs(snapshot, cand, &rate_bits);
             let key = inputs.fingerprint();
@@ -719,7 +701,7 @@ impl Planner {
                     );
                 }
             }
-            let eval = self.evaluate_candidate(snapshot, cand, division_workers);
+            let eval = self.evaluate_candidate(snapshot, cand);
             self.candidate_memo.insert(
                 key,
                 &inputs,
@@ -816,12 +798,17 @@ mod tests {
     /// Byte-identity oracles need bitwise equality: float `==` holds for
     /// `+0.0 == -0.0` despite different bytes, and `NaN != NaN` despite
     /// identical bytes.  `clippy::float_cmp` does not look inside `eq`, so
-    /// this test keeps `PlanOutcome::eq` bitwise.
+    /// this test keeps `PlanOutcome::eq` bitwise.  The wall-clock timing
+    /// never takes part.
     #[test]
     fn outcome_equality_is_bitwise_over_step_times() {
         let cluster = Cluster::homogeneous(2, 8);
         let p = planner(ModelSpec::llama2_32b(), 64);
         let outcome = p.plan(&cluster.snapshot()).expect("plan");
+
+        let mut retimed = outcome.clone();
+        retimed.timing.division += Duration::from_secs(1);
+        assert_eq!(retimed, outcome, "timing must not take part in equality");
 
         let mut nan_a = outcome.clone();
         nan_a.estimated_step_time = f64::NAN;
@@ -970,17 +957,7 @@ mod tests {
         let parallel = planner(ModelSpec::llama2_32b(), 64).with_parallelism(Parallelism::Fixed(4));
         let a = serial.plan(&snapshot).expect("serial plan");
         let b = parallel.plan(&snapshot).expect("parallel plan");
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.chosen_tp, b.chosen_tp);
-        assert_eq!(a.dp, b.dp);
-        assert_eq!(
-            a.estimated_step_time.to_bits(),
-            b.estimated_step_time.to_bits()
-        );
-        assert_eq!(
-            a.estimated_step_time_simplified.to_bits(),
-            b.estimated_step_time_simplified.to_bits()
-        );
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -1030,20 +1007,6 @@ mod tests {
         );
     }
 
-    fn assert_bitwise_equal(a: &PlanOutcome, b: &PlanOutcome) {
-        assert_eq!(a.plan, b.plan);
-        assert_eq!(a.chosen_tp, b.chosen_tp);
-        assert_eq!(a.dp, b.dp);
-        assert_eq!(
-            a.estimated_step_time.to_bits(),
-            b.estimated_step_time.to_bits()
-        );
-        assert_eq!(
-            a.estimated_step_time_simplified.to_bits(),
-            b.estimated_step_time_simplified.to_bits()
-        );
-    }
-
     #[test]
     fn delta_replan_is_byte_identical_to_full_enumeration() {
         let cluster = Cluster::homogeneous(4, 8);
@@ -1062,7 +1025,7 @@ mod tests {
             .with_parallelism(Parallelism::Fixed(1))
             .replan(&drifted, &initial.plan)
             .expect("oracle replan");
-        assert_bitwise_equal(&warm, &oracle);
+        assert_eq!(warm, oracle);
         assert!(warm.lattice.as_ref().unwrap().delta, "memo was consulted");
 
         // Recurrent state: the straggler recovers to the exact rates the
@@ -1077,7 +1040,7 @@ mod tests {
             .with_parallelism(Parallelism::Fixed(1))
             .replan(&cluster.snapshot(), &warm.plan)
             .expect("oracle replan");
-        assert_bitwise_equal(&recurred, &oracle2);
+        assert_eq!(recurred, oracle2);
     }
 
     #[test]
@@ -1096,7 +1059,7 @@ mod tests {
             .with_parallelism(Parallelism::Fixed(1))
             .replan(&failed, &initial.plan)
             .expect("oracle replan");
-        assert_bitwise_equal(&after_loss, &oracle);
+        assert_eq!(after_loss, oracle);
         // Node join (the GPU comes back, still straggling): structural again.
         let rejoined = failed.with_rate(GpuId(5), 3.75);
         let after_join = p.replan_delta(&rejoined, &after_loss).expect("replan");
@@ -1123,7 +1086,7 @@ mod tests {
         let drifted = cluster.snapshot().with_rate(GpuId(1), 2.57);
         let a = p.replan_delta(&drifted, &outcome).expect("delta");
         let b = p.replan(&drifted, &outcome.plan).expect("full");
-        assert_bitwise_equal(&a, &b);
+        assert_eq!(a, b);
     }
 
     #[test]

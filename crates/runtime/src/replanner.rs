@@ -246,12 +246,7 @@ mod tests {
         let snapshot = cluster.snapshot();
         let a = replan_overlapped(&serial, &snapshot, &initial.plan, 12.0).unwrap();
         let b = replan_overlapped(&parallel, &snapshot, &initial.plan, 12.0).unwrap();
-        assert_eq!(a.outcome.plan, b.outcome.plan);
-        assert_eq!(a.outcome.dp, b.outcome.dp);
-        assert_eq!(
-            a.outcome.estimated_step_time.to_bits(),
-            b.outcome.estimated_step_time.to_bits()
-        );
+        assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.plan_changed, b.plan_changed);
     }
 
@@ -278,14 +273,9 @@ mod tests {
                 12.0,
             )
             .unwrap();
-            assert_eq!(shared.outcome.plan.as_ref(), Some(&direct.outcome.plan));
             assert_eq!(
-                shared.outcome.plan.as_ref().unwrap().dp(),
-                direct.outcome.dp
-            );
-            assert_eq!(
-                shared.outcome.estimated_step_time.to_bits(),
-                direct.outcome.estimated_step_time.to_bits()
+                shared.outcome,
+                PlannedOutcome::from_malleus(direct.outcome.clone())
             );
             assert_eq!(shared.plan_changed, direct.plan_changed);
         }
@@ -302,12 +292,11 @@ mod tests {
         cluster.set_rate(GpuId(0), 5.42);
         let snapshot = cluster.snapshot();
         let direct = replan_overlapped(&p, &snapshot, &initial.plan, 12.0).unwrap();
-        let previous = malleus_core::PlannedOutcome::from_malleus(initial);
+        let previous = PlannedOutcome::from_malleus(initial);
         let via_trait = replan_overlapped_backend(&p, &snapshot, &previous, 12.0).unwrap();
-        assert_eq!(via_trait.outcome.plan.as_ref(), Some(&direct.outcome.plan));
         assert_eq!(
-            via_trait.outcome.estimated_step_time.to_bits(),
-            direct.outcome.estimated_step_time.to_bits()
+            via_trait.outcome,
+            PlannedOutcome::from_malleus(direct.outcome.clone())
         );
         assert_eq!(via_trait.plan_changed, direct.plan_changed);
     }
@@ -336,8 +325,7 @@ mod tests {
             12.0,
         )
         .unwrap();
-        assert_eq!(shared.outcome.plan.as_ref(), Some(&direct.plan));
-        assert_eq!(shared.outcome.plan.as_ref().unwrap().dp(), direct.dp);
+        assert_eq!(shared.outcome, PlannedOutcome::from_malleus(direct));
     }
 
     #[test]
@@ -354,12 +342,7 @@ mod tests {
             delta.outcome.lattice.as_ref().unwrap().delta,
             "drift-only event must consult the memo"
         );
-        assert_eq!(delta.outcome.plan, full.outcome.plan);
-        assert_eq!(delta.outcome.dp, full.outcome.dp);
-        assert_eq!(
-            delta.outcome.estimated_step_time.to_bits(),
-            full.outcome.estimated_step_time.to_bits()
-        );
+        assert_eq!(delta.outcome, full.outcome);
         assert_eq!(delta.plan_changed, full.plan_changed);
     }
 

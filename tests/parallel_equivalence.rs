@@ -47,25 +47,7 @@ fn assert_golden_equivalence(spec: ModelSpec, nodes: u32) {
         let candidate = parallel
             .plan(&snapshot)
             .unwrap_or_else(|e| panic!("{} parallel under {situation:?}: {e}", spec.name));
-        assert_eq!(
-            oracle.plan, candidate.plan,
-            "{} under {situation:?}: plans diverge",
-            spec.name
-        );
-        assert_eq!(oracle.chosen_tp, candidate.chosen_tp);
-        assert_eq!(oracle.dp, candidate.dp);
-        assert_eq!(
-            oracle.estimated_step_time.to_bits(),
-            candidate.estimated_step_time.to_bits(),
-            "{} under {situation:?}: exact estimates diverge",
-            spec.name
-        );
-        assert_eq!(
-            oracle.estimated_step_time_simplified.to_bits(),
-            candidate.estimated_step_time_simplified.to_bits(),
-            "{} under {situation:?}: simplified estimates diverge",
-            spec.name
-        );
+        assert_eq!(*oracle, candidate, "{} under {situation:?}", spec.name);
     }
 }
 
@@ -107,21 +89,7 @@ fn service_plans_are_byte_identical_to_direct_planner() {
         let miss = service.plan(&request).expect("service plan (miss)");
         let hit = service.plan(&request).expect("service plan (hit)");
         for outcome in [&miss, &hit] {
-            assert_eq!(
-                direct.plan, outcome.plan,
-                "{} under {situation:?}",
-                spec.name
-            );
-            assert_eq!(direct.chosen_tp, outcome.chosen_tp);
-            assert_eq!(direct.dp, outcome.dp);
-            assert_eq!(
-                direct.estimated_step_time.to_bits(),
-                outcome.estimated_step_time.to_bits()
-            );
-            assert_eq!(
-                direct.estimated_step_time_simplified.to_bits(),
-                outcome.estimated_step_time_simplified.to_bits()
-            );
+            assert_eq!(direct, *outcome, "{} under {situation:?}", spec.name);
         }
     }
     let metrics = service.metrics();
@@ -144,23 +112,11 @@ fn malleus_backend_trait_is_byte_identical_to_direct_planner() {
             .unwrap_or_else(|e| panic!("direct under {situation:?}: {e}"));
         let routed = PlanBackend::plan(&planner, &snapshot, &config)
             .unwrap_or_else(|e| panic!("trait under {situation:?}: {e}"));
-        assert_eq!(routed.backend, BackendId::Malleus);
         assert_eq!(
-            routed.plan.as_ref(),
-            Some(&direct.plan),
-            "under {situation:?}: plans diverge"
+            routed,
+            PlannedOutcome::from_malleus(direct),
+            "under {situation:?}"
         );
-        assert_eq!(
-            routed.estimated_step_time.to_bits(),
-            direct.estimated_step_time.to_bits()
-        );
-        let inner = routed.malleus.as_ref().expect("malleus outcome present");
-        assert_eq!(
-            inner.estimated_step_time_simplified.to_bits(),
-            direct.estimated_step_time_simplified.to_bits()
-        );
-        assert_eq!(inner.chosen_tp, direct.chosen_tp);
-        assert_eq!(inner.dp, direct.dp);
     }
 }
 
@@ -188,15 +144,7 @@ fn service_backend_route_is_byte_identical_to_direct_planner() {
             std::sync::Arc::ptr_eq(inner, &legacy),
             "both routes must serve the same cache entry"
         );
-        assert_eq!(direct.plan, legacy.plan, "under {situation:?}");
-        assert_eq!(
-            direct.estimated_step_time.to_bits(),
-            legacy.estimated_step_time.to_bits()
-        );
-        assert_eq!(
-            direct.estimated_step_time_simplified.to_bits(),
-            legacy.estimated_step_time_simplified.to_bits()
-        );
+        assert_eq!(direct, legacy, "under {situation:?}");
     }
     let metrics = service.metrics();
     assert_eq!(metrics.planner_invocations, 2);
@@ -214,22 +162,6 @@ fn delta_planner(spec: &ModelSpec) -> Planner {
     let mut config = common::planner_for(spec, 64).config;
     config.incremental = incremental_from_env_or(true);
     Planner::new(common::coeffs_for(spec).clone(), config).with_parallelism(candidate_parallelism())
-}
-
-fn assert_replay_identity(warm: &PlanOutcome, full: &PlanOutcome, situation: PaperSituation) {
-    assert_eq!(warm.plan, full.plan, "under {situation:?}: plans diverge");
-    assert_eq!(warm.chosen_tp, full.chosen_tp, "under {situation:?}");
-    assert_eq!(warm.dp, full.dp, "under {situation:?}");
-    assert_eq!(
-        warm.estimated_step_time.to_bits(),
-        full.estimated_step_time.to_bits(),
-        "under {situation:?}: exact estimates diverge"
-    );
-    assert_eq!(
-        warm.estimated_step_time_simplified.to_bits(),
-        full.estimated_step_time_simplified.to_bits(),
-        "under {situation:?}: simplified estimates diverge"
-    );
 }
 
 #[test]
@@ -251,7 +183,7 @@ fn incremental_replays_from_normal_match_the_full_enumeration_oracle() {
         let full = oracle
             .replan(&snapshot, &base.plan)
             .unwrap_or_else(|e| panic!("oracle replan under {situation:?}: {e}"));
-        assert_replay_identity(&warm, &full, situation);
+        assert_eq!(warm, full, "under {situation:?}");
         if let Some(base_lattice) = base.lattice.as_ref() {
             let expect_delta = !base_lattice.structural_change(&snapshot);
             assert_eq!(
@@ -288,7 +220,7 @@ fn chained_incremental_replays_match_the_oracle_at_every_transition() {
         let full = oracle
             .replan(&snapshot, &current.plan)
             .unwrap_or_else(|e| panic!("oracle replan under {situation:?}: {e}"));
-        assert_replay_identity(&warm, &full, situation);
+        assert_eq!(warm, full, "under {situation:?}");
         current = warm;
     }
 }
@@ -311,10 +243,5 @@ fn equivalence_holds_under_failures_and_forced_dp() {
     let b = parallel
         .replan(&snapshot, &previous.plan)
         .expect("parallel replan");
-    assert_eq!(a.plan, b.plan);
-    assert_eq!(a.dp, b.dp);
-    assert_eq!(
-        a.estimated_step_time.to_bits(),
-        b.estimated_step_time.to_bits()
-    );
+    assert_eq!(a, b);
 }

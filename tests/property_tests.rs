@@ -145,17 +145,7 @@ proptest! {
         let a = oracle.plan(&snapshot).unwrap();
         let b = candidate.plan(&snapshot).unwrap();
         let c = candidate.plan(&snapshot).unwrap();
-        prop_assert_eq!(&a.plan, &b.plan, "workers={} diverged from oracle", workers);
-        prop_assert_eq!(&b.plan, &c.plan, "repeated run diverged at workers={}", workers);
-        prop_assert_eq!(a.chosen_tp, b.chosen_tp);
-        prop_assert_eq!(a.dp, b.dp);
-        prop_assert_eq!(
-            a.estimated_step_time.to_bits(),
-            b.estimated_step_time.to_bits()
-        );
-        prop_assert_eq!(
-            b.estimated_step_time.to_bits(),
-            c.estimated_step_time.to_bits()
-        );
+        prop_assert_eq!(&a, &b, "workers={} diverged from oracle", workers);
+        prop_assert_eq!(&b, &c, "repeated run diverged at workers={}", workers);
     }
 }
