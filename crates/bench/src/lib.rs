@@ -3,8 +3,8 @@
 //! Every table and figure in the paper's evaluation (§7 and Appendices A–B)
 //! has a corresponding binary under `src/bin/` that regenerates it on the
 //! simulated substrate; `EXPERIMENTS.md` at the repository root records the
-//! paper-reported values next to the reproduced ones.  The criterion benches
-//! under `benches/` cover the planner, solver and simulator hot paths.
+//! paper-reported values next to the reproduced ones.  `benches/division_bench`
+//! times the division solver against the frozen seed reference.
 //!
 //! This library holds the shared pieces: canonical workload setups
 //! ([`scenarios`]), minimal text-table rendering ([`table`]), and a

@@ -1,7 +1,6 @@
 //! Cluster topology: GPUs, nodes and the dynamic per-GPU straggling rates.
 
 use crate::snapshot::ClusterSnapshot;
-use crate::straggler::StragglerEvent;
 use serde::{Deserialize, Serialize};
 
 /// Globally unique identifier of a GPU (index into the cluster's GPU list).
@@ -142,11 +141,6 @@ impl Cluster {
         for r in &mut self.rates {
             *r = 1.0;
         }
-    }
-
-    /// Apply a straggler event.
-    pub fn apply_event(&mut self, event: &StragglerEvent) {
-        self.set_rate(event.gpu, event.rate);
     }
 
     /// Apply a whole set of rates (e.g. a trace situation), resetting all other

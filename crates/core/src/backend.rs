@@ -200,8 +200,7 @@ impl ClusterEvent {
     }
 
     /// Whether the event changes cluster structure (availability or
-    /// topology).  Structural events route to full enumeration; drift may
-    /// warm-start the delta replanner.
+    /// topology) rather than only straggling rates.
     pub fn is_structural(&self) -> bool {
         !matches!(self, ClusterEvent::StragglerDrift)
     }
@@ -370,18 +369,16 @@ impl PlanBackend for Planner {
         &self,
         snapshot: &ClusterSnapshot,
         previous: &PlannedOutcome,
-        event: ClusterEvent,
+        _event: ClusterEvent,
     ) -> Result<PlannedOutcome, PlanError> {
         // Malleus adapts online whatever the event is; migration cost is
-        // priced separately by the runtime/arena via `plan_migration`.
-        // Drift-only events warm-start from the previous outcome's scored
-        // lattice (`replan_delta` re-checks the snapshot diff itself and
-        // falls back to full enumeration if it is structural after all);
-        // structural events go straight to full enumeration.
+        // priced separately by the runtime/arena via `plan_migration`.  A
+        // previous Malleus outcome warm-starts from its scored lattice:
+        // `replan_delta` classifies the snapshot diff itself and falls back
+        // to full enumeration when it is structural.
         let outcome = match (&previous.malleus, &previous.plan) {
-            (Some(prev), _) if !event.is_structural() => self.replan_delta(snapshot, prev)?,
-            (_, Some(plan)) => Planner::replan(self, snapshot, plan)?,
-            (Some(prev), None) => Planner::replan(self, snapshot, &prev.plan)?,
+            (Some(prev), _) => self.replan_delta(snapshot, prev)?,
+            (None, Some(plan)) => Planner::replan(self, snapshot, plan)?,
             (None, None) => Planner::plan(self, snapshot)?,
         };
         Ok(PlannedOutcome::from_malleus(outcome))

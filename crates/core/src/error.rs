@@ -23,6 +23,9 @@ pub enum PlanError {
     /// A static backend cannot adapt to the observed cluster event (e.g.
     /// Megatron-LM after a participating GPU fails).
     CannotAdapt { backend: String, reason: String },
+    /// The planning service a session routes through could not answer
+    /// (transport failure, admission timeout, internal failure).
+    Unavailable { reason: String },
 }
 
 impl std::fmt::Display for PlanError {
@@ -50,6 +53,9 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::CannotAdapt { backend, reason } => {
                 write!(f, "{backend}: cannot adapt to the cluster event: {reason}")
+            }
+            PlanError::Unavailable { reason } => {
+                write!(f, "planning service unavailable: {reason}")
             }
         }
     }
@@ -87,5 +93,10 @@ mod tests {
         }
         .to_string()
         .contains("participant failed"));
+        assert!(PlanError::Unavailable {
+            reason: "connection reset".into()
+        }
+        .to_string()
+        .contains("unavailable: connection reset"));
     }
 }

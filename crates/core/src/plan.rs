@@ -90,15 +90,6 @@ impl PipelinePlan {
             .flat_map(|s| s.group.gpus.iter().copied())
             .collect()
     }
-
-    /// The maximum TP degree among the pipeline's stages.
-    pub fn max_tp_degree(&self) -> u32 {
-        self.stages
-            .iter()
-            .map(|s| s.group.tp_degree())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// A complete parallelization plan.

@@ -21,7 +21,7 @@ use crate::error::PlanError;
 use crate::grouping::GroupingResult;
 use crate::orchestration::{divide_groups, order_and_assign_layers};
 use crate::parallel::{fan_out, GroupingCache, Parallelism};
-use crate::plan::{ParallelizationPlan, PipelinePlan, TpGroup};
+use crate::plan::{ParallelizationPlan, PipelinePlan};
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
@@ -770,12 +770,6 @@ impl Planner {
             }),
         }
     }
-}
-
-/// Convenience: collect the GPUs of a list of groups (used by callers that
-/// track standby devices explicitly).
-pub fn gpus_of_groups(groups: &[TpGroup]) -> Vec<GpuId> {
-    groups.iter().flat_map(|g| g.gpus.iter().copied()).collect()
 }
 
 #[cfg(test)]

@@ -12,7 +12,10 @@
 //! [`session::TrainingSession`] drives the full loop over a straggler trace,
 //! with asynchronous (overlapped) re-planning and failure recovery, producing
 //! the per-phase reports the end-to-end experiments (Figure 7 / Table 2) are
-//! built from.
+//! built from.  It plans through one [`malleus_core::PlanBackend`] handle:
+//! its own planner, a shared planning service or daemon
+//! ([`session::TrainingSession::with_service`]), or any baseline
+//! ([`session::TrainingSession::with_backend`]).
 
 pub mod executor;
 pub mod profiler;
@@ -22,7 +25,7 @@ pub mod session;
 pub use executor::Executor;
 pub use profiler::{Profiler, ProfilerObservation};
 pub use replanner::{
-    replan_overlapped, replan_overlapped_backend, replan_overlapped_incremental,
-    replan_overlapped_shared, BackendReplan, ReplanOutcome,
+    replan_overlapped_backend, replan_overlapped_incremental, replan_overlapped_shared,
+    BackendReplan, ReplanOutcome,
 };
 pub use session::{PhaseReport, RuntimeError, SessionReport, TrainingSession};

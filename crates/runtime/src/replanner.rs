@@ -22,26 +22,15 @@ use malleus_core::{
 use malleus_model::ProfiledCoefficients;
 use malleus_service::{PlanRequest, PlanTransport, ServiceError};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
-/// Result of an overlapped re-planning round.
+/// Result of an overlapped re-planning round: the Malleus planner's
+/// [`PlanOutcome`] by default, or a backend-neutral [`PlannedOutcome`]
+/// ([`BackendReplan`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplanOutcome {
+pub struct ReplanOutcome<O = PlanOutcome> {
     /// The planner's output.
-    pub outcome: PlanOutcome,
-    /// Wall-clock planning time in seconds.
-    pub planning_time: f64,
-    /// Seconds of training stall not hidden by the overlap (usually zero).
-    pub stall_time: f64,
-    /// Whether the new plan differs from the previous one.
-    pub plan_changed: bool,
-}
-
-/// Result of an overlapped re-planning round through a backend-neutral
-/// [`PlanBackend`] (the trait-path analogue of [`ReplanOutcome`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BackendReplan {
-    /// The backend's output.
-    pub outcome: PlannedOutcome,
+    pub outcome: O,
     /// Wall-clock planning time in seconds.
     pub planning_time: f64,
     /// Seconds of training stall not hidden by the overlap (usually zero).
@@ -51,59 +40,54 @@ pub struct BackendReplan {
     pub plan_changed: bool,
 }
 
-/// Run the planner for the observed rates, overlapping the planning time with
-/// one training step of `current_step_time` seconds.
+/// Result of an overlapped re-planning round through a [`PlanBackend`] or a
+/// [`PlanTransport`].
+pub type BackendReplan = ReplanOutcome<PlannedOutcome>;
+
+/// Run `plan`, overlapping it with one training step of `current_step_time`
+/// seconds.
 ///
-/// The stall computation uses the *wall-clock* time of the `replan` call, not
+/// The stall computation uses the *wall-clock* time of the call, not
 /// `PlanTiming::total()`: the per-phase breakdown sums candidate durations
 /// across all workers (aggregate CPU time, what Table 5 accounts), which
 /// overstates the elapsed time whenever the candidate fan-out runs on more
 /// than one core — and the whole point of overlapped re-planning is that only
 /// elapsed time can stall training.
-pub fn replan_overlapped(
-    planner: &Planner,
-    snapshot: &ClusterSnapshot,
-    previous: &ParallelizationPlan,
+fn overlapped<O, E>(
     current_step_time: f64,
-) -> Result<ReplanOutcome, PlanError> {
+    plan: impl FnOnce() -> Result<O, E>,
+    changed: impl FnOnce(&O) -> bool,
+) -> Result<ReplanOutcome<O>, E> {
     let t0 = std::time::Instant::now();
-    let outcome = planner.replan(snapshot, previous)?;
+    let outcome = plan()?;
     let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan != *previous;
     Ok(ReplanOutcome {
+        plan_changed: changed(&outcome),
         outcome,
         planning_time,
-        stall_time,
-        plan_changed,
+        stall_time: (planning_time - current_step_time).max(0.0),
     })
 }
 
-/// Warm-start (delta) overlapped re-planning: like [`replan_overlapped`], but
-/// threads the previous [`PlanOutcome`] — including its persisted scored
-/// lattice — into [`Planner::replan_delta`], so drift-only events reuse
-/// memoized candidate evaluations instead of re-enumerating the whole
-/// lattice.  Structural events (node loss / node join) and planners with
-/// [`malleus_core::PlannerConfig::incremental`] off fall back to full
-/// enumeration inside `replan_delta`; either way the adapted plan is
-/// byte-identical to what [`replan_overlapped`] would produce.
+/// Warm-start (delta) overlapped re-planning: threads the previous
+/// [`PlanOutcome`] — including its persisted scored lattice — into
+/// [`Planner::replan_delta`], so drift-only events reuse memoized candidate
+/// evaluations instead of re-enumerating the whole lattice.  Structural
+/// events (node loss / node join) and planners with
+/// [`malleus_core::PlannerConfig::incremental`] off fall back to
+/// [`Planner::replan`] inside `replan_delta`; either way the adapted plan is
+/// byte-identical to a full `Planner::replan`.
 pub fn replan_overlapped_incremental(
     planner: &Planner,
     snapshot: &ClusterSnapshot,
     previous: &PlanOutcome,
     current_step_time: f64,
 ) -> Result<ReplanOutcome, PlanError> {
-    let t0 = std::time::Instant::now();
-    let outcome = planner.replan_delta(snapshot, previous)?;
-    let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan != previous.plan;
-    Ok(ReplanOutcome {
-        outcome,
-        planning_time,
-        stall_time,
-        plan_changed,
-    })
+    overlapped(
+        current_step_time,
+        || planner.replan_delta(snapshot, previous),
+        |outcome| outcome.plan != previous.plan,
+    )
 }
 
 /// Overlapped re-planning through an arbitrary [`PlanBackend`] handle.
@@ -120,33 +104,28 @@ pub fn replan_overlapped_backend(
     previous: &PlannedOutcome,
     current_step_time: f64,
 ) -> Result<BackendReplan, PlanError> {
-    let t0 = std::time::Instant::now();
-    let event = ClusterEvent::classify(previous, snapshot, DEFAULT_STRAGGLER_THRESHOLD);
-    let outcome = backend.replan(snapshot, previous, event)?;
-    let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan != previous.plan || outcome.active_gpus != previous.active_gpus;
-    Ok(BackendReplan {
-        outcome,
-        planning_time,
-        stall_time,
-        plan_changed,
-    })
+    overlapped(
+        current_step_time,
+        || {
+            let event = ClusterEvent::classify(previous, snapshot, DEFAULT_STRAGGLER_THRESHOLD);
+            backend.replan(snapshot, previous, event)
+        },
+        |outcome| outcome.plan != previous.plan || outcome.active_gpus != previous.active_gpus,
+    )
 }
 
-/// Service-backed overlapped re-planning: like [`replan_overlapped`], but the
-/// planner invocation goes through a shared [`PlanTransport`] — an in-process
-/// [`malleus_service::PlanService`] or a remote
-/// [`malleus_service::PlanClient`] dialing a standalone plan daemon — so N
-/// sessions replanning after the same cluster event (same snapshot, same
-/// coefficients, same configuration, same backend) pay for one planner run
-/// and share the cached plan.
+/// Service-backed overlapped re-planning: the planner invocation goes through
+/// a shared [`PlanTransport`] — an in-process [`malleus_service::PlanService`]
+/// or a remote [`malleus_service::PlanClient`] dialing a standalone plan
+/// daemon — so N sessions replanning after the same cluster event (same
+/// snapshot, same coefficients, same configuration, same backend) pay for one
+/// planner run and share the cached plan.
 ///
 /// For [`BackendId::Malleus`] this mirrors `Planner::replan` exactly: first
 /// request the plan with the previous DP degree pinned (the paper maintains
 /// DP across adjustments, footnote 2); if no feasible plan exists with that
 /// degree, fall back to the unconstrained search.  Other backends are
-/// stateless over the snapshot, so a single `plan_backend` request suffices.
+/// stateless over the snapshot, so a single request suffices.
 /// Backpressure ([`ServiceError::Overloaded`]) is *not* treated as
 /// infeasibility — it propagates so the session can back off rather than
 /// silently re-running the expensive fallback.
@@ -159,34 +138,130 @@ pub fn replan_overlapped_shared(
     previous: &ParallelizationPlan,
     current_step_time: f64,
 ) -> Result<BackendReplan, ServiceError> {
-    let t0 = std::time::Instant::now();
-    let outcome = if backend == BackendId::Malleus {
-        let mut pinned_config = config.clone();
-        pinned_config.fixed_dp = Some(previous.dp());
-        let pinned = PlanRequest::new(coeffs.clone(), snapshot.clone(), pinned_config);
-        match transport.plan_routed(backend, &pinned) {
-            Ok(outcome) => outcome,
-            Err(ServiceError::Plan(_)) => transport.plan_routed(
-                backend,
-                &PlanRequest::new(coeffs.clone(), snapshot.clone(), config.clone()),
-            )?,
-            Err(e) => return Err(e),
+    let pinned_dp = (backend == BackendId::Malleus).then(|| previous.dp());
+    overlapped(
+        current_step_time,
+        || {
+            request_replan(transport, backend, coeffs, config, snapshot, pinned_dp)
+                .map(|outcome| (*outcome).clone())
+        },
+        |outcome| outcome.plan.as_ref() != Some(previous),
+    )
+}
+
+/// Send one re-plan through `transport`: with `pinned_dp`, first the request
+/// with that DP degree pinned, then — only if the pinned search is infeasible
+/// — the unconstrained request `config` describes.
+fn request_replan(
+    transport: &dyn PlanTransport,
+    backend: BackendId,
+    coeffs: &ProfiledCoefficients,
+    config: &PlannerConfig,
+    snapshot: &ClusterSnapshot,
+    pinned_dp: Option<usize>,
+) -> Result<Arc<PlannedOutcome>, ServiceError> {
+    let request =
+        |config: PlannerConfig| PlanRequest::new(coeffs.clone(), snapshot.clone(), config);
+    if let Some(dp) = pinned_dp {
+        let pinned = PlannerConfig {
+            fixed_dp: Some(dp),
+            ..config.clone()
+        };
+        match transport.plan_routed(backend, &request(pinned)) {
+            Err(ServiceError::Plan(_)) => {}
+            served => return served,
         }
-    } else {
-        transport.plan_routed(
-            backend,
-            &PlanRequest::new(coeffs.clone(), snapshot.clone(), config.clone()),
-        )?
-    };
-    let planning_time = t0.elapsed().as_secs_f64();
-    let stall_time = (planning_time - current_step_time).max(0.0);
-    let plan_changed = outcome.plan.as_ref() != Some(previous);
-    Ok(BackendReplan {
-        outcome: (*outcome).clone(),
-        planning_time,
-        stall_time,
-        plan_changed,
-    })
+    }
+    transport.plan_routed(backend, &request(config.clone()))
+}
+
+/// The Malleus [`PlanBackend`] a service-routed session plans through: every
+/// plan and re-plan is a request over `transport` (the re-plan sends the
+/// same pinned-then-unpinned sequence as [`replan_overlapped_shared`]).
+///
+/// Service backpressure ([`ServiceError::Overloaded`]) is transient and must
+/// not kill a training session: the request is answered by the `local`
+/// planner instead — the plan is byte-identical, it just forgoes the shared
+/// cache for that one invocation.  Planner infeasibility comes back as the
+/// planner's own [`PlanError`]; every other service failure (transport,
+/// admission timeout, internal) is [`PlanError::Unavailable`].
+#[derive(Debug)]
+pub(crate) struct SharedPlanner {
+    transport: Arc<dyn PlanTransport>,
+    local: Planner,
+}
+
+impl SharedPlanner {
+    pub(crate) fn new(transport: Arc<dyn PlanTransport>, local: Planner) -> Self {
+        Self { transport, local }
+    }
+
+    fn served(
+        served: Result<Arc<PlannedOutcome>, ServiceError>,
+        local: impl FnOnce() -> Result<PlannedOutcome, PlanError>,
+    ) -> Result<PlannedOutcome, PlanError> {
+        match served {
+            Ok(outcome) => Ok((*outcome).clone()),
+            Err(ServiceError::Overloaded { .. }) => local(),
+            Err(ServiceError::Plan(e)) => Err(e),
+            Err(e) => Err(PlanError::Unavailable {
+                reason: e.to_string(),
+            }),
+        }
+    }
+}
+
+impl PlanBackend for SharedPlanner {
+    fn id(&self) -> BackendId {
+        BackendId::Malleus
+    }
+
+    fn fingerprint_config(&self) -> u64 {
+        self.local.fingerprint_config()
+    }
+
+    fn plan(
+        &self,
+        snapshot: &ClusterSnapshot,
+        config: &PlannerConfig,
+    ) -> Result<PlannedOutcome, PlanError> {
+        let request = PlanRequest::new(
+            self.local.cost.coeffs.clone(),
+            snapshot.clone(),
+            config.clone(),
+        );
+        Self::served(
+            self.transport.plan_routed(BackendId::Malleus, &request),
+            || PlanBackend::plan(&self.local, snapshot, config),
+        )
+    }
+
+    fn replan(
+        &self,
+        snapshot: &ClusterSnapshot,
+        previous: &PlannedOutcome,
+        event: ClusterEvent,
+    ) -> Result<PlannedOutcome, PlanError> {
+        let served = request_replan(
+            self.transport.as_ref(),
+            BackendId::Malleus,
+            &self.local.cost.coeffs,
+            &self.local.config,
+            snapshot,
+            previous.plan.as_ref().map(ParallelizationPlan::dp),
+        );
+        Self::served(served, || {
+            PlanBackend::replan(&self.local, snapshot, previous, event)
+        })
+    }
+
+    fn estimate_step_time(
+        &self,
+        plan: &ParallelizationPlan,
+        snapshot: &ClusterSnapshot,
+    ) -> Option<f64> {
+        self.local.estimate_step_time(plan, snapshot)
+    }
 }
 
 #[cfg(test)]
@@ -209,7 +284,8 @@ mod tests {
         let mut cluster = Cluster::homogeneous(4, 8);
         let initial = p.plan(&cluster.snapshot()).unwrap();
         cluster.set_rate(GpuId(0), 5.42);
-        let replan = replan_overlapped(&p, &cluster.snapshot(), &initial.plan, 12.0).unwrap();
+        let replan =
+            replan_overlapped_incremental(&p, &cluster.snapshot(), &initial, 12.0).unwrap();
         assert!(replan.plan_changed);
         assert!(
             replan.planning_time < 12.0,
@@ -224,7 +300,8 @@ mod tests {
         let p = planner();
         let cluster = Cluster::homogeneous(4, 8);
         let initial = p.plan(&cluster.snapshot()).unwrap();
-        let replan = replan_overlapped(&p, &cluster.snapshot(), &initial.plan, 12.0).unwrap();
+        let replan =
+            replan_overlapped_incremental(&p, &cluster.snapshot(), &initial, 12.0).unwrap();
         // With identical rates the planner should find a plan no better than
         // the current one; whether the exact plan object matches is not
         // guaranteed, but the estimated time must not regress.
@@ -244,8 +321,8 @@ mod tests {
         cluster.set_rate(GpuId(2), 3.75);
         cluster.set_rate(GpuId(17), f64::INFINITY);
         let snapshot = cluster.snapshot();
-        let a = replan_overlapped(&serial, &snapshot, &initial.plan, 12.0).unwrap();
-        let b = replan_overlapped(&parallel, &snapshot, &initial.plan, 12.0).unwrap();
+        let a = replan_overlapped_incremental(&serial, &snapshot, &initial, 12.0).unwrap();
+        let b = replan_overlapped_incremental(&parallel, &snapshot, &initial, 12.0).unwrap();
         assert_eq!(a.outcome, b.outcome);
         assert_eq!(a.plan_changed, b.plan_changed);
     }
@@ -258,7 +335,7 @@ mod tests {
         let initial = p.plan(&cluster.snapshot()).unwrap();
         cluster.set_rate(GpuId(0), 5.42);
         let snapshot = cluster.snapshot();
-        let direct = replan_overlapped(&p, &snapshot, &initial.plan, 12.0).unwrap();
+        let direct = p.replan(&snapshot, &initial.plan).unwrap();
         let service = PlanService::new(ServiceConfig::default());
         // Two tenants replanning after the same cluster event: one planner
         // invocation, bit-identical to the direct path for both.
@@ -273,11 +350,8 @@ mod tests {
                 12.0,
             )
             .unwrap();
-            assert_eq!(
-                shared.outcome,
-                PlannedOutcome::from_malleus(direct.outcome.clone())
-            );
-            assert_eq!(shared.plan_changed, direct.plan_changed);
+            assert_eq!(shared.outcome, PlannedOutcome::from_malleus(direct.clone()));
+            assert_eq!(shared.plan_changed, direct.plan != initial.plan);
         }
         let metrics = service.metrics();
         assert_eq!(metrics.planner_invocations, 1);
@@ -291,14 +365,12 @@ mod tests {
         let initial = p.plan(&cluster.snapshot()).unwrap();
         cluster.set_rate(GpuId(0), 5.42);
         let snapshot = cluster.snapshot();
-        let direct = replan_overlapped(&p, &snapshot, &initial.plan, 12.0).unwrap();
+        let direct = p.replan(&snapshot, &initial.plan).unwrap();
+        let direct_changed = direct.plan != initial.plan;
         let previous = PlannedOutcome::from_malleus(initial);
         let via_trait = replan_overlapped_backend(&p, &snapshot, &previous, 12.0).unwrap();
-        assert_eq!(
-            via_trait.outcome,
-            PlannedOutcome::from_malleus(direct.outcome.clone())
-        );
-        assert_eq!(via_trait.plan_changed, direct.plan_changed);
+        assert_eq!(via_trait.outcome, PlannedOutcome::from_malleus(direct));
+        assert_eq!(via_trait.plan_changed, direct_changed);
     }
 
     #[test]
@@ -336,14 +408,14 @@ mod tests {
         cluster.set_rate(GpuId(0), 5.42);
         let snapshot = cluster.snapshot();
         // Fresh planner for the full path: its memo never saw the event.
-        let full = replan_overlapped(&planner(), &snapshot, &initial.plan, 12.0).unwrap();
+        let full = planner().replan(&snapshot, &initial.plan).unwrap();
         let delta = replan_overlapped_incremental(&p, &snapshot, &initial, 12.0).unwrap();
         assert!(
             delta.outcome.lattice.as_ref().unwrap().delta,
             "drift-only event must consult the memo"
         );
-        assert_eq!(delta.outcome, full.outcome);
-        assert_eq!(delta.plan_changed, full.plan_changed);
+        assert_eq!(delta.plan_changed, full.plan != initial.plan);
+        assert_eq!(delta.outcome, full);
     }
 
     #[test]
@@ -352,7 +424,7 @@ mod tests {
         let mut cluster = Cluster::homogeneous(4, 8);
         let initial = p.plan(&cluster.snapshot()).unwrap();
         cluster.set_rate(GpuId(0), 2.57);
-        let replan = replan_overlapped(&p, &cluster.snapshot(), &initial.plan, 0.0).unwrap();
+        let replan = replan_overlapped_incremental(&p, &cluster.snapshot(), &initial, 0.0).unwrap();
         assert!(replan.stall_time > 0.0);
         assert!((replan.stall_time - replan.planning_time).abs() < 1e-12);
     }

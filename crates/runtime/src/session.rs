@@ -12,16 +12,11 @@
 
 use crate::executor::Executor;
 use crate::profiler::Profiler;
-use crate::replanner::{
-    replan_overlapped, replan_overlapped_backend, replan_overlapped_incremental,
-    replan_overlapped_shared, ReplanOutcome,
-};
-use malleus_cluster::{Cluster, ClusterSnapshot, Trace};
-use malleus_core::{
-    BackendId, PlanBackend, PlanError, PlanOutcome, PlannedOutcome, Planner, PlannerConfig,
-};
+use crate::replanner::{replan_overlapped_backend, SharedPlanner};
+use malleus_cluster::{Cluster, Trace};
+use malleus_core::{PlanBackend, PlanError, Planner, PlannerConfig};
 use malleus_model::ProfiledCoefficients;
-use malleus_service::{PlanClient, PlanRequest, PlanService, PlanTransport, ServiceError};
+use malleus_service::PlanTransport;
 use malleus_sim::restart_time;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -48,12 +43,6 @@ impl std::error::Error for RuntimeError {}
 
 impl From<PlanError> for RuntimeError {
     fn from(e: PlanError) -> Self {
-        RuntimeError::Planning(e.to_string())
-    }
-}
-
-impl From<ServiceError> for RuntimeError {
-    fn from(e: ServiceError) -> Self {
         RuntimeError::Planning(e.to_string())
     }
 }
@@ -128,15 +117,8 @@ pub struct TrainingSession {
     pub profiler: Profiler,
     /// The simulated cluster (true straggling rates live here).
     pub cluster: Cluster,
-    /// Optional shared planning transport: when set, every planner invocation
-    /// (initial plan and re-planning) is routed through it, so concurrent
-    /// sessions planning against the same snapshot share one computation.
-    /// Either an in-process [`PlanService`] or a [`PlanClient`] dialing a
-    /// standalone plan daemon — the session loop cannot tell them apart.
-    service: Option<Arc<dyn PlanTransport>>,
-    /// Optional backend handle: when set, planning and re-planning go through
-    /// this [`PlanBackend`] instead of the built-in Malleus planner, so the
-    /// same session loop drives any of the paper's comparison systems.
+    /// Planning override: when set, planning and re-planning go through this
+    /// backend instead of `planner`.
     backend: Option<Arc<dyn PlanBackend>>,
 }
 
@@ -148,137 +130,46 @@ impl TrainingSession {
             executor: Executor::new(coeffs),
             profiler: Profiler::default(),
             cluster,
-            service: None,
             backend: None,
         }
     }
 
-    /// Route this session's planning through a shared [`PlanService`]
-    /// (multi-tenant path: N sessions replanning after the same cluster event
-    /// pay for one planner invocation).  The produced plans are byte-identical
-    /// to the direct path, so session reports differ only in planning
-    /// wall-clock.
-    pub fn with_service(mut self, service: Arc<PlanService>) -> Self {
-        self.service = Some(service);
-        self
-    }
-
-    /// Route this session's planning through a remote plan daemon via a
-    /// [`PlanClient`] (the socket analogue of
-    /// [`TrainingSession::with_service`]).  The client's L1 cache sits in
-    /// front of the daemon's shared L2, and the wire codec preserves `f64`
-    /// bit patterns, so the produced plans — and therefore the session
-    /// reports — are byte-identical to the in-process paths.
-    pub fn with_remote(mut self, client: Arc<PlanClient>) -> Self {
-        self.service = Some(client);
-        self
+    /// Route this session's planning through a shared planning transport: an
+    /// in-process [`malleus_service::PlanService`] (N sessions replanning
+    /// after the same cluster event pay for one planner invocation) or a
+    /// [`malleus_service::PlanClient`] dialing a standalone plan daemon (its
+    /// L1 cache in front of the daemon's shared L2).  The wire codec
+    /// preserves `f64` bit patterns, so the plans — and therefore the session
+    /// reports, planning wall-clock aside — are byte-identical to the
+    /// session's own planner.
+    ///
+    /// The adapter plans with a clone of `planner` as it is now (its
+    /// coefficients and configuration go into every request), so edit
+    /// `planner` before this call.  Service backpressure
+    /// ([`malleus_service::ServiceError::Overloaded`]) degrades to that
+    /// clone for the one request; any other service failure fails
+    /// [`TrainingSession::run`] with [`RuntimeError::Planning`].
+    pub fn with_service(self, transport: Arc<dyn PlanTransport>) -> Self {
+        let shared = SharedPlanner::new(transport, self.planner.clone());
+        self.with_backend(Arc::new(shared))
     }
 
     /// Drive this session's planning through an arbitrary [`PlanBackend`]
     /// (Malleus itself, or any baseline).  The backend must produce an
     /// executable [`malleus_core::ParallelizationPlan`] (`plan: Some`) —
     /// configuration-only backends like DeepSpeed cannot feed the executor
-    /// and fail with [`RuntimeError::Planning`].  Takes precedence over
-    /// [`TrainingSession::with_service`] for plan computation.
+    /// and fail with [`RuntimeError::Planning`].  Replaces any earlier
+    /// [`TrainingSession::with_service`].
     pub fn with_backend(mut self, backend: Arc<dyn PlanBackend>) -> Self {
         self.backend = Some(backend);
         self
-    }
-
-    /// Observed snapshot: what the profiler believes (here: true rates, since
-    /// the simulator's measurements are exact).
-    fn observed(&self) -> ClusterSnapshot {
-        self.cluster.snapshot()
-    }
-
-    /// Initial planning, optionally via the shared service.
-    ///
-    /// Service backpressure ([`ServiceError::Overloaded`]) is transient and
-    /// must not kill a training session: the session degrades to its own
-    /// direct planner — the plan is byte-identical, it just forgoes the
-    /// shared cache for that one invocation.  Planner infeasibility and
-    /// service-internal failures remain fatal errors.
-    fn plan_initial(&self, snapshot: &ClusterSnapshot) -> Result<PlanOutcome, RuntimeError> {
-        match &self.service {
-            Some(service) => {
-                let request = PlanRequest::new(
-                    self.planner.cost.coeffs.clone(),
-                    snapshot.clone(),
-                    self.planner.config.clone(),
-                );
-                match service.plan_routed(BackendId::Malleus, &request) {
-                    Ok(outcome) => {
-                        let malleus = outcome.malleus.clone().ok_or_else(|| {
-                            RuntimeError::Planning(
-                                "transport returned a non-Malleus outcome on the Malleus route"
-                                    .into(),
-                            )
-                        })?;
-                        Ok((*malleus).clone())
-                    }
-                    Err(ServiceError::Overloaded { .. }) => Ok(self.planner.plan(snapshot)?),
-                    Err(e) => Err(e.into()),
-                }
-            }
-            None => Ok(self.planner.plan(snapshot)?),
-        }
-    }
-
-    /// Overlapped re-planning, optionally via the shared service (with the
-    /// same overload degradation as [`TrainingSession::plan_initial`]).
-    fn replan(
-        &self,
-        snapshot: &ClusterSnapshot,
-        previous: &malleus_core::ParallelizationPlan,
-        current_step_time: f64,
-    ) -> Result<ReplanOutcome, RuntimeError> {
-        match &self.service {
-            Some(service) => {
-                match replan_overlapped_shared(
-                    service.as_ref(),
-                    BackendId::Malleus,
-                    &self.planner.cost.coeffs,
-                    &self.planner.config,
-                    snapshot,
-                    previous,
-                    current_step_time,
-                ) {
-                    Ok(replan) => {
-                        let malleus = replan.outcome.malleus.clone().ok_or_else(|| {
-                            RuntimeError::Planning(
-                                "service returned a non-Malleus outcome on the Malleus route"
-                                    .into(),
-                            )
-                        })?;
-                        Ok(ReplanOutcome {
-                            outcome: (*malleus).clone(),
-                            planning_time: replan.planning_time,
-                            stall_time: replan.stall_time,
-                            plan_changed: replan.plan_changed,
-                        })
-                    }
-                    Err(ServiceError::Overloaded { .. }) => Ok(replan_overlapped(
-                        &self.planner,
-                        snapshot,
-                        previous,
-                        current_step_time,
-                    )?),
-                    Err(e) => Err(e.into()),
-                }
-            }
-            None => Ok(replan_overlapped(
-                &self.planner,
-                snapshot,
-                previous,
-                current_step_time,
-            )?),
-        }
     }
 
     /// Run the session over a trace.
     pub fn run(&mut self, trace: &Trace) -> Result<SessionReport, RuntimeError> {
         let mut phases = Vec::with_capacity(trace.phases.len());
         let mut total_time = 0.0;
+        let backend = self.backend.as_deref().unwrap_or(&self.planner);
 
         // Initial plan: deduced with the rates of the first phase's situation
         // already applied?  No — the paper starts from the healthy-cluster plan
@@ -286,28 +177,23 @@ impl TrainingSession {
         if let Some(first) = trace.phases.first() {
             self.cluster.apply_situation(&first.situation.rates);
         }
-        let initial = match &self.backend {
-            Some(backend) => backend
-                .plan(&self.observed(), &self.planner.config)
-                .map_err(RuntimeError::from)?,
-            None => PlannedOutcome::from_malleus(self.plan_initial(&self.observed())?),
-        };
-        let first_plan = initial.plan.clone().ok_or_else(|| {
+        // Each outcome (with its scored candidate lattice) is threaded into
+        // the next re-plan, so drift-only events take the warm-start delta
+        // path instead of full enumeration.
+        let mut current = backend.plan(&self.cluster.snapshot(), &self.planner.config)?;
+        let first_plan = current.plan.clone().ok_or_else(|| {
             RuntimeError::Planning(format!(
                 "{} produced no executable plan for the initial snapshot",
-                initial.backend
+                current.backend
             ))
         })?;
         self.executor.instantiate(first_plan);
-        let mut current = initial.clone();
-        // Direct-path sessions thread the previous outcome (with its scored
-        // candidate lattice) into every re-plan, so drift-only events take the
-        // warm-start delta path instead of full enumeration.
-        let mut last_outcome: Option<PlanOutcome> = current.malleus.as_deref().cloned();
 
         for (index, phase) in trace.phases.iter().enumerate() {
             self.cluster.apply_situation(&phase.situation.rates);
-            let snapshot = self.observed();
+            // Observed snapshot: what the profiler believes (here: true
+            // rates, since the simulator's measurements are exact).
+            let snapshot = self.cluster.snapshot();
 
             // One detection step with the current (old) plan, if it can run.
             let mut restart_cost = 0.0;
@@ -334,67 +220,36 @@ impl TrainingSession {
             let mut planning_time = 0.0;
             let mut stall_time = 0.0;
             let mut migration_time = 0.0;
-            let mut estimated = initial.estimated_step_time;
+            let mut estimated = current.estimated_step_time;
             if index > 0 || !runnable {
-                let previous = self
-                    .executor
-                    .current_plan()
-                    .expect("executor always holds a plan after instantiate")
-                    .clone();
                 let step = if step_before.is_finite() {
                     step_before
                 } else {
                     0.0
                 };
-                match &self.backend {
-                    Some(backend) => {
-                        let replan =
-                            replan_overlapped_backend(backend.as_ref(), &snapshot, &current, step)
-                                .map_err(RuntimeError::from)?;
-                        replanned = true;
-                        planning_time = replan.planning_time;
-                        stall_time = replan.stall_time;
-                        estimated = replan.outcome.estimated_step_time;
-                        if replan.plan_changed {
-                            let new_plan = replan.outcome.plan.clone().ok_or_else(|| {
-                                RuntimeError::Planning(format!(
-                                    "{} produced no executable plan after the cluster event",
-                                    replan.outcome.backend
-                                ))
-                            })?;
-                            let cost = self.executor.migrate_to(new_plan, &snapshot);
-                            // Backends with their own transition model (restart,
-                            // Oobleck) report the cost they pay; Malleus-style
-                            // live migration is priced by the executor.
-                            migration_time = if replan.outcome.transition_cost > 0.0 {
-                                replan.outcome.transition_cost
-                            } else {
-                                cost.time
-                            };
-                        }
-                        current = replan.outcome;
-                    }
-                    None => {
-                        let replan = match (&self.service, &last_outcome) {
-                            // Direct path with a remembered outcome: delta
-                            // replanning (byte-identical to full enumeration,
-                            // falls back on structural cluster changes).
-                            (None, Some(prev)) => {
-                                replan_overlapped_incremental(&self.planner, &snapshot, prev, step)?
-                            }
-                            _ => self.replan(&snapshot, &previous, step)?,
-                        };
-                        replanned = true;
-                        planning_time = replan.planning_time;
-                        stall_time = replan.stall_time;
-                        estimated = replan.outcome.estimated_step_time;
-                        last_outcome = Some(replan.outcome.clone());
-                        if replan.plan_changed {
-                            let cost = self.executor.migrate_to(replan.outcome.plan, &snapshot);
-                            migration_time = cost.time;
-                        }
-                    }
+                let replan = replan_overlapped_backend(backend, &snapshot, &current, step)?;
+                replanned = true;
+                planning_time = replan.planning_time;
+                stall_time = replan.stall_time;
+                estimated = replan.outcome.estimated_step_time;
+                if replan.plan_changed {
+                    let new_plan = replan.outcome.plan.clone().ok_or_else(|| {
+                        RuntimeError::Planning(format!(
+                            "{} produced no executable plan after the cluster event",
+                            replan.outcome.backend
+                        ))
+                    })?;
+                    let cost = self.executor.migrate_to(new_plan, &snapshot);
+                    // Backends with their own transition model (restart,
+                    // Oobleck) report the cost they pay; Malleus-style live
+                    // migration is priced by the executor.
+                    migration_time = if replan.outcome.transition_cost > 0.0 {
+                        replan.outcome.transition_cost
+                    } else {
+                        cost.time
+                    };
                 }
+                current = replan.outcome;
             }
 
             // Steady-state steps with the adapted plan.
@@ -443,7 +298,8 @@ impl TrainingSession {
 )]
 mod tests {
     use super::*;
-    use malleus_cluster::{GpuId, PaperSituation, Situation, TracePhase};
+    use malleus_cluster::{ClusterSnapshot, GpuId, PaperSituation, Situation, TracePhase};
+    use malleus_core::{BackendId, PlannedOutcome};
     use malleus_model::{HardwareParams, ModelSpec};
     use std::sync::{mpsc, Mutex};
 
@@ -533,7 +389,7 @@ mod tests {
         let tenants = 3;
         let reports: Vec<SessionReport> = (0..tenants)
             .map(|_| {
-                let mut s = session(cluster.clone()).with_service(Arc::clone(&service));
+                let mut s = session(cluster.clone()).with_service(service.clone());
                 s.run(&trace).expect("service-backed session")
             })
             .collect();
@@ -646,7 +502,7 @@ mod tests {
         // The session must degrade to its own planner (byte-identical plans)
         // instead of dying on the transient overload.
         let report = session(cluster)
-            .with_service(Arc::clone(&service))
+            .with_service(service.clone())
             .run(&trace)
             .expect("session must survive backpressure");
         release.send(()).expect("the blocker waits for release");
@@ -686,7 +542,7 @@ mod tests {
         let addr = _server.tcp_addr().expect("tcp endpoint");
         let client =
             Arc::new(PlanClient::connect_tcp(addr, ClientConfig::default()).expect("connect"));
-        let mut remote = session(cluster).with_remote(Arc::clone(&client));
+        let mut remote = session(cluster).with_service(client.clone());
         let via_socket = remote.run(&trace).expect("remote session");
 
         assert_eq!(via_socket.phases.len(), direct.phases.len());
@@ -702,27 +558,28 @@ mod tests {
     }
 
     #[test]
-    fn malleus_backend_session_matches_the_direct_session() {
+    fn unreachable_daemon_fails_the_session_typed() {
+        use malleus_service::{ClientConfig, PlanClient};
+        use std::net::TcpListener;
         let cluster = Cluster::homogeneous(4, 8);
-        let trace = short_trace(
-            &cluster,
-            &[
-                PaperSituation::Normal,
-                PaperSituation::S2,
-                PaperSituation::Normal,
-            ],
-        );
-        let direct = session(cluster.clone()).run(&trace).expect("direct");
-        let s = session(cluster);
-        let handle: Arc<dyn malleus_core::PlanBackend> = Arc::new(s.planner.clone());
-        let mut s = s.with_backend(handle);
-        let via_trait = s.run(&trace).expect("trait");
-        assert_eq!(via_trait.phases.len(), direct.phases.len());
-        for (ours, theirs) in via_trait.phases.iter().zip(direct.phases.iter()) {
-            assert_eq!(ours.step_time.to_bits(), theirs.step_time.to_bits());
-            assert_eq!(ours.dp, theirs.dp);
-            assert_eq!(ours.plan_description, theirs.plan_description);
-            assert_eq!(ours.migration_time, theirs.migration_time);
+        let trace = short_trace(&cluster, &[PaperSituation::Normal, PaperSituation::S2]);
+        // A "daemon" that accepts the connection and hangs up: the first
+        // request fails in the transport, not in the planner.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let hangup = std::thread::spawn(move || drop(listener.accept()));
+        let client =
+            Arc::new(PlanClient::connect_tcp(addr, ClientConfig::default()).expect("connect"));
+        let result = session(cluster).with_service(client).run(&trace);
+        hangup.join().expect("hang-up thread");
+        // The session must fail typed instead of planning locally: only
+        // backpressure degrades to the session's own planner.
+        match result {
+            Err(RuntimeError::Planning(reason)) => assert!(
+                reason.contains("planning service unavailable"),
+                "unexpected reason: {reason}"
+            ),
+            other => panic!("expected a typed planning failure, got {other:?}"),
         }
     }
 

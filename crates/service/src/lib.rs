@@ -674,11 +674,12 @@ impl PlanService {
     }
 }
 
-/// Transport-agnostic planning surface: the runtime's `TrainingSession`
-/// plans through a `&dyn PlanTransport` and does not care whether the
-/// implementation is the in-process [`PlanService`] or a socket-backed
-/// [`PlanClient`] talking to a standalone daemon — both return byte-identical
-/// plans by the service's determinism contract.
+/// Transport-agnostic planning surface: the runtime's
+/// `TrainingSession::with_service` and `replan_overlapped_shared` take a
+/// `PlanTransport` and do not care whether the implementation is the
+/// in-process [`PlanService`] or a socket-backed [`PlanClient`] talking to a
+/// standalone daemon — both return byte-identical plans by the service's
+/// determinism contract.
 pub trait PlanTransport: Send + Sync + std::fmt::Debug {
     /// Serve one planning request through the named backend.
     fn plan_routed(

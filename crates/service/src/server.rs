@@ -25,7 +25,7 @@
 //!   framing violation closes the connection; a planner panic is caught and
 //!   answered with [`ServiceError::Internal`].
 //! * [`PlanClient`] — the tenant-side handle.  It implements
-//!   [`PlanTransport`], so `TrainingSession::with_remote` drives the daemon
+//!   [`PlanTransport`], so `TrainingSession::with_service` drives the daemon
 //!   through exactly the interface it uses for an in-process service, and
 //!   keeps a per-tenant **L1 cache** in front of the shared L2: entries
 //!   expire by TTL, are bounded by entry count and approximate bytes, and
@@ -660,7 +660,7 @@ fn transport_error(what: impl std::fmt::Display) -> ServiceError {
 
 /// Remote handle to a [`PlanServer`].  One persistent connection, serialized
 /// ping-pong framing under a mutex; clone-free sharing via `Arc<PlanClient>`.
-/// Implements [`PlanTransport`], so `TrainingSession::with_remote` and
+/// Implements [`PlanTransport`], so `TrainingSession::with_service` and
 /// `replan_overlapped_shared` drive it exactly like an in-process service.
 #[derive(Debug)]
 pub struct PlanClient {

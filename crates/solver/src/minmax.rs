@@ -20,7 +20,9 @@
 //! slow-group assignment), so the hot entry point is
 //! [`solve_minmax_allocation_into`]: it writes into a caller-owned buffer,
 //! never clones a dense `caps` vector (the division path always passes `&[]`),
-//! and sheds reconstruction surplus in bulk instead of one unit per scan.
+//! collapses bitwise-tied weights into classes, re-evaluates only the classes
+//! still unpinned per halving, and memoizes uncapped thresholds per class
+//! signature.
 //! Every shortcut is bit-for-bit equivalent to the seed implementation kept in
 //! [`crate::reference::solve_minmax_allocation_reference`].
 
@@ -540,13 +542,9 @@ pub fn solve_minmax_allocation_into(
     let mut assigned: u64 = amounts.iter().sum();
     debug_assert!(assigned >= total);
     while assigned > total {
-        // The seed removed one unit per scan from the most loaded positive
-        // slot (`max_by` keeps the *last* among ties).  Shed in bulk instead:
-        // slot `j` keeps being re-selected while its load stays strictly above
-        // every later slot's and no lower than every earlier slot's, and its
-        // load is strictly decreasing, so the run length of consecutive picks
-        // is found by binary search on the exact same float comparisons —
-        // bit-for-bit the same amounts as the unit-at-a-time loop.
+        // Shed one unit from the most loaded positive slot (`max_by` keeps
+        // the *last* among ties), so the maximum only decreases; a free slot
+        // sheds its whole share of the surplus in one step.
         let (j, _) = amounts
             .iter()
             .enumerate()
@@ -554,44 +552,10 @@ pub fn solve_minmax_allocation_into(
             .map(|(j, &a)| (j, weights[j] * a as f64))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("assigned > total implies a positive slot exists");
-        let surplus = assigned - total;
         let shed = if weights[j] <= 0.0 {
-            // Free slot: the seed shed its whole surplus here in one step.
-            surplus.min(amounts[j])
+            (assigned - total).min(amounts[j])
         } else {
-            let mut max_after = f64::NEG_INFINITY;
-            let mut max_before = f64::NEG_INFINITY;
-            for (j2, &a2) in amounts.iter().enumerate() {
-                if j2 == j || a2 == 0 {
-                    continue;
-                }
-                let load = weights[j2] * a2 as f64;
-                if j2 > j {
-                    if load > max_after {
-                        max_after = load;
-                    }
-                } else if load > max_before {
-                    max_before = load;
-                }
-            }
-            // `still_picked(t)`: after `t` sheds, would the argmax above pick
-            // `j` again?  Monotone in `t` (the load only decreases), and
-            // `still_picked(0)` holds because `j` was just picked.
-            let still_picked = |t: u64| {
-                let load = weights[j] * (amounts[j] - t) as f64;
-                load > max_after && load >= max_before
-            };
-            let mut lo = 1u64;
-            let mut hi = surplus.min(amounts[j]);
-            while lo < hi {
-                let mid = lo + (hi - lo).div_ceil(2);
-                if still_picked(mid - 1) {
-                    lo = mid;
-                } else {
-                    hi = mid - 1;
-                }
-            }
-            lo
+            1
         };
         amounts[j] -= shed;
         assigned -= shed;
@@ -776,7 +740,7 @@ mod tests {
             (vec![1.2, 1.2, 5.4, 1.2], 12, vec![]),
             (vec![2.62, 2.62, 1.0, 1.0], 11, vec![]),
             // Large-surplus instances: the threshold reconstruction overshoots
-            // badly (free or tied slots), pinning the bulk-shed path.  (At most
+            // badly (free or tied slots), pinning the surplus shed.  (At most
             // one uncapped zero-weight slot per instance: a second one pushes
             // the reconstruction sum past u64::MAX, which the seed never
             // supported either.)

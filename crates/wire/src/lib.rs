@@ -941,6 +941,10 @@ impl Wire for PlanError {
                 e.put_str(backend);
                 e.put_str(reason);
             }
+            PlanError::Unavailable { reason } => {
+                e.put_u8(7);
+                e.put_str(reason);
+            }
         }
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -963,6 +967,9 @@ impl Wire for PlanError {
             }),
             6 => Ok(PlanError::CannotAdapt {
                 backend: d.get_str()?,
+                reason: d.get_str()?,
+            }),
+            7 => Ok(PlanError::Unavailable {
                 reason: d.get_str()?,
             }),
             tag => Err(WireError::UnknownTag {

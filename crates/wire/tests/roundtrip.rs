@@ -234,7 +234,7 @@ impl Gen {
     }
 
     fn plan_error(&mut self) -> PlanError {
-        match self.below(7) {
+        match self.below(8) {
             0 => PlanError::NoUsableGpus,
             1 => PlanError::NoFeasiblePlan {
                 reason: self.string(),
@@ -251,8 +251,11 @@ impl Gen {
                 backend: self.string(),
                 reason: self.string(),
             },
-            _ => PlanError::CannotAdapt {
+            6 => PlanError::CannotAdapt {
                 backend: self.string(),
+                reason: self.string(),
+            },
+            _ => PlanError::Unavailable {
                 reason: self.string(),
             },
         }
@@ -390,6 +393,7 @@ fn every_plan_error_variant_roundtrips() {
             backend: "b".into(),
             reason: "r".into(),
         },
+        PlanError::Unavailable { reason: "r".into() },
     ];
     for v in variants {
         let back: PlanError = from_bytes(&to_bytes(&v)).unwrap();
@@ -487,12 +491,12 @@ fn unknown_enum_tags_are_typed_errors() {
             tag: 9
         })
     );
-    // PlanError tag 7 does not exist.
+    // PlanError tag 8 does not exist.
     assert_eq!(
-        from_bytes::<PlanError>(&[7]),
+        from_bytes::<PlanError>(&[8]),
         Err(WireError::UnknownTag {
             what: "PlanError",
-            tag: 7
+            tag: 8
         })
     );
     // Option tag 2 does not exist.
