@@ -67,7 +67,9 @@ pub struct PhaseReport {
     pub planning_time: f64,
     /// Training stall not hidden by the overlap.
     pub stall_time: f64,
-    /// Model-state migration time paid when adopting the new plan.
+    /// Model-state migration time paid when adopting the new plan.  Zero on
+    /// failure recovery, whose restart reloads the checkpoint onto the new
+    /// plan, unless the backend reports its own transition cost.
     pub migration_time: f64,
     /// Checkpoint-restart time paid (only on failure recovery).
     pub restart_time: f64,
@@ -239,14 +241,21 @@ impl TrainingSession {
                             replan.outcome.backend
                         ))
                     })?;
-                    let cost = self.executor.migrate_to(new_plan, &snapshot);
+                    // After a failure the restart already reloads the
+                    // checkpoint onto the new plan, so no slice moves live.
+                    let live_migration = if runnable {
+                        self.executor.migrate_to(new_plan, &snapshot).time
+                    } else {
+                        self.executor.instantiate(new_plan);
+                        0.0
+                    };
                     // Backends with their own transition model (restart,
                     // Oobleck) report the cost they pay; Malleus-style live
                     // migration is priced by the executor.
                     migration_time = if replan.outcome.transition_cost > 0.0 {
                         replan.outcome.transition_cost
                     } else {
-                        cost.time
+                        live_migration
                     };
                 }
                 current = replan.outcome;
@@ -373,6 +382,7 @@ mod tests {
         let report = s.run(&trace).expect("session");
         let failed_phase = &report.phases[1];
         assert!(failed_phase.restart_time > 0.0);
+        assert_eq!(failed_phase.migration_time, 0.0);
         assert!(failed_phase.standby_gpus >= 1);
         assert!(failed_phase.step_time.is_finite());
     }

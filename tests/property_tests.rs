@@ -93,9 +93,9 @@ proptest! {
         let plan_b = planner.replan(&snap_b, &plan_a).unwrap().plan;
         let coeffs = common::coeffs_32b();
         let migration = plan_migration(&plan_a, &plan_b, coeffs);
-        let traffic = migration.per_gpu_traffic();
-        let received: f64 = traffic.values().map(|(r, _)| r).sum();
-        let sent: f64 = traffic.values().map(|(_, s)| s).sum();
+        let traffic = migration.per_gpu_traffic(snap_a.num_gpus());
+        let received: f64 = traffic.iter().map(|(r, _)| r).sum();
+        let sent: f64 = traffic.iter().map(|(_, s)| s).sum();
         prop_assert!((received - sent).abs() < 1e-3);
         for mv in &migration.moves {
             prop_assert!(mv.src != mv.dst, "only real moves are recorded");
