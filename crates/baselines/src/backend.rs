@@ -81,7 +81,7 @@ impl PlanBackend for MegatronPlanner {
             ..self.clone()
         };
         let gpus = usable_gpus(snapshot);
-        let (mcfg, plan, _healthy_time) = planner.search_checked(&gpus)?;
+        let (mcfg, plan, _healthy_time) = planner.search(&gpus)?;
         let step = planner
             .simulate_step(&plan, snapshot, mcfg.activation_checkpointing)
             .ok_or_else(|| PlanError::InfeasibleConfiguration {
@@ -168,7 +168,7 @@ impl PlanBackend for DeepSpeedPlanner {
             ..self.clone()
         };
         let gpus = usable_gpus(snapshot);
-        let (dcfg, _healthy_time) = planner.search_checked(snapshot, &gpus)?;
+        let (dcfg, _healthy_time) = planner.search(snapshot, &gpus)?;
         let step = planner
             .simulate_step(snapshot, &gpus, &dcfg)
             .ok_or_else(|| PlanError::InfeasibleConfiguration {
@@ -202,7 +202,7 @@ impl PlanBackend for DeepSpeedPlanner {
         // active GPU set (same search as at plan time), keeping the backend
         // stateless.
         let gpus = previous.active_gpus.clone();
-        let (dcfg, _healthy_time) = self.search_checked(snapshot, &gpus)?;
+        let (dcfg, _healthy_time) = self.search(snapshot, &gpus)?;
         let step =
             self.simulate_step(snapshot, &gpus, &dcfg)
                 .ok_or_else(|| PlanError::CannotAdapt {
@@ -257,7 +257,7 @@ impl PlanBackend for OobleckPlanner {
             ..self.clone()
         };
         let all_nodes: Vec<u32> = (0..snapshot.num_nodes as u32).collect();
-        let outcome = planner.handle_situation_checked(snapshot, &all_nodes, snapshot.num_nodes)?;
+        let outcome = planner.handle_situation(snapshot, &all_nodes, snapshot.num_nodes)?;
         Ok(PlannedOutcome {
             backend: BackendId::Oobleck,
             plan: None,
@@ -283,8 +283,7 @@ impl PlanBackend for OobleckPlanner {
         // Failures look like lost nodes to Oobleck: the template machinery
         // handles them the same way as straggling nodes.
         let previous_nodes = nodes_of_gpus(snapshot, &previous.active_gpus);
-        let outcome =
-            self.handle_situation_checked(snapshot, &previous_nodes, snapshot.num_nodes)?;
+        let outcome = self.handle_situation(snapshot, &previous_nodes, snapshot.num_nodes)?;
         Ok(PlannedOutcome {
             backend: BackendId::Oobleck,
             plan: None,
@@ -345,7 +344,7 @@ impl PlanBackend for RestartPlanner {
             global_batch_size: config.global_batch_size,
             ..self.clone()
         };
-        let outcome = planner.handle_situation_checked(snapshot, None)?;
+        let outcome = planner.handle_situation(snapshot, None)?;
         Ok(PlannedOutcome {
             backend: self.id(),
             plan: None,
@@ -364,7 +363,7 @@ impl PlanBackend for RestartPlanner {
         _event: ClusterEvent,
     ) -> Result<PlannedOutcome, PlanError> {
         let previous_nodes = nodes_of_gpus(snapshot, &previous.active_gpus);
-        let outcome = self.handle_situation_checked(snapshot, Some(&previous_nodes))?;
+        let outcome = self.handle_situation(snapshot, Some(&previous_nodes))?;
         Ok(PlannedOutcome {
             backend: self.id(),
             plan: None,

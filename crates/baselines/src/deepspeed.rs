@@ -70,12 +70,17 @@ impl DeepSpeedPlanner {
     }
 
     /// Search the best configuration for the given GPU set on a healthy
-    /// cluster.  Returns the configuration and its healthy step time.
+    /// cluster.  Returns the configuration and its healthy step time.  An
+    /// empty GPU set reports [`PlanError::NoUsableGpus`], a search with no
+    /// memory-feasible setting [`PlanError::InfeasibleConfiguration`].
     pub fn search(
         &self,
         snapshot: &ClusterSnapshot,
         gpus: &[GpuId],
-    ) -> Option<(DeepSpeedConfig, f64)> {
+    ) -> Result<(DeepSpeedConfig, f64), PlanError> {
+        if gpus.is_empty() {
+            return Err(PlanError::NoUsableGpus);
+        }
         let healthy = ClusterSnapshot {
             num_nodes: snapshot.num_nodes,
             node_of: snapshot.node_of.clone(),
@@ -118,27 +123,13 @@ impl DeepSpeedPlanner {
                 }
             }
         }
-        best
-    }
-
-    /// Like [`Self::search`], but with typed errors for degenerate inputs.
-    pub fn search_checked(
-        &self,
-        snapshot: &ClusterSnapshot,
-        gpus: &[GpuId],
-    ) -> Result<(DeepSpeedConfig, f64), PlanError> {
-        if gpus.is_empty() {
-            return Err(PlanError::NoUsableGpus);
-        }
-        self.search(snapshot, gpus)
-            .ok_or_else(|| PlanError::InfeasibleConfiguration {
-                backend: "deepspeed".into(),
-                reason: format!(
-                    "no SP×mbs setting over {} GPUs is memory-feasible for batch {}",
-                    gpus.len(),
-                    self.global_batch_size
-                ),
-            })
+        best.ok_or_else(|| PlanError::InfeasibleConfiguration {
+            backend: "deepspeed".into(),
+            reason: format!(
+                "no SP×mbs setting over {n} GPUs is memory-feasible for batch {}",
+                self.global_batch_size
+            ),
+        })
     }
 
     /// Simulate one step with a fixed configuration under the given straggler
@@ -231,12 +222,9 @@ mod tests {
     fn degenerate_inputs_yield_typed_errors() {
         let p = planner(ModelSpec::llama2_110b());
         let snapshot = Cluster::homogeneous(1, 8).snapshot();
-        assert_eq!(
-            p.search_checked(&snapshot, &[]),
-            Err(PlanError::NoUsableGpus)
-        );
+        assert_eq!(p.search(&snapshot, &[]), Err(PlanError::NoUsableGpus));
         // One GPU cannot shard a 110B model's optimizer state alone.
-        match p.search_checked(&snapshot, &gpu_ids(1)) {
+        match p.search(&snapshot, &gpu_ids(1)) {
             Err(PlanError::InfeasibleConfiguration { backend, .. }) => {
                 assert_eq!(backend, "deepspeed");
             }

@@ -116,8 +116,16 @@ impl MegatronPlanner {
     /// Search the best configuration for a healthy cluster of `gpus` devices,
     /// exactly like an engineer tuning Megatron-LM offline (the paper tunes the
     /// baselines per task, Tables 6–7).  Returns the configuration, its plan
-    /// and the simulated healthy step time.
-    pub fn search(&self, gpus: &[GpuId]) -> Option<(MegatronConfig, ParallelizationPlan, f64)> {
+    /// and the simulated healthy step time.  An empty GPU set reports
+    /// [`PlanError::NoUsableGpus`], an exhausted configuration grid
+    /// [`PlanError::InfeasibleConfiguration`].
+    pub fn search(
+        &self,
+        gpus: &[GpuId],
+    ) -> Result<(MegatronConfig, ParallelizationPlan, f64), PlanError> {
+        if gpus.is_empty() {
+            return Err(PlanError::NoUsableGpus);
+        }
         let n = gpus.len();
         // The snapshot must be indexable by the *global* GPU ids appearing in
         // the plan (the GPU set may be a subset of the cluster, e.g. after
@@ -170,28 +178,13 @@ impl MegatronPlanner {
                 }
             }
         }
-        best
-    }
-
-    /// Like [`Self::search`], but with typed errors for degenerate inputs: an
-    /// empty GPU set reports [`PlanError::NoUsableGpus`], an exhausted
-    /// configuration grid [`PlanError::InfeasibleConfiguration`].
-    pub fn search_checked(
-        &self,
-        gpus: &[GpuId],
-    ) -> Result<(MegatronConfig, ParallelizationPlan, f64), PlanError> {
-        if gpus.is_empty() {
-            return Err(PlanError::NoUsableGpus);
-        }
-        self.search(gpus)
-            .ok_or_else(|| PlanError::InfeasibleConfiguration {
-                backend: "megatron".into(),
-                reason: format!(
-                    "no DP×TP×PP configuration over {} GPUs fits batch {} in memory",
-                    gpus.len(),
-                    self.global_batch_size
-                ),
-            })
+        best.ok_or_else(|| PlanError::InfeasibleConfiguration {
+            backend: "megatron".into(),
+            reason: format!(
+                "no DP×TP×PP configuration over {n} GPUs fits batch {} in memory",
+                self.global_batch_size
+            ),
+        })
     }
 
     /// Whether [`Self::search`] would have chosen activation checkpointing for
@@ -307,9 +300,9 @@ mod tests {
     #[test]
     fn degenerate_inputs_yield_typed_errors() {
         let p = planner(ModelSpec::llama2_110b(), 64);
-        assert_eq!(p.search_checked(&[]), Err(PlanError::NoUsableGpus));
+        assert_eq!(p.search(&[]), Err(PlanError::NoUsableGpus));
         // A single GPU cannot hold the 110B model under any configuration.
-        match p.search_checked(&gpu_ids(1)) {
+        match p.search(&gpu_ids(1)) {
             Err(PlanError::InfeasibleConfiguration { backend, .. }) => {
                 assert_eq!(backend, "megatron");
             }

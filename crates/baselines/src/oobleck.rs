@@ -14,7 +14,7 @@
 use crate::megatron::MegatronPlanner;
 use crate::restart::{gpus_on_nodes, nodes_without_stragglers};
 use malleus_cluster::ClusterSnapshot;
-use malleus_core::PlanError;
+use malleus_core::{PlanError, DEFAULT_STRAGGLER_THRESHOLD};
 use malleus_model::ProfiledCoefficients;
 use malleus_sim::restart_time;
 use serde::{Deserialize, Serialize};
@@ -72,24 +72,33 @@ impl OobleckPlanner {
             gpus_per_node,
             overhead_factor: 1.9,
             template_depth: 2,
-            threshold: 1.05,
+            threshold: DEFAULT_STRAGGLER_THRESHOLD,
             migration_seconds: 7.5,
         }
     }
 
     /// Handle a straggler-situation change.  `previous_nodes` is the node set
     /// in use before the change and `initial_nodes` the original (healthy)
-    /// node count the templates were generated for.
+    /// node count the templates were generated for.  An all-straggler
+    /// cluster reports [`PlanError::NoHealthyNodes`], an exhausted template
+    /// search [`PlanError::InfeasibleConfiguration`].
     pub fn handle_situation(
         &self,
         snapshot: &ClusterSnapshot,
         previous_nodes: &[u32],
         initial_nodes: usize,
-    ) -> Option<OobleckOutcome> {
+    ) -> Result<OobleckOutcome, PlanError> {
         let nodes = nodes_without_stragglers(snapshot, self.threshold);
         if nodes.is_empty() {
-            return None;
+            return Err(PlanError::NoHealthyNodes);
         }
+        let infeasible = || PlanError::InfeasibleConfiguration {
+            backend: "oobleck".into(),
+            reason: format!(
+                "no pipeline template fits on {} straggler-free nodes",
+                nodes.len()
+            ),
+        };
         let transition = if nodes == previous_nodes {
             OobleckTransition::NoChange
         } else {
@@ -114,42 +123,23 @@ impl OobleckPlanner {
             self.global_batch_size,
             self.gpus_per_node,
         );
-        let (config, plan, _) = planner.search(&gpus)?;
-        let base_time = planner.simulate_step(&plan, &healthy, config.activation_checkpointing)?;
+        // A failed template search is Oobleck's infeasibility, whatever the
+        // inner Megatron search reported.
+        let (config, plan, _) = planner.search(&gpus).map_err(|_| infeasible())?;
+        let base_time = planner
+            .simulate_step(&plan, &healthy, config.activation_checkpointing)
+            .ok_or_else(infeasible)?;
         let transition_cost = match transition {
             OobleckTransition::NoChange => 0.0,
             OobleckTransition::Migrated => self.migration_seconds,
             OobleckTransition::Restarted => restart_time(&self.coeffs, nodes.len()),
         };
-        Some(OobleckOutcome {
+        Ok(OobleckOutcome {
             nodes_used: nodes,
             step_time: base_time * self.overhead_factor,
             transition,
             transition_cost,
         })
-    }
-
-    /// Like [`Self::handle_situation`], but with typed errors: an all-straggler
-    /// cluster reports [`PlanError::NoHealthyNodes`], an exhausted template
-    /// search [`PlanError::InfeasibleConfiguration`].
-    pub fn handle_situation_checked(
-        &self,
-        snapshot: &ClusterSnapshot,
-        previous_nodes: &[u32],
-        initial_nodes: usize,
-    ) -> Result<OobleckOutcome, PlanError> {
-        let nodes = nodes_without_stragglers(snapshot, self.threshold);
-        if nodes.is_empty() {
-            return Err(PlanError::NoHealthyNodes);
-        }
-        self.handle_situation(snapshot, previous_nodes, initial_nodes)
-            .ok_or_else(|| PlanError::InfeasibleConfiguration {
-                backend: "oobleck".into(),
-                reason: format!(
-                    "no pipeline template fits on {} straggler-free nodes",
-                    nodes.len()
-                ),
-            })
     }
 }
 
@@ -208,7 +198,7 @@ mod tests {
             cluster.set_rate(malleus_cluster::GpuId(gpu), 1.5);
         }
         let err = p
-            .handle_situation_checked(&cluster.snapshot(), &[0, 1], 2)
+            .handle_situation(&cluster.snapshot(), &[0, 1], 2)
             .unwrap_err();
         assert_eq!(err, PlanError::NoHealthyNodes);
     }

@@ -9,7 +9,7 @@
 use crate::deepspeed::DeepSpeedPlanner;
 use crate::megatron::MegatronPlanner;
 use malleus_cluster::{ClusterSnapshot, GpuId};
-use malleus_core::PlanError;
+use malleus_core::{PlanError, DEFAULT_STRAGGLER_THRESHOLD};
 use malleus_model::ProfiledCoefficients;
 use malleus_sim::restart_time;
 use serde::{Deserialize, Serialize};
@@ -88,23 +88,38 @@ impl RestartPlanner {
             coeffs,
             global_batch_size,
             gpus_per_node,
-            threshold: 1.05,
+            threshold: DEFAULT_STRAGGLER_THRESHOLD,
         }
     }
 
     /// Handle a straggler situation: exclude straggling nodes, re-tune, and
     /// report the resulting step time plus the restart cost.  `previous_nodes`
     /// is the node set used before the situation changed (to detect whether a
-    /// restart is needed at all).
+    /// restart is needed at all).  An all-straggler cluster reports
+    /// [`PlanError::NoHealthyNodes`], an exhausted configuration search
+    /// [`PlanError::InfeasibleConfiguration`].
     pub fn handle_situation(
         &self,
         snapshot: &ClusterSnapshot,
         previous_nodes: Option<&[u32]>,
-    ) -> Option<RestartOutcome> {
+    ) -> Result<RestartOutcome, PlanError> {
         let nodes = nodes_without_stragglers(snapshot, self.threshold);
         if nodes.is_empty() {
-            return None;
+            return Err(PlanError::NoHealthyNodes);
         }
+        // A failed re-tune is this restart backend's infeasibility, whatever
+        // the inner search reported.
+        let infeasible = || PlanError::InfeasibleConfiguration {
+            backend: match self.family {
+                RestartFamily::Megatron => "megatron-restart",
+                RestartFamily::DeepSpeed => "deepspeed-restart",
+            }
+            .into(),
+            reason: format!(
+                "no tuned configuration over {} straggler-free nodes is feasible",
+                nodes.len()
+            ),
+        };
         let restarted = previous_nodes
             .map(|p| p != nodes.as_slice())
             .unwrap_or(false);
@@ -128,10 +143,11 @@ impl RestartPlanner {
                     self.global_batch_size,
                     self.gpus_per_node,
                 );
-                let (config, plan, _) = planner.search(&gpus)?;
-                let step_time =
-                    planner.simulate_step(&plan, &healthy, config.activation_checkpointing)?;
-                Some(RestartOutcome {
+                let (config, plan, _) = planner.search(&gpus).map_err(|_| infeasible())?;
+                let step_time = planner
+                    .simulate_step(&plan, &healthy, config.activation_checkpointing)
+                    .ok_or_else(infeasible)?;
+                Ok(RestartOutcome {
                     nodes_used: nodes,
                     config: config.to_string(),
                     step_time,
@@ -141,8 +157,9 @@ impl RestartPlanner {
             }
             RestartFamily::DeepSpeed => {
                 let planner = DeepSpeedPlanner::new(self.coeffs.clone(), self.global_batch_size);
-                let (config, step_time) = planner.search(&healthy, &gpus)?;
-                Some(RestartOutcome {
+                let (config, step_time) =
+                    planner.search(&healthy, &gpus).map_err(|_| infeasible())?;
+                Ok(RestartOutcome {
                     nodes_used: nodes,
                     config: config.to_string(),
                     step_time,
@@ -151,32 +168,6 @@ impl RestartPlanner {
                 })
             }
         }
-    }
-
-    /// Like [`Self::handle_situation`], but with typed errors: an all-straggler
-    /// cluster reports [`PlanError::NoHealthyNodes`], an exhausted
-    /// configuration search [`PlanError::InfeasibleConfiguration`].
-    pub fn handle_situation_checked(
-        &self,
-        snapshot: &ClusterSnapshot,
-        previous_nodes: Option<&[u32]>,
-    ) -> Result<RestartOutcome, PlanError> {
-        let nodes = nodes_without_stragglers(snapshot, self.threshold);
-        if nodes.is_empty() {
-            return Err(PlanError::NoHealthyNodes);
-        }
-        let backend = match self.family {
-            RestartFamily::Megatron => "megatron-restart",
-            RestartFamily::DeepSpeed => "deepspeed-restart",
-        };
-        self.handle_situation(snapshot, previous_nodes)
-            .ok_or_else(|| PlanError::InfeasibleConfiguration {
-                backend: backend.into(),
-                reason: format!(
-                    "no tuned configuration over {} straggler-free nodes is feasible",
-                    nodes.len()
-                ),
-            })
     }
 
     /// The tuned configuration table across node counts (reproduces the shape
@@ -212,7 +203,10 @@ impl RestartPlanner {
                         .map(|(c, _)| c.to_string())
                 }
             };
-            rows.push((excluded, config.unwrap_or_else(|| "infeasible".to_string())));
+            rows.push((
+                excluded,
+                config.unwrap_or_else(|_| "infeasible".to_string()),
+            ));
         }
         rows
     }
@@ -293,7 +287,7 @@ mod tests {
         cluster.set_rate(GpuId(0), 1.5);
         cluster.set_rate(GpuId(8), f64::INFINITY);
         let err = planner
-            .handle_situation_checked(&cluster.snapshot(), None)
+            .handle_situation(&cluster.snapshot(), None)
             .unwrap_err();
         assert_eq!(err, PlanError::NoHealthyNodes);
         // A zero-GPU cluster has no healthy nodes either.
@@ -303,7 +297,7 @@ mod tests {
             rates: vec![],
         };
         assert_eq!(
-            planner.handle_situation_checked(&empty, None).unwrap_err(),
+            planner.handle_situation(&empty, None).unwrap_err(),
             PlanError::NoHealthyNodes
         );
     }

@@ -123,12 +123,12 @@ fn run_workload(workload: &PaperWorkload) {
         for situation in &SITUATIONS[1..] {
             let snapshot = workload.snapshot_for(*situation);
             match planner.handle_situation(&snapshot, prev_nodes.as_deref()) {
-                Some(outcome) => {
+                Ok(outcome) => {
                     step_times.push(outcome.step_time);
                     restart_costs.push(outcome.restart_cost);
                     prev_nodes = Some(outcome.nodes_used);
                 }
-                None => {
+                Err(_) => {
                     step_times.push(f64::NAN);
                     restart_costs.push(f64::NAN);
                 }

@@ -19,7 +19,7 @@
 //!
 //! ```bash
 //! cargo run --release -p malleus-bench --bin exp_service_throughput                       # full: 1/4/16/64 clients, 128-GPU 110B scenario
-//! cargo run --release -p malleus-bench --bin exp_service_throughput -- --smoke            # CI: 16-GPU 7B cluster, 1/4 clients
+//! cargo run --release -p malleus-bench --bin exp_service_throughput -- --smoke            # 16-GPU 7B cluster, 1/4 clients
 //! cargo run --release -p malleus-bench --bin exp_service_throughput -- --smoke --socket   # CI: + daemon path, writes BENCH_service.json
 //! ```
 //!

@@ -29,9 +29,9 @@ use crate::error::PlanError;
 use crate::plan::ParallelizationPlan;
 use crate::planner::{PlanOutcome, Planner, PlannerConfig};
 
-/// Straggler-rate threshold used when classifying cluster events for
-/// backends that do not carry their own threshold (matches
-/// `PlannerConfig::default().straggler_threshold`).
+/// Straggler-rate threshold (the paper's 5%): `PlannerConfig::default()`
+/// and the baselines' straggler detection use it, and it classifies cluster
+/// events for backends that do not carry their own threshold.
 pub const DEFAULT_STRAGGLER_THRESHOLD: f64 = 1.05;
 
 /// Stable identity of a planning backend.
@@ -198,12 +198,6 @@ impl ClusterEvent {
         }
         ClusterEvent::StragglerDrift
     }
-
-    /// Whether the event changes cluster structure (availability or
-    /// topology) rather than only straggling rates.
-    pub fn is_structural(&self) -> bool {
-        !matches!(self, ClusterEvent::StragglerDrift)
-    }
 }
 
 impl std::fmt::Display for ClusterEvent {
@@ -331,11 +325,6 @@ pub trait PlanBackend: Send + Sync + std::fmt::Debug {
 /// coefficients and planner configuration.
 pub type BackendConstructor =
     dyn Fn(&ProfiledCoefficients, &PlannerConfig) -> Box<dyn PlanBackend> + Send + Sync;
-
-/// Registry constructor for the Malleus backend.
-pub fn malleus_constructor() -> Arc<BackendConstructor> {
-    Arc::new(|coeffs, config| Box::new(Planner::new(coeffs.clone(), config.clone())))
-}
 
 impl PlanBackend for Planner {
     fn id(&self) -> BackendId {
@@ -510,7 +499,6 @@ mod tests {
         c.set_rate(GpuId(5), StragglerLevel::Failed.rate());
         let event = ClusterEvent::classify(&initial, &c.snapshot(), DEFAULT_STRAGGLER_THRESHOLD);
         assert_eq!(event, ClusterEvent::Failure);
-        assert!(event.is_structural());
         assert_eq!(
             ClusterEvent::classify_snapshots(&healthy, &c.snapshot()),
             ClusterEvent::Failure
@@ -564,7 +552,6 @@ mod tests {
         let drifted = healthy.with_rate(GpuId(2), DEFAULT_STRAGGLER_THRESHOLD);
         let event = ClusterEvent::classify(&initial, &drifted, DEFAULT_STRAGGLER_THRESHOLD);
         assert_eq!(event, ClusterEvent::StragglerDrift);
-        assert!(!event.is_structural());
         assert_eq!(
             ClusterEvent::classify_snapshots(&healthy, &drifted),
             ClusterEvent::StragglerDrift

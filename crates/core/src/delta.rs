@@ -43,24 +43,6 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Environment override for the incremental-replanning knob (`0`/`false`/
-/// `off` disable, `1`/`true`/`on` enable); used by the CI equivalence matrix
-/// to drive the {full, delta} axis.
-pub const INCREMENTAL_ENV: &str = "MALLEUS_PLANNER_INCREMENTAL";
-
-/// Read [`INCREMENTAL_ENV`], falling back to `default` when unset or
-/// unparseable.
-pub fn incremental_from_env_or(default: bool) -> bool {
-    match std::env::var(INCREMENTAL_ENV) {
-        Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-            "0" | "false" | "off" | "no" => false,
-            "1" | "true" | "on" | "yes" => true,
-            _ => default,
-        },
-        Err(_) => default,
-    }
-}
-
 /// Upper bound on memoized candidate evaluations; the memo is cleared
 /// wholesale when exceeded (bounded memory, same policy as the grouping
 /// cache).

@@ -45,18 +45,14 @@ pub mod plan;
 pub mod planner;
 
 pub use backend::{
-    malleus_constructor, BackendConstructor, BackendId, ClusterEvent, PlanBackend, PlannedOutcome,
+    BackendConstructor, BackendId, ClusterEvent, PlanBackend, PlannedOutcome,
     DEFAULT_STRAGGLER_THRESHOLD,
 };
 pub use cost::CostModel;
-pub use delta::{
-    incremental_from_env_or, CandidateMemo, LatticeEntry, ScoredLattice, INCREMENTAL_ENV,
-};
+pub use delta::{CandidateMemo, LatticeEntry, ScoredLattice};
 pub use error::PlanError;
 pub use grouping::{group_cluster, GroupingResult};
 pub use migration::{plan_migration, MigrationPlan, SliceMove};
-pub use parallel::{
-    lock_rank, GroupingCache, Parallelism, ParseParallelismError, RankedGuard, RankedMutex,
-};
+pub use parallel::{lock_rank, GroupingCache, Parallelism, RankedGuard, RankedMutex};
 pub use plan::{ParallelizationPlan, PipelinePlan, StagePlan, TpGroup};
 pub use planner::{PlanOutcome, PlanTiming, Planner, PlannerConfig};

@@ -52,15 +52,10 @@ use std::sync::Mutex;
 use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration;
 
-/// Environment variable overriding [`Parallelism::Auto`] resolution
-/// (`"auto"` or a worker count); used by CI to pin the planner's thread count.
-pub const PARALLELISM_ENV: &str = "MALLEUS_PLANNER_PARALLELISM";
-
 /// Worker-count knob for the candidate-lattice fan-out.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
-    /// Use every available core (`std::thread::available_parallelism`),
-    /// honouring the `MALLEUS_PLANNER_PARALLELISM` environment override.
+    /// Use every available core (`std::thread::available_parallelism`).
     #[default]
     Auto,
     /// Use exactly this many workers.  `Fixed(1)` is the serial reference
@@ -74,87 +69,12 @@ impl Parallelism {
     pub fn workers(&self) -> usize {
         match self {
             Parallelism::Fixed(n) => (*n).max(1),
-            Parallelism::Auto => {
-                if let Some(p) = Self::from_env() {
-                    return p.workers_no_env();
-                }
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            }
-        }
-    }
-
-    fn workers_no_env(&self) -> usize {
-        match self {
-            Parallelism::Fixed(n) => (*n).max(1),
             Parallelism::Auto => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
         }
     }
-
-    /// Parse a parallelism knob string: `"auto"` → [`Parallelism::Auto`], an
-    /// unsigned integer → [`Parallelism::Fixed`].
-    pub fn parse(raw: &str) -> Result<Self, ParseParallelismError> {
-        let trimmed = raw.trim();
-        if trimmed.eq_ignore_ascii_case("auto") {
-            return Ok(Parallelism::Auto);
-        }
-        trimmed
-            .parse::<usize>()
-            .map(Parallelism::Fixed)
-            .map_err(|_| ParseParallelismError {
-                raw: raw.to_string(),
-            })
-    }
-
-    /// Read the `MALLEUS_PLANNER_PARALLELISM` environment variable.  Unset
-    /// yields `None`; an invalid value also yields `None` but emits a warning
-    /// on stderr (once per process) — a typo like `PARALLELISM=fourm` used to
-    /// silently fall back to the default worker count, which made CI pins and
-    /// operator overrides unverifiable.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var(PARALLELISM_ENV).ok()?;
-        match Self::parse(&raw) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                static WARNED: std::sync::Once = std::sync::Once::new();
-                WARNED.call_once(|| {
-                    eprintln!("warning: {e}; falling back to the default worker count");
-                });
-                None
-            }
-        }
-    }
-
-    /// The environment override if present, otherwise `default` (used by the
-    /// equivalence suite so CI can pin the candidate path to 1 or auto).
-    pub fn from_env_or(default: Parallelism) -> Self {
-        Self::from_env().unwrap_or(default)
-    }
 }
-
-/// Error produced when a parallelism knob string (typically the
-/// `MALLEUS_PLANNER_PARALLELISM` environment variable) is neither `"auto"`
-/// nor an unsigned integer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseParallelismError {
-    /// The offending raw value.
-    pub raw: String,
-}
-
-impl std::fmt::Display for ParseParallelismError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "invalid {PARALLELISM_ENV} value {:?}: expected \"auto\" or a worker count",
-            self.raw
-        )
-    }
-}
-
-impl std::error::Error for ParseParallelismError {}
 
 /// A memoized grouping: the snapshot and coefficients it was computed for
 /// (kept to confirm fingerprint hits) plus the result.
@@ -573,74 +493,6 @@ mod tests {
     fn parallelism_resolves_to_at_least_one_worker() {
         assert_eq!(Parallelism::Fixed(0).workers(), 1);
         assert_eq!(Parallelism::Fixed(3).workers(), 3);
-        assert!(Parallelism::Auto.workers() >= 1);
-    }
-
-    #[test]
-    fn parallelism_parse_accepts_auto_and_counts() {
-        assert_eq!(Parallelism::parse("auto"), Ok(Parallelism::Auto));
-        assert_eq!(Parallelism::parse(" AUTO "), Ok(Parallelism::Auto));
-        assert_eq!(Parallelism::parse("4"), Ok(Parallelism::Fixed(4)));
-        assert_eq!(Parallelism::parse(" 16 "), Ok(Parallelism::Fixed(16)));
-    }
-
-    #[test]
-    fn parallelism_parse_rejects_garbage_with_a_diagnostic() {
-        for raw in ["fourm", "", "-2", "4.5", "auto4"] {
-            let err = Parallelism::parse(raw).expect_err(raw);
-            assert_eq!(err.raw, raw);
-            assert!(err.to_string().contains(PARALLELISM_ENV), "{err}");
-        }
-    }
-
-    #[test]
-    fn invalid_env_override_is_surfaced_not_silently_defaulted() {
-        // Mutating the environment from a multithreaded test binary is a data
-        // race (concurrent setenv/getenv is UB on glibc), so the invalid
-        // value is injected by re-executing this binary: the child runs only
-        // the `#[ignore]`d helper below with the bogus override inherited
-        // from its (single point of) process creation.  The child asserts
-        // from_env degrades safely; the parent asserts the warning was
-        // actually printed rather than the value being silently ignored.
-        let exe = std::env::current_exe().expect("test binary path");
-        let output = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "parallel::tests::child_observes_invalid_parallelism_env",
-                "--ignored",
-                "--nocapture",
-            ])
-            .env(PARALLELISM_ENV, "not-a-number")
-            .output()
-            .expect("spawn child test process");
-        let stderr = String::from_utf8_lossy(&output.stderr);
-        let stdout = String::from_utf8_lossy(&output.stdout);
-        assert!(
-            output.status.success(),
-            "child failed\nstdout: {stdout}\nstderr: {stderr}"
-        );
-        assert!(
-            stderr.contains(PARALLELISM_ENV) && stderr.contains("invalid"),
-            "expected a warning naming {PARALLELISM_ENV} on stderr, got:\n{stderr}"
-        );
-    }
-
-    /// Helper for the test above; only meaningful with the invalid override
-    /// in the process environment, hence ignored in normal runs.
-    #[test]
-    #[ignore = "spawned by invalid_env_override_is_surfaced_not_silently_defaulted"]
-    fn child_observes_invalid_parallelism_env() {
-        assert_eq!(
-            std::env::var(PARALLELISM_ENV).as_deref(),
-            Ok("not-a-number")
-        );
-        // The bogus value is not treated as a valid override...
-        assert_eq!(Parallelism::from_env(), None);
-        assert_eq!(
-            Parallelism::from_env_or(Parallelism::Fixed(3)),
-            Parallelism::Fixed(3)
-        );
-        // ...and resolution still degrades safely to the Auto fallback.
         assert!(Parallelism::Auto.workers() >= 1);
     }
 

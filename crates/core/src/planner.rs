@@ -15,6 +15,7 @@
 //! path regardless of thread scheduling.
 
 use crate::assignment::assign_data;
+use crate::backend::DEFAULT_STRAGGLER_THRESHOLD;
 use crate::cost::CostModel;
 use crate::delta::{CandidateInputs, CandidateMemo, LatticeEntry, ScoredLattice};
 use crate::error::PlanError;
@@ -80,7 +81,7 @@ impl Default for PlannerConfig {
             candidate_micro_batch_sizes: vec![1, 2, 4],
             candidate_dp: None,
             fixed_dp: None,
-            straggler_threshold: 1.05,
+            straggler_threshold: DEFAULT_STRAGGLER_THRESHOLD,
             enable_group_splitting: true,
             nonuniform_layers: true,
             nonuniform_data: true,

@@ -252,14 +252,6 @@ pub struct ServiceConfig {
     /// failing with [`ServiceError::AdmissionTimeout`].  `None` (the
     /// default) waits indefinitely, preserving the pre-timeout behavior.
     pub queue_wait_timeout: Option<Duration>,
-    /// Time-to-live of cached plans; entries older than this are purged
-    /// lazily on the next touch of their cache bucket.  `None` disables TTL
-    /// expiry.
-    pub cache_ttl: Option<Duration>,
-    /// Approximate byte budget per cache shard (see the size model in
-    /// [`cache`]); LRU entries are evicted until a new insertion fits.
-    /// `None` disables size-aware eviction.
-    pub cache_max_bytes_per_shard: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -274,8 +266,6 @@ impl Default for ServiceConfig {
             max_queue_depth: 1024,
             worker_budget: cores,
             queue_wait_timeout: None,
-            cache_ttl: Some(Duration::from_secs(600)),
-            cache_max_bytes_per_shard: Some(8 << 20),
         }
     }
 }
@@ -426,12 +416,7 @@ impl PlanService {
     /// backends are opt-in via [`PlanService::register_backend`].
     pub fn new(config: ServiceConfig) -> Self {
         let service = Self {
-            cache: ShardedPlanCache::new(
-                config.shards,
-                config.capacity_per_shard,
-                config.cache_ttl,
-                config.cache_max_bytes_per_shard,
-            ),
+            cache: ShardedPlanCache::new(config.shards, config.capacity_per_shard),
             inflight: InFlightTable::default(),
             admission: AdmissionGate::new(
                 config.max_concurrent_plans,
@@ -473,7 +458,10 @@ impl PlanService {
     /// a previous constructor keep being served as long as the backend config
     /// fingerprint still matches — constructors with different knobs must
     /// fingerprint differently (see
-    /// [`malleus_core::PlanBackend::fingerprint_config`]).
+    /// [`malleus_core::PlanBackend::fingerprint_config`]).  A client L1 (see
+    /// [`server`]) keys its entries with backend fingerprint 0, so it keeps
+    /// serving a replaced constructor's plans for requests it already holds
+    /// until they are evicted.
     pub fn register_backend(&self, id: BackendId, ctor: Arc<BackendConstructor>) {
         self.registry.ctors.lock().insert(id, ctor);
     }
@@ -543,11 +531,7 @@ impl PlanService {
         };
         let key = keyed.key();
 
-        let (hit, expired) = self.cache.get(key, &keyed);
-        for _ in 0..expired {
-            metrics::MetricsRecorder::bump(&self.metrics.evictions);
-        }
-        if let Some(outcome) = hit {
+        if let Some(outcome) = self.cache.get(key, &keyed) {
             metrics::MetricsRecorder::bump(&self.metrics.hits);
             metrics::MetricsRecorder::bump(&self.metrics.backend(backend).hits);
             self.metrics
@@ -593,11 +577,7 @@ impl PlanService {
                 // synchronize on the slot-table lock): re-check so the
                 // singleflight invariant — one planner invocation per
                 // distinct key — holds even across that race.
-                let (hit, expired) = self.cache.get(key, &keyed);
-                for _ in 0..expired {
-                    metrics::MetricsRecorder::bump(&self.metrics.evictions);
-                }
-                let result = match hit {
+                let result = match self.cache.get(key, &keyed) {
                     Some(outcome) => {
                         metrics::MetricsRecorder::bump(&self.metrics.hits);
                         metrics::MetricsRecorder::bump(&self.metrics.backend(backend).hits);
@@ -661,11 +641,6 @@ impl PlanService {
     /// Number of plans currently cached (diagnostics / tests).
     pub fn cached_plans(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Approximate bytes held by the L2 plan cache (diagnostics / reports).
-    pub fn cached_bytes(&self) -> usize {
-        self.cache.approx_bytes()
     }
 
     /// Number of computations currently in flight (diagnostics / tests).

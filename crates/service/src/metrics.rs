@@ -190,7 +190,7 @@ pub struct ServiceMetrics {
     /// Actual `Planner::plan` invocations (≤ misses; fingerprint-collision
     /// recomputations are counted here too).
     pub planner_invocations: u64,
-    /// Cache entries displaced by LRU/byte-budget eviction or TTL expiry.
+    /// Cache entries displaced by capacity LRU eviction.
     pub evictions: u64,
     /// Requests rejected by the admission gate (backpressure).
     pub rejected: u64,
@@ -217,16 +217,6 @@ impl ServiceMetrics {
             0.0
         } else {
             self.hits as f64 / self.requests as f64
-        }
-    }
-
-    /// Fraction of requests that avoided a planner invocation entirely
-    /// (cache hits plus coalesced waits).
-    pub fn shared_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            (self.hits + self.coalesced) as f64 / self.requests as f64
         }
     }
 }
@@ -283,6 +273,5 @@ mod tests {
     fn rates_handle_zero_requests() {
         let m = ServiceMetrics::default();
         assert_eq!(m.hit_rate(), 0.0);
-        assert_eq!(m.shared_rate(), 0.0);
     }
 }

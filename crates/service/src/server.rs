@@ -9,10 +9,10 @@
 //!   TrainingSession ──▶ PlanClient ──frame──▶ PlanServer ──▶ PlanService
 //!                        │  L1 cache            bounded        │ admission
 //!                        │  (per-tenant,        thread-per-    │ coalescing
-//!                        │   drift+TTL+size     connection     │ backend registry
-//!                        │   invalidation)      pool           ▼
+//!                        │   LRU + drift        connection     │ backend registry
+//!                        │   eviction)          pool           ▼
 //!                        ▼                                   shared L2 cache
-//!                      hit ⇒ no syscall                     (sharded LRU+TTL+bytes)
+//!                      hit ⇒ no syscall                     (sharded LRU)
 //! ```
 //!
 //! * [`PlanServer`] — a blocking `TcpListener` / Unix-socket daemon.  Each
@@ -27,13 +27,14 @@
 //! * [`PlanClient`] — the tenant-side handle.  It implements
 //!   [`PlanTransport`], so `TrainingSession::with_service` drives the daemon
 //!   through exactly the interface it uses for an in-process service, and
-//!   keeps a per-tenant **L1 cache** in front of the shared L2: entries
-//!   expire by TTL, are bounded by entry count and approximate bytes, and
-//!   are **drift-invalidated** — every call evicts entries whose snapshot
-//!   has shifted more than [`ClientConfig::drift_threshold`] (the paper's 5%
-//!   replan trigger) relative to the live snapshot being planned for, so a
-//!   stale plan for a cluster that has meaningfully drifted is never served
-//!   from the client cache.
+//!   keeps a per-tenant **L1 cache** in front of the shared L2.  A hit needs
+//!   the whole request to match, snapshot included, so a cached plan is
+//!   never stale; the L1 is bounded by entry count (LRU) and **drift-evicts**
+//!   — every call drops entries whose snapshot has shifted more than
+//!   [`ClientConfig::drift_threshold`] (the paper's 5% replan trigger)
+//!   relative to the live snapshot being planned for.  Drift eviction only
+//!   decides which old entries stay resident: an entry for another snapshot
+//!   could never be served for the live one anyway.
 //! * Wire format: `malleus_wire` frames (`MWIR` magic + version + payload
 //!   length); the request payload is a [`KeyedRequest`]
 //!   (`backend_fingerprint = 0` — advisory, the daemon recomputes it from
@@ -527,16 +528,11 @@ fn serve_connection(service: &PlanService, mut conn: Conn, max_frame_len: usize)
 pub struct ClientConfig {
     /// Maximum entries in the per-tenant L1 cache.
     pub l1_capacity: usize,
-    /// Time-to-live of L1 entries (`None` disables TTL expiry).
-    pub l1_ttl: Option<Duration>,
-    /// Approximate byte budget of the L1 (`None` disables size-aware
-    /// eviction).  Sizes are the encoded response payload lengths — the
-    /// exact bytes that crossed the wire.
-    pub l1_max_bytes: Option<usize>,
-    /// Drift-invalidation threshold: cached entries whose snapshot has
-    /// shifted more than this (relative, per GPU) against the live snapshot
-    /// being planned for are evicted before lookup.  The paper replans at
-    /// 5%.
+    /// Drift-eviction threshold: cached entries whose snapshot has shifted
+    /// more than this (relative, per GPU) against the live snapshot being
+    /// planned for are evicted before lookup.  This frees room, not
+    /// correctness: a hit needs the exact snapshot, so a drifted entry could
+    /// not be served anyway.  The paper replans at 5%.
     pub drift_threshold: f64,
     /// Frame-payload cap enforced on both read and write.
     pub max_frame_len: usize,
@@ -546,8 +542,6 @@ impl Default for ClientConfig {
     fn default() -> Self {
         Self {
             l1_capacity: 128,
-            l1_ttl: Some(Duration::from_secs(600)),
-            l1_max_bytes: Some(8 << 20),
             drift_threshold: 0.05,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
         }
@@ -563,16 +557,12 @@ pub struct L1Stats {
     pub hits: u64,
     /// Lookups that went to the daemon.
     pub misses: u64,
-    /// Entries purged by TTL expiry.
-    pub expired: u64,
     /// Entries evicted because their snapshot drifted past the threshold.
     pub drift_evicted: u64,
-    /// Entries displaced by capacity/byte-budget LRU eviction.
+    /// Entries displaced by capacity LRU eviction.
     pub evictions: u64,
     /// Entries currently resident.
     pub resident: usize,
-    /// Approximate resident bytes (encoded-payload sizes).
-    pub approx_bytes: usize,
 }
 
 impl L1Stats {
@@ -587,8 +577,7 @@ impl L1Stats {
 }
 
 /// The per-tenant L1 plan cache and its counters, under one mutex (one
-/// tenant, low fan-in).  `resident` and `approx_bytes` are read off the
-/// cache.
+/// tenant, low fan-in).  `resident` is read off the cache.
 #[derive(Debug)]
 struct L1Cache {
     inner: RankedMutex<(PlanCache, L1Stats)>,
@@ -596,7 +585,7 @@ struct L1Cache {
 
 impl L1Cache {
     fn new(config: &ClientConfig) -> Self {
-        let cache = PlanCache::new(config.l1_capacity, config.l1_ttl, config.l1_max_bytes);
+        let cache = PlanCache::new(config.l1_capacity);
         Self {
             inner: RankedMutex::new(
                 lock_rank::L1_CACHE_INNER,
@@ -623,9 +612,8 @@ impl L1Cache {
     fn get(&self, key: u64, keyed: &KeyedRequest) -> Option<Arc<PlannedOutcome>> {
         let mut inner = self.inner.lock();
         let (cache, stats) = &mut *inner;
-        let (hit, expired) = cache.get(key, keyed);
+        let hit = cache.get(key, keyed);
         stats.requests += 1;
-        stats.expired += expired;
         match &hit {
             Some(_) => stats.hits += 1,
             None => stats.misses += 1,
@@ -633,12 +621,10 @@ impl L1Cache {
         hit
     }
 
-    fn insert(&self, key: u64, request: KeyedRequest, outcome: Arc<PlannedOutcome>, size: usize) {
+    fn insert(&self, key: u64, request: KeyedRequest, outcome: Arc<PlannedOutcome>) {
         let mut inner = self.inner.lock();
         let (cache, stats) = &mut *inner;
-        let (expired, evicted) = cache.insert(key, request, outcome, size);
-        stats.expired += expired;
-        stats.evictions += evicted;
+        stats.evictions += cache.insert(key, request, outcome);
     }
 
     fn stats(&self) -> L1Stats {
@@ -646,7 +632,6 @@ impl L1Cache {
         let (cache, stats) = &*inner;
         L1Stats {
             resident: cache.len(),
-            approx_bytes: cache.bytes(),
             ..*stats
         }
     }
@@ -714,8 +699,8 @@ impl PlanClient {
         self.l1.stats()
     }
 
-    /// Plan through the daemon with L1-over-L2 caching: drift-stale entries
-    /// are invalidated against `request.snapshot` (the live cluster), then a
+    /// Plan through the daemon with L1-over-L2 caching: drifted entries are
+    /// evicted against `request.snapshot` (the live cluster), then a
     /// confirmed L1 hit short-circuits the socket entirely; otherwise one
     /// framed roundtrip hits the daemon's shared L2/planner and the response
     /// lands in L1.
@@ -724,9 +709,10 @@ impl PlanClient {
         backend: BackendId,
         request: &PlanRequest,
     ) -> Result<Arc<PlannedOutcome>, ServiceError> {
-        // The snapshot being planned for IS the live cluster state; anything
-        // cached for a snapshot that drifted ≥ threshold from it is exactly
-        // what the paper's replan trigger says must not be reused.
+        // The snapshot being planned for IS the live cluster state.  An
+        // entry for any other snapshot can never hit (a hit needs the exact
+        // snapshot); the ones that drifted past the paper's replan trigger
+        // are unlikely to be asked for again, so they give up their slots.
         self.l1
             .invalidate_drifted(&request.snapshot, self.config.drift_threshold);
         let keyed = KeyedRequest {
@@ -745,8 +731,7 @@ impl PlanClient {
         match from_bytes::<PlanResponse>(&payload).map_err(transport_error)? {
             PlanResponse::Outcome(outcome) => {
                 let outcome = Arc::new(outcome);
-                self.l1
-                    .insert(key, keyed, Arc::clone(&outcome), payload.len());
+                self.l1.insert(key, keyed, Arc::clone(&outcome));
                 Ok(outcome)
             }
             PlanResponse::Error(err) => Err(err),
@@ -907,7 +892,6 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.resident, 1);
-        assert!(stats.approx_bytes > 0);
         assert!(stats.hit_rate() > 0.0);
     }
 
@@ -932,6 +916,9 @@ mod tests {
             .expect("mild drift plan");
         let stats = client.l1_stats();
         assert_eq!(stats.drift_evicted, 0, "2% drift must not invalidate");
+        // The surviving entry is not served for the drifted snapshot: every
+        // hit needs the exact request, so the mild request went to the daemon.
+        assert_eq!(stats.misses, 2);
         assert_eq!(stats.resident, 2);
 
         // A 20% straggler on the live cluster: both older entries are stale.

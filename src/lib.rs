@@ -61,9 +61,8 @@ pub mod prelude {
         Trace, TracePhase,
     };
     pub use malleus_core::{
-        incremental_from_env_or, plan_migration, BackendId, ClusterEvent, CostModel, Parallelism,
-        ParallelizationPlan, PlanBackend, PlanError, PlanOutcome, PlannedOutcome, Planner,
-        PlannerConfig, ScoredLattice, INCREMENTAL_ENV,
+        plan_migration, BackendId, ClusterEvent, CostModel, Parallelism, ParallelizationPlan,
+        PlanBackend, PlanError, PlanOutcome, PlannedOutcome, Planner, PlannerConfig, ScoredLattice,
     };
     pub use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
     pub use malleus_runtime::{

@@ -140,7 +140,7 @@ fn restart_decisions_are_pinned_across_situations() {
             let snapshot = common::snapshot_for(4, *situation);
             let outcome = planner
                 .handle_situation(&snapshot, Some(&all_nodes))
-                .unwrap_or_else(|| panic!("{family:?} under {situation:?}"));
+                .unwrap_or_else(|e| panic!("{family:?} under {situation:?}: {e}"));
             assert_eq!(&outcome.nodes_used, nodes, "{family:?} under {situation:?}");
             assert_eq!(&outcome.config, config, "{family:?} under {situation:?}");
             assert_eq!(

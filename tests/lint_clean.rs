@@ -5,8 +5,9 @@
 //! manifests, crate roots and per-crate `clippy.toml` files: ranked locks,
 //! panic-free serving paths, bitwise float comparison, no wall clock in plan
 //! scoring, and a reason on every suppression (see the README's "Static
-//! analysis"). This test keeps them enforced by `cargo test -q`, not just by
-//! the CI lint job. A toolchain without clippy fails it rather than skipping.
+//! analysis"). This test is where they are enforced: CI's `check` job
+//! installs clippy and runs it as part of `cargo test -q`; there is no
+//! separate lint job. A toolchain without clippy fails it rather than skipping.
 
 use std::path::Path;
 use std::process::Command;

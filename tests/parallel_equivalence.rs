@@ -5,17 +5,15 @@
 //! parallel path must return **byte-identical** plans — same
 //! `ParallelizationPlan`, same chosen TP/DP, bit-equal cost estimates — for
 //! every golden workload (32B/70B/110B) under every paper straggler situation
-//! S1–S6.  CI runs this suite with a matrix of `MALLEUS_PLANNER_PARALLELISM`
-//! (`1`, `auto`) × `MALLEUS_PLANNER_INCREMENTAL` (`0`, `1`); without the
-//! overrides the candidate path is pinned to 4 workers so the fan-out is
-//! exercised even on single-core hosts, and incremental replanning stays at
-//! its default (on).
+//! S1–S6.  The candidate path is pinned to 4 workers so the fan-out is
+//! exercised even on single-core hosts.
 //!
 //! The incremental suite below replays every situation against the
 //! warm-start delta replanner and demands byte-identity with a fresh
 //! `Fixed(1)` full-enumeration oracle — covering transitions from Normal,
 //! chained S_i → S_{i+1} transitions, and the recurrent flap back to an
-//! already-seen situation (full memo reuse).
+//! already-seen situation (full memo reuse).  Each replay runs at every
+//! execution-policy cell: {`Fixed(1)`, `Fixed(4)`} × incremental {off, on}.
 
 mod common;
 
@@ -30,17 +28,23 @@ const SITUATIONS: [PaperSituation; 6] = [
     PaperSituation::S6,
 ];
 
-/// The worker knob for the candidate side: the CI override if set, else a
-/// fixed 4-worker fan-out.
-fn candidate_parallelism() -> Parallelism {
-    Parallelism::from_env_or(Parallelism::Fixed(4))
-}
+/// The worker knob for the candidate side: a fixed 4-worker fan-out.
+const CANDIDATE_PARALLELISM: Parallelism = Parallelism::Fixed(4);
+
+/// The execution-policy cells the incremental suite replays at: worker
+/// count × incremental replanning.  Plans must not depend on either.
+const POLICY_CELLS: [(Parallelism, bool); 4] = [
+    (Parallelism::Fixed(1), false),
+    (Parallelism::Fixed(1), true),
+    (Parallelism::Fixed(4), false),
+    (Parallelism::Fixed(4), true),
+];
 
 fn assert_golden_equivalence(spec: ModelSpec, nodes: u32) {
     // The serial side comes from the shared oracle fixture (a binary-scoped
     // service whose worker budget pins execution to `Fixed(1)`), so each
     // oracle plan is computed once per binary however many tests consult it.
-    let parallel = common::planner_for(&spec, 64).with_parallelism(candidate_parallelism());
+    let parallel = common::planner_for(&spec, 64).with_parallelism(CANDIDATE_PARALLELISM);
     for situation in SITUATIONS {
         let snapshot = common::snapshot_for(nodes, situation);
         let oracle = common::oracle_planned(&spec, 64, nodes, situation);
@@ -103,7 +107,7 @@ fn malleus_backend_trait_is_byte_identical_to_direct_planner() {
     // The PlanBackend trait path must be invisible for Malleus: identical
     // `ParallelizationPlan`, bit-equal estimates, for every golden situation.
     let spec = ModelSpec::llama2_32b();
-    let planner = common::planner_for(&spec, 64).with_parallelism(candidate_parallelism());
+    let planner = common::planner_for(&spec, 64).with_parallelism(CANDIDATE_PARALLELISM);
     let config = planner.config.clone();
     for situation in SITUATIONS {
         let snapshot = common::snapshot_for(4, situation);
@@ -156,12 +160,22 @@ fn service_backend_route_is_byte_identical_to_direct_planner() {
     assert_eq!(per[0].planner_invocations, 2);
 }
 
-/// The candidate-side planner for the incremental suite: CI-matrix worker
-/// knob plus the CI-matrix incremental knob (default: on).
-fn delta_planner(spec: &ModelSpec) -> Planner {
+/// The candidate-side planner for the incremental suite at one policy cell,
+/// plus the cell's name for assertion messages.
+fn delta_planner(
+    spec: &ModelSpec,
+    parallelism: Parallelism,
+    incremental: bool,
+) -> (Planner, String) {
     let mut config = common::planner_for(spec, 64).config;
-    config.incremental = incremental_from_env_or(true);
-    Planner::new(common::coeffs_for(spec).clone(), config).with_parallelism(candidate_parallelism())
+    config.incremental = incremental;
+    let planner =
+        Planner::new(common::coeffs_for(spec).clone(), config).with_parallelism(parallelism);
+    let cell = format!(
+        "{parallelism:?}, incremental {}",
+        if incremental { "on" } else { "off" }
+    );
+    (planner, cell)
 }
 
 #[test]
@@ -170,27 +184,29 @@ fn incremental_replays_from_normal_match_the_full_enumeration_oracle() {
     // replanner must be byte-identical to a fresh serial full-enumeration
     // replan, and its lattice must record whether the event was structural.
     let spec = ModelSpec::llama2_32b();
-    let delta = delta_planner(&spec);
     let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    let base = delta
-        .plan(&common::snapshot_for(4, PaperSituation::Normal))
-        .expect("healthy base plan");
-    for situation in SITUATIONS {
-        let snapshot = common::snapshot_for(4, situation);
-        let warm = delta
-            .replan_delta(&snapshot, &base)
-            .unwrap_or_else(|e| panic!("delta replan under {situation:?}: {e}"));
-        let full = oracle
-            .replan(&snapshot, &base.plan)
-            .unwrap_or_else(|e| panic!("oracle replan under {situation:?}: {e}"));
-        assert_eq!(warm, full, "under {situation:?}");
-        if let Some(base_lattice) = base.lattice.as_ref() {
-            let expect_delta = !base_lattice.structural_change(&snapshot);
-            assert_eq!(
-                warm.lattice.as_ref().expect("lattice present").delta,
-                expect_delta,
-                "under {situation:?}: wrong replanning route"
-            );
+    for (parallelism, incremental) in POLICY_CELLS {
+        let (delta, cell) = delta_planner(&spec, parallelism, incremental);
+        let base = delta
+            .plan(&common::snapshot_for(4, PaperSituation::Normal))
+            .unwrap_or_else(|e| panic!("{cell}: healthy base plan: {e}"));
+        for situation in SITUATIONS {
+            let snapshot = common::snapshot_for(4, situation);
+            let warm = delta
+                .replan_delta(&snapshot, &base)
+                .unwrap_or_else(|e| panic!("{cell}: delta replan under {situation:?}: {e}"));
+            let full = oracle
+                .replan(&snapshot, &base.plan)
+                .unwrap_or_else(|e| panic!("{cell}: oracle replan under {situation:?}: {e}"));
+            assert_eq!(warm, full, "{cell} under {situation:?}");
+            if let Some(base_lattice) = base.lattice.as_ref() {
+                let expect_delta = !base_lattice.structural_change(&snapshot);
+                assert_eq!(
+                    warm.lattice.as_ref().expect("lattice present").delta,
+                    expect_delta,
+                    "{cell} under {situation:?}: wrong replanning route"
+                );
+            }
         }
     }
 }
@@ -202,26 +218,28 @@ fn chained_incremental_replays_match_the_oracle_at_every_transition() {
     // Normal revisits recur to already-evaluated rate states, exercising the
     // cross-invocation candidate memo; byte-identity must hold at every hop.
     let spec = ModelSpec::llama2_32b();
-    let delta = delta_planner(&spec);
     let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    let mut current = delta
-        .plan(&common::snapshot_for(4, PaperSituation::Normal))
-        .expect("healthy base plan");
     let replay: Vec<PaperSituation> = SITUATIONS
         .iter()
         .copied()
         .chain([PaperSituation::S2, PaperSituation::Normal])
         .collect();
-    for situation in replay {
-        let snapshot = common::snapshot_for(4, situation);
-        let warm = delta
-            .replan_delta(&snapshot, &current)
-            .unwrap_or_else(|e| panic!("delta replan under {situation:?}: {e}"));
-        let full = oracle
-            .replan(&snapshot, &current.plan)
-            .unwrap_or_else(|e| panic!("oracle replan under {situation:?}: {e}"));
-        assert_eq!(warm, full, "under {situation:?}");
-        current = warm;
+    for (parallelism, incremental) in POLICY_CELLS {
+        let (delta, cell) = delta_planner(&spec, parallelism, incremental);
+        let mut current = delta
+            .plan(&common::snapshot_for(4, PaperSituation::Normal))
+            .unwrap_or_else(|e| panic!("{cell}: healthy base plan: {e}"));
+        for &situation in &replay {
+            let snapshot = common::snapshot_for(4, situation);
+            let warm = delta
+                .replan_delta(&snapshot, &current)
+                .unwrap_or_else(|e| panic!("{cell}: delta replan under {situation:?}: {e}"));
+            let full = oracle
+                .replan(&snapshot, &current.plan)
+                .unwrap_or_else(|e| panic!("{cell}: oracle replan under {situation:?}: {e}"));
+            assert_eq!(warm, full, "{cell} under {situation:?}");
+            current = warm;
+        }
     }
 }
 
@@ -231,7 +249,7 @@ fn equivalence_holds_under_failures_and_forced_dp() {
     // oracle on the constrained lattice too, including when GPUs fail.
     let spec = ModelSpec::llama2_32b();
     let serial = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    let parallel = common::planner_for(&spec, 64).with_parallelism(candidate_parallelism());
+    let parallel = common::planner_for(&spec, 64).with_parallelism(CANDIDATE_PARALLELISM);
     let previous = common::healthy_plan_32b();
     let mut cluster = Cluster::homogeneous(4, 8);
     cluster.set_rate(GpuId(0), StragglerLevel::Level3.rate());

@@ -118,7 +118,6 @@ fn l1_absorbs_repeats_and_drift_invalidates() {
     assert_eq!(stats.misses, 1, "first call misses L1: {stats:?}");
     assert_eq!(stats.hits, 1, "repeat is served from L1: {stats:?}");
     assert_eq!(stats.resident, 1);
-    assert!(stats.approx_bytes > 0);
 
     // The live cluster drifts 2% on a GPU that is healthy under S4 (GPU 0 is
     // the S4 level-3 straggler): below the 5% replan threshold, the cached
