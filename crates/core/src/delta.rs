@@ -18,25 +18,31 @@
 //!   event from the snapshot *diff* and fall back to full enumeration when
 //!   the change is structural (node loss / node join / topology change).
 //! - [`CandidateMemo`]: a bounded cross-invocation memo of candidate
-//!   evaluations, keyed by a fingerprint of *exactly* the inputs that
-//!   determine [`crate::Planner`]'s per-candidate evaluation (the grouping
+//!   evaluations, keyed by a hash of *exactly* the inputs that determine
+//!   [`crate::Planner`]'s per-candidate evaluation (the grouping
 //!   membership, every group's straggling-rate bits, the DP degree, the
 //!   micro-batch size, the division mode, the global batch, the non-uniform
-//!   knobs, the GPU count and the profiled coefficients) and confirmed by
-//!   full equality on a hit — the same discipline as
+//!   knobs and the GPU count) and confirmed by full equality on a hit, the
+//!   profiled coefficients included — the same discipline as
 //!   [`crate::GroupingCache`].  A confirmed hit returns the bitwise-identical
 //!   evaluation a fresh computation would produce, so delta replans are
 //!   byte-identical to from-scratch plans *by construction*; the
 //!   `Parallelism::Fixed(1)` full-enumeration path remains the equivalence
 //!   oracle.
 //!
-//! Colliding fingerprints coexist in a small per-key bucket (they never
-//! replace each other), and the memo clears wholesale once a capacity bound
-//! is hit, keeping memory bounded under snapshot churn.
+//! A replan served entirely from the memo costs a lookup per candidate: the
+//! grouping part of the key (`GroupingInputs`) is hashed once per grouping
+//! per plan, each candidate extends it by three words, the confirmation
+//! compares the shared grouping by pointer before comparing it deeply, and
+//! a hit hands out the shared evaluation rather than a copy.
+//!
+//! Colliding keys coexist in a small per-key bucket (they never replace
+//! each other), and the memo clears wholesale once a capacity bound is hit,
+//! keeping memory bounded under snapshot churn.
 
 use crate::grouping::GroupingResult;
 use crate::parallel::{lock_rank, RankedMutex};
-use crate::planner::PlanOutcome;
+use crate::planner::{CandidateEval, PlannerConfig};
 use malleus_cluster::{ClusterSnapshot, Fnv1a};
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
@@ -48,7 +54,7 @@ use std::sync::Arc;
 /// cache).
 const MEMO_CAPACITY: usize = 8192;
 
-/// Colliding evaluations tolerated under one fingerprint before the oldest is
+/// Colliding evaluations tolerated under one key before the oldest is
 /// dropped.
 const MEMO_BUCKET: usize = 4;
 
@@ -100,7 +106,8 @@ impl ScoredLattice {
     }
 }
 
-/// Borrowed view of every input that determines one candidate evaluation.
+/// Borrowed view of the inputs every candidate of one grouping shares, with
+/// their memo-key prefix hashed once.
 ///
 /// The snapshot enters candidate evaluation only through each group's
 /// straggling rate (`TpGroup::max_rate`) and the total GPU count (which fixes
@@ -108,52 +115,104 @@ impl ScoredLattice {
 /// snapshot: a drifted GPU that is not the maximum of any group it belongs to
 /// leaves its candidates' inputs — and therefore their evaluations —
 /// bitwise unchanged.
-pub(crate) struct CandidateInputs<'a> {
-    pub coeffs: &'a ProfiledCoefficients,
-    pub global_batch_size: u64,
-    pub nonuniform_layers: bool,
-    pub nonuniform_data: bool,
-    pub num_gpus: usize,
-    pub grouping: &'a GroupingResult,
-    pub group_rate_bits: &'a [u64],
-    pub dp: usize,
-    pub micro_batch: u64,
-    pub nonuniform_division: bool,
+pub(crate) struct GroupingInputs<'a> {
+    coeffs: &'a ProfiledCoefficients,
+    global_batch_size: u64,
+    nonuniform_layers: bool,
+    nonuniform_data: bool,
+    num_gpus: usize,
+    grouping: &'a Arc<GroupingResult>,
+    group_rate_bits: Vec<u64>,
+    /// FNV-1a state over every field above except the coefficients, which
+    /// only the confirmation compares.
+    key_prefix: Fnv1a,
 }
 
-impl CandidateInputs<'_> {
-    /// FNV-1a fingerprint of the inputs (collisions are resolved by the
-    /// per-key bucket plus full-equality confirmation).
-    pub fn fingerprint(&self) -> u64 {
+impl<'a> GroupingInputs<'a> {
+    /// Capture the shared inputs of `grouping`'s candidates under
+    /// `snapshot`, and hash them.
+    pub fn new(
+        coeffs: &'a ProfiledCoefficients,
+        config: &PlannerConfig,
+        snapshot: &ClusterSnapshot,
+        grouping: &'a Arc<GroupingResult>,
+    ) -> Self {
+        let group_rate_bits: Vec<u64> = grouping
+            .groups
+            .iter()
+            .map(|group| group.max_rate(snapshot).to_bits())
+            .collect();
+        let num_gpus = snapshot.num_gpus();
         let mut h = Fnv1a::new();
-        h.u64(self.global_batch_size);
-        h.u64(self.num_gpus as u64);
-        h.u64(self.dp as u64);
-        h.u64(self.micro_batch);
-        h.u64(
-            (self.nonuniform_division as u64)
-                | (self.nonuniform_layers as u64) << 1
-                | (self.nonuniform_data as u64) << 2,
-        );
-        h.u64(self.grouping.max_tp as u64);
-        h.u64(self.grouping.groups.len() as u64);
-        for group in &self.grouping.groups {
+        h.u64(config.global_batch_size);
+        h.u64(num_gpus as u64);
+        h.u64((config.nonuniform_layers as u64) | (config.nonuniform_data as u64) << 1);
+        h.u64(grouping.max_tp as u64);
+        h.u64(grouping.groups.len() as u64);
+        for group in &grouping.groups {
             h.u64(group.gpus.len() as u64);
             for gpu in &group.gpus {
                 h.u64(gpu.0 as u64);
             }
         }
-        for &bits in self.group_rate_bits {
+        for &bits in &group_rate_bits {
             h.u64(bits);
         }
+        Self {
+            coeffs,
+            global_batch_size: config.global_batch_size,
+            nonuniform_layers: config.nonuniform_layers,
+            nonuniform_data: config.nonuniform_data,
+            num_gpus,
+            grouping,
+            group_rate_bits,
+            key_prefix: h,
+        }
+    }
+
+    /// The inputs of this grouping's candidate at one (DP, micro-batch,
+    /// division-mode) point.
+    pub fn candidate(
+        &self,
+        dp: usize,
+        micro_batch: u64,
+        nonuniform_division: bool,
+    ) -> CandidateInputs<'_> {
+        CandidateInputs {
+            shared: self,
+            dp,
+            micro_batch,
+            nonuniform_division,
+        }
+    }
+}
+
+/// Borrowed view of every input that determines one candidate evaluation:
+/// its grouping's shared inputs plus the lattice point.
+pub(crate) struct CandidateInputs<'a> {
+    shared: &'a GroupingInputs<'a>,
+    dp: usize,
+    micro_batch: u64,
+    nonuniform_division: bool,
+}
+
+impl CandidateInputs<'_> {
+    /// The memo key: the grouping's key prefix extended with the DP degree,
+    /// the micro-batch size and the division mode (collisions are resolved
+    /// by the per-key bucket plus full-equality confirmation).
+    pub fn key(&self) -> u64 {
+        let mut h = self.shared.key_prefix.clone();
+        h.u64(self.dp as u64)
+            .u64(self.micro_batch)
+            .u64(self.nonuniform_division as u64);
         h.finish()
     }
 }
 
 /// One memoized candidate evaluation: the owned copy of its inputs (for
-/// full-equality confirmation) plus the evaluation result.
+/// full-equality confirmation) plus the shared evaluation.
 #[derive(Debug)]
-pub(crate) struct MemoizedEval {
+struct MemoizedEval {
     coeffs: ProfiledCoefficients,
     global_batch_size: u64,
     nonuniform_layers: bool,
@@ -164,34 +223,49 @@ pub(crate) struct MemoizedEval {
     dp: usize,
     micro_batch: u64,
     nonuniform_division: bool,
-    /// The feasible outcome (timing zeroed, no lattice), if any.
-    pub outcome: Option<PlanOutcome>,
-    /// The failure reason, if the candidate was infeasible.
-    pub failure: Option<String>,
+    eval: Arc<CandidateEval>,
 }
 
 impl MemoizedEval {
+    /// Full equality on every input.  The grouping is compared by pointer
+    /// first: the planner's grouping cache hands a recurring snapshot the
+    /// `Arc` this entry was stored with.
     fn matches(&self, inputs: &CandidateInputs<'_>) -> bool {
-        self.global_batch_size == inputs.global_batch_size
-            && self.nonuniform_layers == inputs.nonuniform_layers
-            && self.nonuniform_data == inputs.nonuniform_data
-            && self.num_gpus == inputs.num_gpus
-            && self.dp == inputs.dp
+        let shared = inputs.shared;
+        self.dp == inputs.dp
             && self.micro_batch == inputs.micro_batch
             && self.nonuniform_division == inputs.nonuniform_division
-            && self.group_rate_bits == inputs.group_rate_bits
-            && *self.grouping == *inputs.grouping
-            && self.coeffs == *inputs.coeffs
+            && self.global_batch_size == shared.global_batch_size
+            && self.nonuniform_layers == shared.nonuniform_layers
+            && self.nonuniform_data == shared.nonuniform_data
+            && self.num_gpus == shared.num_gpus
+            && self.group_rate_bits == shared.group_rate_bits
+            && (Arc::ptr_eq(&self.grouping, shared.grouping) || *self.grouping == **shared.grouping)
+            && self.coeffs == *shared.coeffs
     }
+}
+
+/// The memo's buckets plus a running count of the evaluations they hold, so
+/// that the capacity check and [`CandidateMemo::len`] are O(1).
+#[derive(Debug, Default)]
+struct MemoEntries {
+    buckets: HashMap<u64, Vec<MemoizedEval>>,
+    len: usize,
 }
 
 /// Bounded cross-invocation memo of candidate evaluations.  Cloning shares
 /// the storage (the same sharing idiom as [`crate::GroupingCache`]), so
 /// planners built for successive replanning rounds — or for different
 /// tenants by the planning service — pool their candidate work.
+///
+/// Keys are the planner's prefix keys: the grouping's inputs hashed once
+/// per plan, extended per candidate.  A hit is confirmed by full equality
+/// on every input, comparing the grouping by pointer before comparing it
+/// deeply, and hands out the stored evaluation without copying it.  A
+/// running entry count keeps inserts and [`CandidateMemo::len`] O(1).
 #[derive(Debug, Clone)]
 pub struct CandidateMemo {
-    entries: Arc<RankedMutex<HashMap<u64, Vec<Arc<MemoizedEval>>>>>,
+    entries: Arc<RankedMutex<MemoEntries>>,
 }
 
 impl Default for CandidateMemo {
@@ -200,74 +274,153 @@ impl Default for CandidateMemo {
             entries: Arc::new(RankedMutex::new(
                 lock_rank::CANDIDATE_MEMO_ENTRIES,
                 "CandidateMemo.entries",
-                HashMap::new(),
+                MemoEntries::default(),
             )),
         }
     }
 }
 
 impl CandidateMemo {
-    /// Confirmed lookup: a fingerprint hit whose stored inputs differ is a
-    /// miss (colliding entries coexist in the bucket, so a collision never
-    /// evicts the survivor).
+    /// Confirmed lookup: a key hit whose stored inputs differ is a miss
+    /// (colliding entries coexist in the bucket, so a collision never evicts
+    /// the survivor).
     pub(crate) fn lookup(
         &self,
         key: u64,
         inputs: &CandidateInputs<'_>,
-    ) -> Option<Arc<MemoizedEval>> {
+    ) -> Option<Arc<CandidateEval>> {
         let entries = self.entries.lock();
         entries
+            .buckets
             .get(&key)?
             .iter()
             .find(|e| e.matches(inputs))
-            .map(Arc::clone)
+            .map(|e| Arc::clone(&e.eval))
     }
 
     /// Memoize one evaluation (idempotent for racing inserts of the same
     /// inputs: the bucket keeps the first copy).
-    pub(crate) fn insert(
-        &self,
-        key: u64,
-        inputs: &CandidateInputs<'_>,
-        grouping: Arc<GroupingResult>,
-        outcome: Option<PlanOutcome>,
-        failure: Option<String>,
-    ) {
-        let eval = MemoizedEval {
-            coeffs: inputs.coeffs.clone(),
-            global_batch_size: inputs.global_batch_size,
-            nonuniform_layers: inputs.nonuniform_layers,
-            nonuniform_data: inputs.nonuniform_data,
-            num_gpus: inputs.num_gpus,
-            grouping,
-            group_rate_bits: inputs.group_rate_bits.to_vec(),
+    pub(crate) fn insert(&self, key: u64, inputs: &CandidateInputs<'_>, eval: Arc<CandidateEval>) {
+        let shared = inputs.shared;
+        let memoized = MemoizedEval {
+            coeffs: shared.coeffs.clone(),
+            global_batch_size: shared.global_batch_size,
+            nonuniform_layers: shared.nonuniform_layers,
+            nonuniform_data: shared.nonuniform_data,
+            num_gpus: shared.num_gpus,
+            grouping: Arc::clone(shared.grouping),
+            group_rate_bits: shared.group_rate_bits.clone(),
             dp: inputs.dp,
             micro_batch: inputs.micro_batch,
             nonuniform_division: inputs.nonuniform_division,
-            outcome,
-            failure,
+            eval,
         };
         let mut entries = self.entries.lock();
-        if entries.values().map(Vec::len).sum::<usize>() >= MEMO_CAPACITY {
-            entries.clear();
+        let entries = &mut *entries;
+        if entries.len >= MEMO_CAPACITY {
+            entries.buckets.clear();
+            entries.len = 0;
         }
-        let bucket = entries.entry(key).or_default();
+        // Most keys only ever hold one evaluation; a default `Vec` would
+        // reserve room for four on its first push.
+        let bucket = entries
+            .buckets
+            .entry(key)
+            .or_insert_with(|| Vec::with_capacity(1));
         if bucket.iter().any(|e| e.matches(inputs)) {
             return;
         }
         if bucket.len() >= MEMO_BUCKET {
             bucket.remove(0);
+            entries.len -= 1;
         }
-        bucket.push(Arc::new(eval));
+        bucket.push(memoized);
+        entries.len += 1;
     }
 
     /// Number of memoized evaluations (diagnostics / tests).
     pub fn len(&self) -> usize {
-        self.entries.lock().values().map(Vec::len).sum()
+        self.entries.lock().len
     }
 
     /// Whether the memo is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grouping::group_cluster;
+    use malleus_cluster::Cluster;
+    use malleus_model::{HardwareParams, ModelSpec};
+
+    impl CandidateMemo {
+        /// The evaluations the buckets hold, counted afresh.
+        fn recount(&self) -> usize {
+            self.entries.lock().buckets.values().map(Vec::len).sum()
+        }
+    }
+
+    #[test]
+    fn running_count_tracks_every_insert_drop_and_clear() {
+        let coeffs =
+            ProfiledCoefficients::derive(ModelSpec::llama2_7b(), HardwareParams::a800_cluster());
+        let config = PlannerConfig::default();
+        let snapshot = Cluster::homogeneous(1, 8).snapshot();
+        let grouping = Arc::new(group_cluster(
+            &snapshot,
+            &coeffs,
+            2,
+            1,
+            config.straggler_threshold,
+            true,
+        ));
+        let shared = GroupingInputs::new(&coeffs, &config, &snapshot, &grouping);
+        let eval = Arc::new(CandidateEval {
+            outcome: None,
+            failure: None,
+        });
+        let memo = CandidateMemo::default();
+        let insert = |key: u64, micro_batch: u64| {
+            memo.insert(
+                key,
+                &shared.candidate(1, micro_batch, true),
+                Arc::clone(&eval),
+            );
+            assert_eq!(
+                memo.len(),
+                memo.recount(),
+                "after inserting b={micro_batch} under {key}"
+            );
+        };
+
+        // Six distinct inputs under one forced key: the bucket keeps the
+        // newest `MEMO_BUCKET`, and each drop takes one off the count.
+        for b in 1..=6 {
+            insert(0, b);
+        }
+        assert_eq!(memo.len(), MEMO_BUCKET);
+        let newest = shared.candidate(1, 6, true);
+        assert!(memo.lookup(0, &newest).is_some());
+        assert!(memo.lookup(0, &shared.candidate(1, 1, true)).is_none());
+
+        // Re-inserting a resident input is idempotent.
+        insert(0, 6);
+        assert_eq!(memo.len(), MEMO_BUCKET);
+
+        // Fill to capacity under distinct keys; the next insert clears first.
+        let mut key = 1;
+        while memo.len() < MEMO_CAPACITY {
+            insert(key, 1);
+            key += 1;
+        }
+        insert(key, 1);
+        assert_eq!(memo.len(), 1);
+        assert!(
+            memo.lookup(0, &newest).is_none(),
+            "the clear dropped every bucket"
+        );
     }
 }

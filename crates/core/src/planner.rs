@@ -17,7 +17,7 @@
 use crate::assignment::assign_data;
 use crate::backend::DEFAULT_STRAGGLER_THRESHOLD;
 use crate::cost::CostModel;
-use crate::delta::{CandidateInputs, CandidateMemo, LatticeEntry, ScoredLattice};
+use crate::delta::{CandidateMemo, GroupingInputs, LatticeEntry, ScoredLattice};
 use crate::error::PlanError;
 use crate::grouping::GroupingResult;
 use crate::orchestration::{divide_groups, order_and_assign_layers};
@@ -184,7 +184,7 @@ struct Candidate {
     /// read-only across all candidates of the same degree).
     grouping: Arc<GroupingResult>,
     /// Index of `max_tp` in the configured TP-degree list (used to share the
-    /// per-grouping rate-bit vectors across candidates of one degree).
+    /// per-grouping memo inputs across candidates of one degree).
     tp_idx: usize,
     /// The maximum TP degree the grouping was produced for.
     max_tp: u32,
@@ -196,12 +196,12 @@ struct Candidate {
     nonuniform_division: bool,
 }
 
-/// Result of evaluating one candidate: a feasible outcome or a failure reason,
-/// plus this candidate's share of the per-phase timing breakdown.
-struct CandidateEval {
-    outcome: Option<PlanOutcome>,
-    failure: Option<String>,
-    timing: PlanTiming,
+/// Result of evaluating one candidate: a feasible outcome (timing zeroed, no
+/// lattice) or a failure reason.
+#[derive(Debug)]
+pub(crate) struct CandidateEval {
+    pub outcome: Option<PlanOutcome>,
+    pub failure: Option<String>,
 }
 
 /// The Malleus parallelization planner.
@@ -421,18 +421,27 @@ impl Planner {
     }
 
     /// Evaluate one lattice point: pipeline division, group ordering / layer
-    /// assignment, data assignment, validation, and cost estimation.  Entirely
+    /// assignment, data assignment, validation, and cost estimation, plus this
+    /// candidate's share of the per-phase timing breakdown.  Entirely
     /// self-contained — no shared mutable state — so candidates can run on any
     /// worker thread.
-    fn evaluate_candidate(&self, snapshot: &ClusterSnapshot, cand: &Candidate) -> CandidateEval {
+    fn evaluate_candidate(
+        &self,
+        snapshot: &ClusterSnapshot,
+        cand: &Candidate,
+    ) -> (CandidateEval, PlanTiming) {
         let num_layers = self.cost.coeffs.spec.num_layers as u64;
         let (max_tp, dp, b) = (cand.max_tp, cand.dp, cand.micro_batch);
         let total_micro_batches = self.config.global_batch_size / b;
         let mut timing = PlanTiming::default();
-        let failed = |failure: Option<String>, timing: PlanTiming| CandidateEval {
-            outcome: None,
-            failure,
-            timing,
+        let failed = |failure: Option<String>, timing: PlanTiming| {
+            (
+                CandidateEval {
+                    outcome: None,
+                    failure,
+                },
+                timing,
+            )
         };
 
         #[expect(
@@ -552,19 +561,21 @@ impl Planner {
 
         let exact = self.cost.step_time(&plan, snapshot);
         let simplified = self.cost.step_time_simplified(&plan, snapshot);
-        CandidateEval {
-            outcome: Some(PlanOutcome {
-                plan,
-                estimated_step_time: exact,
-                estimated_step_time_simplified: simplified,
-                chosen_tp: max_tp,
-                dp,
-                timing: PlanTiming::default(),
-                lattice: None,
-            }),
-            failure: None,
+        (
+            CandidateEval {
+                outcome: Some(PlanOutcome {
+                    plan,
+                    estimated_step_time: exact,
+                    estimated_step_time_simplified: simplified,
+                    chosen_tp: max_tp,
+                    dp,
+                    timing: PlanTiming::default(),
+                    lattice: None,
+                }),
+                failure: None,
+            },
             timing,
-        }
+        )
     }
 
     fn plan_with_dp(
@@ -573,28 +584,6 @@ impl Planner {
         forced_dp: Option<usize>,
     ) -> Result<PlanOutcome, PlanError> {
         self.plan_with_dp_memo(snapshot, forced_dp, false)
-    }
-
-    /// The candidate inputs of one lattice point (the exact value set that
-    /// determines its evaluation — see [`crate::delta`]).
-    fn candidate_inputs<'a>(
-        &'a self,
-        snapshot: &ClusterSnapshot,
-        cand: &'a Candidate,
-        rate_bits: &'a [Arc<Vec<u64>>],
-    ) -> CandidateInputs<'a> {
-        CandidateInputs {
-            coeffs: &self.cost.coeffs,
-            global_batch_size: self.config.global_batch_size,
-            nonuniform_layers: self.config.nonuniform_layers,
-            nonuniform_data: self.config.nonuniform_data,
-            num_gpus: snapshot.num_gpus(),
-            grouping: &cand.grouping,
-            group_rate_bits: &rate_bits[cand.tp_idx],
-            dp: cand.dp,
-            micro_batch: cand.micro_batch,
-            nonuniform_division: cand.nonuniform_division,
-        }
     }
 
     fn plan_with_dp_memo(
@@ -655,23 +644,16 @@ impl Planner {
         // Phase 2 — enumerate the lattice in the serial reference order.
         let candidates = self.enumerate_candidates(&groupings, forced_dp, usable, &b_candidates);
 
-        // Per-grouping straggling-rate bit patterns: together with the group
-        // membership these are the only way the snapshot enters a candidate
-        // evaluation, so they anchor the memo's input fingerprints.  Shared
-        // across all candidates of one TP degree.
+        // Per-grouping memo inputs: together with the group membership, each
+        // group's straggling-rate bits are the only way the snapshot enters a
+        // candidate evaluation.  Their key prefix is hashed here, once per
+        // grouping, and every candidate of the grouping extends it.
         let memoize = self.config.incremental;
         let consult = consult_memo && memoize;
-        let rate_bits: Vec<Arc<Vec<u64>>> = if memoize {
+        let memo_inputs: Vec<GroupingInputs<'_>> = if memoize {
             groupings
                 .iter()
-                .map(|g| {
-                    Arc::new(
-                        g.groups
-                            .iter()
-                            .map(|group| group.max_rate(snapshot).to_bits())
-                            .collect::<Vec<u64>>(),
-                    )
-                })
+                .map(|g| GroupingInputs::new(&self.cost.coeffs, &self.config, snapshot, g))
                 .collect()
         } else {
             Vec::new()
@@ -681,51 +663,46 @@ impl Planner {
         // results indexed by lattice position, never by completion order.
         // With the memo consulted, a candidate whose confirmed inputs are
         // unchanged since a previous invocation is served from the memo —
-        // bitwise what a fresh evaluation would produce — and every fresh
-        // evaluation is memoized for the next event.
-        let evals: Vec<(CandidateEval, bool)> = fan_out(candidates.len(), workers, |i| {
-            let cand = &candidates[i];
-            if !memoize {
-                return (self.evaluate_candidate(snapshot, cand), false);
-            }
-            let inputs = self.candidate_inputs(snapshot, cand, &rate_bits);
-            let key = inputs.fingerprint();
-            if consult {
-                if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
-                    return (
-                        CandidateEval {
-                            outcome: hit.outcome.clone(),
-                            failure: hit.failure.clone(),
-                            timing: PlanTiming::default(),
-                        },
-                        true,
-                    );
+        // the shared evaluation, bitwise what a fresh one would produce —
+        // and every fresh evaluation moves into the memo for the next event.
+        let evals: Vec<(Arc<CandidateEval>, PlanTiming, bool)> =
+            fan_out(candidates.len(), workers, |i| {
+                let cand = &candidates[i];
+                if !memoize {
+                    let (eval, eval_timing) = self.evaluate_candidate(snapshot, cand);
+                    return (Arc::new(eval), eval_timing, false);
                 }
-            }
-            let eval = self.evaluate_candidate(snapshot, cand);
-            self.candidate_memo.insert(
-                key,
-                &inputs,
-                Arc::clone(&cand.grouping),
-                eval.outcome.clone(),
-                eval.failure.clone(),
-            );
-            (eval, false)
-        });
+                let inputs = memo_inputs[cand.tp_idx].candidate(
+                    cand.dp,
+                    cand.micro_batch,
+                    cand.nonuniform_division,
+                );
+                let key = inputs.key();
+                if consult {
+                    if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
+                        return (hit, PlanTiming::default(), true);
+                    }
+                }
+                let (eval, eval_timing) = self.evaluate_candidate(snapshot, cand);
+                let eval = Arc::new(eval);
+                self.candidate_memo.insert(key, &inputs, Arc::clone(&eval));
+                (eval, eval_timing, false)
+            });
 
-        // Phase 4 — deterministic reduction: fold in lattice order with the
-        // serial comparison (strictly better by > 1e-12 s replaces the
-        // incumbent), so ties resolve to the smallest lattice index and the
-        // winner is independent of thread scheduling.
-        let mut best: Option<PlanOutcome> = None;
-        let mut last_failure = String::from("no candidate configuration was feasible");
+        // Phase 4 — deterministic reduction: fold in lattice order over the
+        // borrowed evaluations with the serial comparison (strictly better by
+        // > 1e-12 s replaces the incumbent), so ties resolve to the smallest
+        // lattice index and the winner is independent of thread scheduling.
+        // Only the winner is cloned.
+        let mut best: Option<&PlanOutcome> = None;
+        let mut last_failure = "no candidate configuration was feasible";
         let mut entries = Vec::with_capacity(candidates.len());
         let mut reused_count = 0usize;
-        for (cand, (eval, reused)) in candidates.iter().zip(evals) {
-            timing.division += eval.timing.division;
-            timing.ordering += eval.timing.ordering;
-            timing.assignment += eval.timing.assignment;
-            reused_count += reused as usize;
+        for (cand, (eval, eval_timing, reused)) in candidates.iter().zip(&evals) {
+            timing.division += eval_timing.division;
+            timing.ordering += eval_timing.ordering;
+            timing.assignment += eval_timing.assignment;
+            reused_count += *reused as usize;
             if memoize {
                 entries.push(LatticeEntry {
                     max_tp: cand.max_tp,
@@ -733,15 +710,14 @@ impl Planner {
                     micro_batch: cand.micro_batch,
                     nonuniform_division: cand.nonuniform_division,
                     estimated_step_time: eval.outcome.as_ref().map(|o| o.estimated_step_time),
-                    reused,
+                    reused: *reused,
                 });
             }
-            if let Some(reason) = eval.failure {
+            if let Some(reason) = &eval.failure {
                 last_failure = reason;
             }
-            if let Some(outcome) = eval.outcome {
+            if let Some(outcome) = &eval.outcome {
                 if best
-                    .as_ref()
                     .map(|o| outcome.estimated_step_time < o.estimated_step_time - 1e-12)
                     .unwrap_or(true)
                 {
@@ -751,7 +727,8 @@ impl Planner {
         }
 
         match best {
-            Some(mut outcome) => {
+            Some(best) => {
+                let mut outcome = best.clone();
                 outcome.timing = timing;
                 if memoize {
                     let evaluated = entries.len() - reused_count;
@@ -767,7 +744,7 @@ impl Planner {
                 Ok(outcome)
             }
             None => Err(PlanError::NoFeasiblePlan {
-                reason: last_failure,
+                reason: last_failure.to_owned(),
             }),
         }
     }

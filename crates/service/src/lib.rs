@@ -153,14 +153,34 @@ impl KeyedRequest {
 /// Configuration equality ignoring execution-policy knobs that cannot change
 /// the produced plan: the worker count and the incremental-replanning flag
 /// (delta replans are byte-identical to full enumeration by construction).
+/// The destructuring is exhaustive, so a new field does not compile until it
+/// is classified here.  The threshold is compared by its bits, as
+/// [`config_fingerprint`] hashes it, so a NaN threshold matches itself.
 fn config_equivalent(a: &PlannerConfig, b: &PlannerConfig) -> bool {
-    let mut a = a.clone();
-    let mut b = b.clone();
-    a.parallelism = Parallelism::Fixed(1);
-    b.parallelism = Parallelism::Fixed(1);
-    a.incremental = true;
-    b.incremental = true;
-    a == b
+    let PlannerConfig {
+        global_batch_size,
+        candidate_tp_degrees,
+        candidate_micro_batch_sizes,
+        candidate_dp,
+        fixed_dp,
+        straggler_threshold,
+        enable_group_splitting,
+        nonuniform_layers,
+        nonuniform_data,
+        nonuniform_stages,
+        parallelism: _,
+        incremental: _,
+    } = a;
+    *global_batch_size == b.global_batch_size
+        && *candidate_tp_degrees == b.candidate_tp_degrees
+        && *candidate_micro_batch_sizes == b.candidate_micro_batch_sizes
+        && *candidate_dp == b.candidate_dp
+        && *fixed_dp == b.fixed_dp
+        && straggler_threshold.to_bits() == b.straggler_threshold.to_bits()
+        && *enable_group_splitting == b.enable_group_splitting
+        && *nonuniform_layers == b.nonuniform_layers
+        && *nonuniform_data == b.nonuniform_data
+        && *nonuniform_stages == b.nonuniform_stages
 }
 
 /// Structural fingerprint of a coefficient bundle (spec + hardware; the
@@ -710,7 +730,50 @@ mod tests {
             backend_fingerprint: 0xfeed,
             request: small_request(2.57),
         };
-        assert_eq!(keyed.key(), 0x0be5_b03e_6413_76d4);
+        assert_eq!(keyed.key(), 0xac80_caac_6904_acca);
+    }
+
+    #[test]
+    fn keys_spread_over_the_l2_shards() {
+        // Snapshots that differ only in one GPU's dyadic rate differ only in
+        // the high bits of one word; the shard index is `key % shards`, so
+        // the key's low bits must depend on those high bits too.  (Rates
+        // below 1 are not valid straggling rates.)
+        let coeffs =
+            ProfiledCoefficients::derive(ModelSpec::llama2_7b(), HardwareParams::a800_cluster());
+        let shards = ServiceConfig::default().shards as u64;
+        let rates = [
+            1.0, 2.0, 4.0, 1.5, 3.0, 3.75, 1.25, 2.5, 5.0, 6.0, 7.0, 1.75, 2.25, 8.0, 1.125, 3.5,
+        ];
+        let hit: std::collections::BTreeSet<u64> = rates
+            .iter()
+            .map(|&rate| {
+                let mut cluster = Cluster::homogeneous(8, 8);
+                cluster.set_rate(GpuId(0), rate);
+                let keyed = KeyedRequest {
+                    backend: BackendId::Malleus,
+                    backend_fingerprint: 0,
+                    request: PlanRequest::new(
+                        coeffs.clone(),
+                        cluster.snapshot(),
+                        PlannerConfig::default(),
+                    ),
+                };
+                keyed.key() % shards
+            })
+            .collect();
+        assert!(hit.len() >= 4, "16 keys reached only shards {hit:?}");
+    }
+
+    #[test]
+    fn nan_threshold_request_matches_itself() {
+        // The threshold is compared by its bits, as the key hashes it; with
+        // float `==` a NaN request would miss every cache and never coalesce.
+        let mut a = small_request(1.0);
+        a.config.straggler_threshold = f64::NAN;
+        let b = a.clone();
+        assert_eq!(a.key(), b.key());
+        assert!(a.matches(&b));
     }
 
     #[test]

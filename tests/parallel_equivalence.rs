@@ -14,10 +14,14 @@
 //! chained S_i → S_{i+1} transitions, and the recurrent flap back to an
 //! already-seen situation (full memo reuse).  Each replay runs at every
 //! execution-policy cell: {`Fixed(1)`, `Fixed(4)`} × incremental {off, on}.
+//! Those hops are all-hit or all-miss; the mixed suite at the end replays
+//! hops whose reduction folds memo hits and fresh evaluations together.
 
 mod common;
 
 use malleus::prelude::*;
+use proptest::prelude::*;
+use std::sync::Arc;
 
 const SITUATIONS: [PaperSituation; 6] = [
     PaperSituation::S1,
@@ -262,4 +266,91 @@ fn equivalence_holds_under_failures_and_forced_dp() {
         .replan(&snapshot, &previous.plan)
         .expect("parallel replan");
     assert_eq!(a, b);
+}
+
+/// A 13B planner on the 2×8 cluster with global batch 64, incremental
+/// replanning on or off.
+fn planner_13b(parallelism: Parallelism, incremental: bool) -> Planner {
+    Planner::new(
+        ProfiledCoefficients::derive(ModelSpec::llama2_13b(), HardwareParams::a800_cluster()),
+        PlannerConfig {
+            global_batch_size: 64,
+            incremental,
+            ..PlannerConfig::default()
+        },
+    )
+    .with_parallelism(parallelism)
+}
+
+/// Replay `hops` from the healthy 2×8 plan on a fresh delta planner, checking
+/// every hop against a fresh `Fixed(1)` full-enumeration oracle; returns the
+/// last hop's lattice.
+fn replay_mixed_hops(parallelism: Parallelism, hops: &[ClusterSnapshot]) -> Arc<ScoredLattice> {
+    let delta = planner_13b(parallelism, true);
+    let oracle = planner_13b(Parallelism::Fixed(1), false);
+    let healthy = Cluster::homogeneous(2, 8).snapshot();
+    let mut current = delta.plan(&healthy).expect("healthy delta plan");
+    let mut expected = oracle.plan(&healthy).expect("healthy oracle plan");
+    assert_eq!(current, expected, "{parallelism:?}: healthy plan");
+    for (hop, snapshot) in hops.iter().enumerate() {
+        current = delta
+            .replan_delta(snapshot, &current)
+            .unwrap_or_else(|e| panic!("{parallelism:?}: delta replan at hop {hop}: {e}"));
+        expected = oracle
+            .replan(snapshot, &expected.plan)
+            .unwrap_or_else(|e| panic!("{parallelism:?}: oracle replan at hop {hop}: {e}"));
+        assert_eq!(current, expected, "{parallelism:?}: hop {hop}");
+        let lattice = current.lattice.as_ref().expect("lattice present");
+        assert_eq!(
+            lattice.reused + lattice.evaluated,
+            lattice.entries.len(),
+            "{parallelism:?}: hop {hop}"
+        );
+    }
+    Arc::clone(current.lattice.as_ref().expect("lattice present"))
+}
+
+#[test]
+fn mixed_memo_hits_and_fresh_evaluations_match_the_oracle() {
+    // Normal → GPU 0 at 1.02 → GPUs 0 and 1 at 1.02.  Below the straggler
+    // threshold nothing regroups, so on the last hop only the TP-1 grouping
+    // (where GPU 1 is its own group) sees a new rate: its candidates are
+    // evaluated afresh and every other candidate is a memo hit.
+    let healthy = Cluster::homogeneous(2, 8).snapshot();
+    let one = healthy.with_rate(GpuId(0), 1.02);
+    let two = one.with_rate(GpuId(1), 1.02);
+    for parallelism in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
+        let last = replay_mixed_hops(parallelism, &[one.clone(), two.clone()]);
+        assert_eq!(last.entries.len(), 18, "{parallelism:?}");
+        assert_eq!(last.reused, 12, "{parallelism:?}");
+        assert_eq!(last.evaluated, 6, "{parallelism:?}");
+    }
+}
+
+/// The straggling rates the mixed chains draw from, for GPUs 0, 1 and 9.
+const MIXED_RATES: [f64; 5] = [1.0, 1.02, 1.3, 2.57, 5.42];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random chains of drift events over GPUs 0, 1 (one node) and 9 (the
+    /// other): whatever mix of memo hits and fresh evaluations a hop folds,
+    /// it matches the oracle and accounts for every lattice entry.
+    #[test]
+    fn random_mixed_chains_match_the_oracle(
+        chain in prop::collection::vec((0usize..5, 0usize..5, 0usize..5), 1..5),
+        workers in prop::sample::select(vec![1usize, 4]),
+    ) {
+        let healthy = Cluster::homogeneous(2, 8).snapshot();
+        let hops: Vec<ClusterSnapshot> = chain
+            .iter()
+            .map(|&(a, b, c)| {
+                healthy
+                    .with_rate(GpuId(0), MIXED_RATES[a])
+                    .with_rate(GpuId(1), MIXED_RATES[b])
+                    .with_rate(GpuId(9), MIXED_RATES[c])
+            })
+            .collect();
+        replay_mixed_hops(Parallelism::Fixed(workers), &hops);
+    }
 }
