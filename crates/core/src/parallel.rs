@@ -124,20 +124,23 @@ const CACHE_CAPACITY: usize = 256;
 
 impl GroupingCache {
     /// Fetch the grouping for (snapshot, `max_tp`), computing and memoizing it
-    /// on a miss.  Hits are confirmed with a full equality check of the
-    /// snapshot *and* the coefficients (grouping decisions depend on both), so
-    /// fingerprint collisions and planners sharing one memo across different
-    /// cost models degrade to recomputation, never wrong results.
+    /// on a miss.  `fingerprint` is `snapshot.fingerprint()`, which a planner
+    /// takes once per plan rather than once per TP degree.  Hits are
+    /// confirmed with a full equality check of the snapshot *and* the
+    /// coefficients (grouping decisions depend on both), so fingerprint
+    /// collisions and planners sharing one memo across different cost models
+    /// degrade to recomputation, never wrong results.
     pub fn get_or_compute(
         &self,
         snapshot: &ClusterSnapshot,
+        fingerprint: u64,
         coeffs: &ProfiledCoefficients,
         max_tp: u32,
         straggler_threshold: f64,
         enable_splitting: bool,
     ) -> Arc<GroupingResult> {
         let key = (
-            snapshot.fingerprint(),
+            fingerprint,
             max_tp,
             straggler_threshold.to_bits(),
             enable_splitting,
@@ -503,15 +506,16 @@ mod tests {
         let mut cluster = Cluster::homogeneous(2, 8);
         cluster.set_rate(GpuId(3), 5.42);
         let snapshot = cluster.snapshot();
+        let fp = snapshot.fingerprint();
         let cache = GroupingCache::default();
-        let a = cache.get_or_compute(&snapshot, &coeffs, 8, 1.05, true);
+        let a = cache.get_or_compute(&snapshot, fp, &coeffs, 8, 1.05, true);
         assert_eq!(cache.len(), 1);
-        let b = cache.get_or_compute(&snapshot, &coeffs, 8, 1.05, true);
+        let b = cache.get_or_compute(&snapshot, fp, &coeffs, 8, 1.05, true);
         assert_eq!(*a, *b);
         let direct = group_cluster(&snapshot, &coeffs, 8, 1, 1.05, true);
         assert_eq!(*a, direct);
         // A different TP degree is a distinct entry.
-        let c = cache.get_or_compute(&snapshot, &coeffs, 4, 1.05, true);
+        let c = cache.get_or_compute(&snapshot, fp, &coeffs, 4, 1.05, true);
         assert_eq!(cache.len(), 2);
         assert_ne!(*a, *c);
     }
@@ -529,9 +533,10 @@ mod tests {
         cluster.set_rate(GpuId(1), 2.57);
         cluster.set_rate(GpuId(2), 1.3);
         let snapshot = cluster.snapshot();
+        let fp = snapshot.fingerprint();
         let cache = GroupingCache::default();
-        let a = cache.get_or_compute(&snapshot, &coeffs_32b, 8, 1.05, true);
-        let b = cache.get_or_compute(&snapshot, &coeffs_70b, 8, 1.05, true);
+        let a = cache.get_or_compute(&snapshot, fp, &coeffs_32b, 8, 1.05, true);
+        let b = cache.get_or_compute(&snapshot, fp, &coeffs_70b, 8, 1.05, true);
         assert_eq!(*a, group_cluster(&snapshot, &coeffs_32b, 8, 1, 1.05, true));
         assert_eq!(*b, group_cluster(&snapshot, &coeffs_70b, 8, 1, 1.05, true));
     }
@@ -541,12 +546,21 @@ mod tests {
         let coeffs =
             ProfiledCoefficients::derive(ModelSpec::llama2_32b(), HardwareParams::a800_cluster());
         let cache = GroupingCache::default();
+        let group = |snapshot: &ClusterSnapshot, fingerprint: u64| {
+            cache.get_or_compute(snapshot, fingerprint, &coeffs, 8, 1.05, true)
+        };
         let mut cluster = Cluster::homogeneous(2, 8);
-        let a = cache.get_or_compute(&cluster.snapshot(), &coeffs, 8, 1.05, true);
+        let healthy = cluster.snapshot();
+        let a = group(&healthy, healthy.fingerprint());
         cluster.set_rate(GpuId(0), 12.53);
-        let b = cache.get_or_compute(&cluster.snapshot(), &coeffs, 8, 1.05, true);
+        let straggling = cluster.snapshot();
+        let b = group(&straggling, straggling.fingerprint());
         assert_ne!(*a, *b);
         assert_eq!(cache.len(), 2);
+        // A hit is confirmed against the snapshot itself, so even a
+        // fingerprint that belongs to another snapshot never serves that
+        // snapshot's grouping.
+        assert_eq!(*group(&straggling, healthy.fingerprint()), *b);
     }
 
     #[test]

@@ -614,8 +614,9 @@ impl Planner {
 
         // Phase 1 — grouping: memoized per (snapshot, TP degree) and fanned
         // across workers; each grouping is pure, so the fan-out is
-        // order-independent.
+        // order-independent.  The snapshot is hashed once for every degree.
         let tp_degrees = &self.config.candidate_tp_degrees;
+        let fingerprint = snapshot.fingerprint();
         let grouped: Vec<(Arc<GroupingResult>, Duration)> = fan_out(
             tp_degrees.len(),
             workers.min(tp_degrees.len()),
@@ -627,6 +628,7 @@ impl Planner {
                 let t0 = Instant::now();
                 let grouping = self.grouping_memo.get_or_compute(
                     snapshot,
+                    fingerprint,
                     &self.cost.coeffs,
                     tp_degrees[i],
                     self.config.straggler_threshold,

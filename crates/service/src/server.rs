@@ -21,9 +21,10 @@
 //!   [`KeyedRequest`] the in-process service keys on and route through the
 //!   existing admission gate, coalescer, backend registry and sharded L2
 //!   cache via [`PlanService::plan_backend`].  A malformed payload gets a
-//!   typed [`ServiceError::Transport`] response (connection survives); a
-//!   framing violation closes the connection; a planner panic is caught and
-//!   answered with [`ServiceError::Internal`].
+//!   typed [`ServiceError::Transport`] response (connection survives), and
+//!   so does a response over [`ServerConfig::max_frame_len`], naming its
+//!   size and the cap; a framing violation closes the connection; a planner
+//!   panic is caught and answered with [`ServiceError::Internal`].
 //! * [`PlanClient`] — the tenant-side handle.  It implements
 //!   [`PlanTransport`], so `TrainingSession::with_service` drives the daemon
 //!   through exactly the interface it uses for an in-process service, and
@@ -34,11 +35,15 @@
 //!   [`ClientConfig::drift_threshold`] (the paper's 5% replan trigger)
 //!   relative to the live snapshot being planned for.  Drift eviction only
 //!   decides which old entries stay resident: an entry for another snapshot
-//!   could never be served for the live one anyway.
+//!   could never be served for the live one anyway.  Any framing or I/O
+//!   error on its connection closes it, and every later call fails with a
+//!   typed error instead of reading another request's answer.
 //! * Wire format: `malleus_wire` frames (`MWIR` magic + version + payload
 //!   length); the request payload is a [`KeyedRequest`]
 //!   (`backend_fingerprint = 0` — advisory, the daemon recomputes it from
 //!   its own registered constructor), the response a [`PlanResponse`].
+//!   Both ends send a frame with one `write` and read through one buffer
+//!   per connection, so a frame that has arrived costs one `read`.
 //!
 //! Determinism: the codec preserves `f64` bit patterns, so a plan served
 //! over the socket is byte-identical to a direct `Planner::plan` call — the
@@ -65,10 +70,10 @@ use crate::{KeyedRequest, PlanRequest, PlanService, PlanTransport, ServiceError}
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{lock_rank, BackendId, PlanError, PlanOutcome, PlannedOutcome, RankedMutex};
 use malleus_wire::{
-    from_bytes, read_frame, read_frame_opt, to_bytes, write_frame, Decoder, Encoder, Wire,
-    WireError, DEFAULT_MAX_FRAME_LEN,
+    from_bytes, read_frame, read_frame_opt, write_frame, Decoder, Encoder, Wire, WireError,
+    DEFAULT_MAX_FRAME_LEN,
 };
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -476,11 +481,12 @@ impl Drop for PlanServer {
 }
 
 /// Serve one connection until the peer hangs up or the framing breaks.
-fn serve_connection(service: &PlanService, mut conn: Conn, max_frame_len: usize) {
+fn serve_connection(service: &PlanService, conn: Conn, max_frame_len: usize) {
     if let Conn::Tcp(stream) = &conn {
         // Request/response is strictly ping-pong; Nagle only adds latency.
         let _ = stream.set_nodelay(true);
     }
+    let mut conn = BufReader::new(conn);
     loop {
         let payload = match read_frame_opt(&mut conn, max_frame_len) {
             Ok(Some(payload)) => payload,
@@ -512,8 +518,19 @@ fn serve_connection(service: &PlanService, mut conn: Conn, max_frame_len: usize)
                 reason: format!("malformed request payload: {err}"),
             }),
         };
-        let bytes = to_bytes(&response);
-        if write_frame(&mut conn, &bytes, max_frame_len).is_err() || conn.flush().is_err() {
+        let written = match write_frame(conn.get_mut(), &response, max_frame_len) {
+            // A refused response wrote nothing, so the stream is still
+            // frame-aligned: answer with a typed error instead.
+            Err(WireError::Oversized { len, cap }) => {
+                let refusal = PlanResponse::Error(ServiceError::Transport {
+                    reason: format!("response of {len} bytes exceeds the server's frame cap {cap}"),
+                });
+                write_frame(conn.get_mut(), &refusal, max_frame_len)
+            }
+            written => written,
+        };
+        // The peer is gone, or even the refusal did not fit.
+        if written.is_err() {
             return;
         }
     }
@@ -650,7 +667,9 @@ fn transport_error(what: impl std::fmt::Display) -> ServiceError {
 #[derive(Debug)]
 pub struct PlanClient {
     endpoint: Endpoint,
-    stream: RankedMutex<Conn>,
+    /// The connection behind its read buffer; `None` once a transport error
+    /// left the stream no longer known to be frame-aligned.
+    stream: RankedMutex<Option<BufReader<Conn>>>,
     l1: L1Cache,
     config: ClientConfig,
 }
@@ -660,16 +679,7 @@ impl PlanClient {
     pub fn connect_tcp(addr: SocketAddr, config: ClientConfig) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Self {
-            endpoint: Endpoint::Tcp(addr),
-            stream: RankedMutex::new(
-                lock_rank::PLAN_CLIENT_STREAM,
-                "PlanClient.stream",
-                Conn::Tcp(stream),
-            ),
-            l1: L1Cache::new(&config),
-            config,
-        })
+        Ok(Self::new(Endpoint::Tcp(addr), Conn::Tcp(stream), config))
     }
 
     /// Connect to a Unix-domain-socket daemon.
@@ -677,16 +687,20 @@ impl PlanClient {
     pub fn connect_unix(path: impl Into<PathBuf>, config: ClientConfig) -> io::Result<Self> {
         let path = path.into();
         let stream = UnixStream::connect(&path)?;
-        Ok(Self {
-            endpoint: Endpoint::Unix(path),
+        Ok(Self::new(Endpoint::Unix(path), Conn::Unix(stream), config))
+    }
+
+    fn new(endpoint: Endpoint, conn: Conn, config: ClientConfig) -> Self {
+        Self {
+            endpoint,
             stream: RankedMutex::new(
                 lock_rank::PLAN_CLIENT_STREAM,
                 "PlanClient.stream",
-                Conn::Unix(stream),
+                Some(BufReader::new(conn)),
             ),
             l1: L1Cache::new(&config),
             config,
-        })
+        }
     }
 
     /// The daemon this client is connected to.
@@ -751,7 +765,6 @@ impl PlanClient {
     }
 
     fn roundtrip(&self, keyed: &KeyedRequest) -> Result<Vec<u8>, ServiceError> {
-        let payload = to_bytes(keyed);
         let mut stream = self.stream.lock();
         // A request that panicked mid-frame leaves the stream desynchronised:
         // fail closed instead of reading another request's bytes.
@@ -760,9 +773,26 @@ impl PlanClient {
                 "client connection poisoned by a panicked request",
             ));
         }
-        write_frame(&mut *stream, &payload, self.config.max_frame_len).map_err(transport_error)?;
-        stream.flush().map_err(transport_error)?;
-        read_frame(&mut *stream, self.config.max_frame_len).map_err(transport_error)
+        let Some(conn) = stream.as_mut() else {
+            return Err(transport_error(
+                "client connection closed by an earlier transport error",
+            ));
+        };
+        let cap = self.config.max_frame_len;
+        let response = match write_frame(conn.get_mut(), keyed, cap) {
+            Ok(()) => read_frame(conn, cap),
+            // Refused before any byte was sent: the stream is still aligned.
+            Err(err @ WireError::Oversized { .. }) => return Err(transport_error(err)),
+            Err(err) => Err(err),
+        };
+        // Any other failure may leave part of a frame behind (the unread
+        // rest of a refused response, a partial write), so a later call
+        // could read one request's answer as another's: close the
+        // connection and fail every later call.
+        response.map_err(|err| {
+            *stream = None;
+            transport_error(err)
+        })
     }
 }
 
@@ -781,8 +811,13 @@ mod tests {
     use super::*;
     use crate::ServiceConfig;
     use malleus_cluster::{Cluster, GpuId};
-    use malleus_core::PlannerConfig;
+    use malleus_core::{Parallelism, PlannerConfig};
     use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
+    use malleus_wire::to_bytes;
+
+    /// Every socket read in these tests is bounded, so a regression fails
+    /// instead of hanging the suite.
+    const READ_TIMEOUT: Duration = Duration::from_secs(20);
 
     fn small_request(rate_on_gpu3: f64) -> PlanRequest {
         let coeffs =
@@ -801,13 +836,57 @@ mod tests {
         )
     }
 
+    /// The paper's 110B testbed under Normal: 8 nodes × 8 GPUs, B = 64.
+    fn paper_110b_request() -> PlanRequest {
+        let coeffs =
+            ProfiledCoefficients::derive(ModelSpec::llama2_110b(), HardwareParams::a800_cluster());
+        PlanRequest::new(
+            coeffs,
+            Cluster::homogeneous(8, 8).snapshot(),
+            PlannerConfig {
+                global_batch_size: 64,
+                parallelism: Parallelism::Fixed(1),
+                ..PlannerConfig::default()
+            },
+        )
+    }
+
+    fn keyed(request: PlanRequest) -> KeyedRequest {
+        KeyedRequest {
+            backend: BackendId::Malleus,
+            backend_fingerprint: 0,
+            request,
+        }
+    }
+
     fn spawn_server() -> (Arc<PlanService>, PlanServer, SocketAddr) {
+        spawn_server_with(ServerConfig::default())
+    }
+
+    fn spawn_server_with(config: ServerConfig) -> (Arc<PlanService>, PlanServer, SocketAddr) {
         let service = Arc::new(PlanService::new(ServiceConfig::default()));
         let server =
-            PlanServer::bind_tcp(Arc::clone(&service), "127.0.0.1:0", ServerConfig::default())
-                .expect("bind");
+            PlanServer::bind_tcp(Arc::clone(&service), "127.0.0.1:0", config).expect("bind");
         let addr = server.tcp_addr().expect("tcp endpoint");
         (service, server, addr)
+    }
+
+    /// A client whose socket reads time out.
+    fn connect(addr: SocketAddr, config: ClientConfig) -> PlanClient {
+        let client = PlanClient::connect_tcp(addr, config).expect("connect");
+        if let Some(Conn::Tcp(stream)) = client.stream.lock().as_ref().map(BufReader::get_ref) {
+            stream
+                .set_read_timeout(Some(READ_TIMEOUT))
+                .expect("timeout");
+        }
+        client
+    }
+
+    /// A raw connection, buffered for `read_frame`, whose reads time out.
+    fn connect_raw(addr: SocketAddr) -> BufReader<TcpStream> {
+        let raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(READ_TIMEOUT)).expect("timeout");
+        BufReader::new(raw)
     }
 
     #[test]
@@ -941,11 +1020,10 @@ mod tests {
     #[test]
     fn malformed_payload_gets_a_typed_error_and_the_connection_survives() {
         let (_service, _server, addr) = spawn_server();
-        let mut raw = TcpStream::connect(addr).expect("connect");
+        let mut raw = connect_raw(addr);
 
-        // A well-framed payload that is not a KeyedRequest (bad backend tag).
-        write_frame(&mut raw, &[0xFF, 0xFF, 0xFF], DEFAULT_MAX_FRAME_LEN).unwrap();
-        raw.flush().unwrap();
+        // A well-framed payload that is not a KeyedRequest (backend tag 0xFF).
+        write_frame(raw.get_mut(), &u8::MAX, DEFAULT_MAX_FRAME_LEN).unwrap();
         let payload = read_frame(&mut raw, DEFAULT_MAX_FRAME_LEN).expect("server responded");
         match from_bytes::<PlanResponse>(&payload).expect("typed response") {
             PlanResponse::Error(ServiceError::Transport { reason }) => {
@@ -955,13 +1033,12 @@ mod tests {
         }
 
         // The same connection still serves a valid request afterwards.
-        let keyed = KeyedRequest {
-            backend: BackendId::Malleus,
-            backend_fingerprint: 0,
-            request: small_request(1.0),
-        };
-        write_frame(&mut raw, &to_bytes(&keyed), DEFAULT_MAX_FRAME_LEN).unwrap();
-        raw.flush().unwrap();
+        write_frame(
+            raw.get_mut(),
+            &keyed(small_request(1.0)),
+            DEFAULT_MAX_FRAME_LEN,
+        )
+        .unwrap();
         let payload = read_frame(&mut raw, DEFAULT_MAX_FRAME_LEN).expect("second response");
         match from_bytes::<PlanResponse>(&payload).expect("typed response") {
             PlanResponse::Outcome(outcome) => assert_eq!(outcome.backend, BackendId::Malleus),
@@ -970,9 +1047,112 @@ mod tests {
     }
 
     #[test]
+    fn two_request_frames_in_one_write_get_two_answers_in_order() {
+        let (service, _server, addr) = spawn_server();
+        let mut raw = connect_raw(addr);
+        let requests = [small_request(1.0), small_request(2.57)];
+        let mut frames = Vec::new();
+        for request in &requests {
+            write_frame(&mut frames, &keyed(request.clone()), DEFAULT_MAX_FRAME_LEN).unwrap();
+        }
+        raw.get_mut().write_all(&frames).unwrap();
+        for request in &requests {
+            let payload = read_frame(&mut raw, DEFAULT_MAX_FRAME_LEN).expect("response");
+            let direct = service
+                .plan_backend(BackendId::Malleus, request)
+                .expect("in-process plan");
+            assert_eq!(
+                payload,
+                to_bytes(&PlanResponse::Outcome((*direct).clone())),
+                "answers arrive in request order, byte-identical to the in-process service"
+            );
+        }
+    }
+
+    /// A response over the server's cap is refused before any byte is
+    /// written, so the connection stays frame-aligned: the client gets a
+    /// typed error naming the size and the cap, and a later request on the
+    /// same connection gets its own answer.  The cap sits between the 110B
+    /// response (~3.9 KB) and the one-node 7B responses (~2.1 KB).
+    #[test]
+    fn oversized_response_gets_a_typed_error_and_the_connection_survives() {
+        let cap = 3_000;
+        let (service, _server, addr) = spawn_server_with(ServerConfig {
+            max_frame_len: cap,
+            ..ServerConfig::default()
+        });
+        let client = connect(addr, ClientConfig::default());
+        let large = paper_110b_request();
+        assert!(
+            to_bytes(&keyed(large.clone())).len() <= cap,
+            "the request fits"
+        );
+        match client.plan_backend(BackendId::Malleus, &large) {
+            Err(ServiceError::Transport { reason }) => {
+                assert!(
+                    reason.contains("response of") && reason.contains(&format!("frame cap {cap}")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a Transport error, got {other:?}"),
+        }
+        for request in [small_request(1.0), small_request(2.57)] {
+            let served = client
+                .plan_backend(BackendId::Malleus, &request)
+                .expect("the connection survives the refusal");
+            let direct = service
+                .plan_backend(BackendId::Malleus, &request)
+                .expect("in-process plan");
+            assert_eq!(
+                to_bytes(served.as_ref()),
+                to_bytes(direct.as_ref()),
+                "each later request gets its own answer"
+            );
+        }
+    }
+
+    /// A response over the client's cap leaves its payload in the stream;
+    /// the client must close the connection instead of reading those bytes
+    /// as the next frame.
+    #[test]
+    fn client_fails_closed_after_a_response_over_its_frame_cap() {
+        let (service, _server, addr) = spawn_server();
+        let cap = 2_000;
+        let client = connect(
+            addr,
+            ClientConfig {
+                max_frame_len: cap,
+                ..ClientConfig::default()
+            },
+        );
+        let large = paper_110b_request();
+        match client.plan_backend(BackendId::Malleus, &large) {
+            Err(ServiceError::Transport { reason }) => {
+                assert!(
+                    reason.contains(&format!("exceeds the cap {cap}")),
+                    "{reason}"
+                );
+            }
+            other => panic!("expected a Transport error, got {other:?}"),
+        }
+        let requests_before = service.metrics().requests;
+        for request in [small_request(1.0), large] {
+            match client.plan_backend(BackendId::Malleus, &request) {
+                Err(ServiceError::Transport { reason }) => {
+                    assert!(reason.contains("closed"), "{reason}");
+                }
+                other => panic!("expected a closed connection, got {other:?}"),
+            }
+        }
+        assert_eq!(service.metrics().requests, requests_before, "nothing sent");
+        assert_eq!(client.l1_stats().resident, 0, "nothing cached");
+    }
+
+    #[test]
     fn framing_violations_close_the_connection() {
         let (_service, _server, addr) = spawn_server();
         let mut raw = TcpStream::connect(addr).expect("connect");
+        raw.set_read_timeout(Some(READ_TIMEOUT)).expect("timeout");
         // Garbage that is not a frame header.
         raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         raw.flush().unwrap();

@@ -15,7 +15,10 @@
 //! * framing ([`write_frame`] / [`read_frame`]): each message is prefixed
 //!   with a fixed 10-byte header carrying a magic, the protocol version and
 //!   the payload length, so a reader can reject foreign/corrupt/oversized
-//!   traffic *before* allocating for it.
+//!   traffic *before* allocating for it.  A frame costs one `write` (the
+//!   value is encoded behind a reserved header that is patched in place)
+//!   and, once it has arrived, one `read` through the connection's
+//!   `BufRead` buffer.
 //!
 //! Determinism contract: `f64` values are encoded as their IEEE-754 bit
 //! patterns ([`f64::to_bits`]) and decoded with [`f64::from_bits`], so a plan
@@ -54,7 +57,7 @@ use malleus_core::{
     PlanOutcome, PlanTiming, PlannedOutcome, PlannerConfig, ScoredLattice, StagePlan, TpGroup,
 };
 use malleus_model::{HardwareParams, MemoryModel, ModelSpec, ProfiledCoefficients};
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -376,20 +379,31 @@ pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one framed message: `MWIR` + version + payload length + payload.
-pub fn write_frame<W: Write>(w: &mut W, payload: &[u8], cap: usize) -> Result<(), WireError> {
-    if payload.len() > cap || payload.len() > u32::MAX as usize {
-        return Err(WireError::Oversized {
-            len: payload.len(),
-            cap: cap.min(u32::MAX as usize),
-        });
+/// Encode `value` as one framed message (`MWIR`, version, payload length,
+/// payload) and send it with a single `write_all`.  The value is encoded
+/// after reserved header bytes whose length field is patched in place, so
+/// the frame is one buffer and the payload is never copied.  A payload over
+/// `cap` is refused with [`WireError::Oversized`] before any byte is
+/// written, so the stream stays frame-aligned.
+pub fn write_frame<W: Write, T: Wire>(w: &mut W, value: &T, cap: usize) -> Result<(), WireError> {
+    let mut e = Encoder {
+        buf: vec![0; FRAME_HEADER_LEN],
+    };
+    value.encode(&mut e);
+    let mut frame = e.buf;
+    let len = frame.len() - FRAME_HEADER_LEN;
+    let cap = cap.min(u32::MAX as usize);
+    if len > cap {
+        return Err(WireError::Oversized { len, cap });
     }
     let mut header = [0u8; FRAME_HEADER_LEN];
     header[..4].copy_from_slice(&FRAME_MAGIC);
     header[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
-    header[6..10].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    header[6..10].copy_from_slice(&(len as u32).to_le_bytes());
+    for (slot, byte) in frame.iter_mut().zip(header) {
+        *slot = byte;
+    }
+    w.write_all(&frame)?;
     Ok(())
 }
 
@@ -407,10 +421,15 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, WireError> {
     Ok(got)
 }
 
-/// Read one framed payload.  The header is validated (magic, version, length
-/// ≤ `cap`) before the payload allocation, and a stream that ends mid-frame
-/// is a typed [`WireError::Truncated`].
-pub fn read_frame<R: Read>(r: &mut R, cap: usize) -> Result<Vec<u8>, WireError> {
+/// Read one framed payload through the connection's buffer: once a whole
+/// frame has arrived, header and payload cost one `read` on the stream
+/// underneath (wrap a socket in one `BufReader` for the connection's
+/// lifetime).  The header is validated (magic, version, length ≤ `cap`)
+/// before the payload allocation, and a stream that ends mid-frame is a
+/// typed [`WireError::Truncated`].  After any error the stream is no longer
+/// known to be frame-aligned — the rest of a refused frame may be queued
+/// behind it — so callers close the connection.
+pub fn read_frame<R: BufRead>(r: &mut R, cap: usize) -> Result<Vec<u8>, WireError> {
     match read_frame_opt(r, cap)? {
         Some(payload) => Ok(payload),
         None => Err(WireError::Truncated {
@@ -423,7 +442,7 @@ pub fn read_frame<R: Read>(r: &mut R, cap: usize) -> Result<Vec<u8>, WireError> 
 /// Like [`read_frame`], but a clean EOF *before any header byte* returns
 /// `Ok(None)` — how a server loop distinguishes "client hung up" from
 /// "client sent garbage".
-pub fn read_frame_opt<R: Read>(r: &mut R, cap: usize) -> Result<Option<Vec<u8>>, WireError> {
+pub fn read_frame_opt<R: BufRead>(r: &mut R, cap: usize) -> Result<Option<Vec<u8>>, WireError> {
     let mut header = [0u8; FRAME_HEADER_LEN];
     let got = read_full(r, &mut header)?;
     if got == 0 {
@@ -1026,24 +1045,26 @@ mod tests {
 
     #[test]
     fn frame_roundtrip_and_clean_eof() {
-        let payload = to_bytes(&"hello".to_string());
+        let value = "hello".to_string();
         let mut buf = Vec::new();
-        write_frame(&mut buf, &payload, DEFAULT_MAX_FRAME_LEN).unwrap();
+        write_frame(&mut buf, &value, DEFAULT_MAX_FRAME_LEN).unwrap();
         let mut reader = &buf[..];
         let read = read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap();
-        assert_eq!(read, payload);
+        assert_eq!(read, to_bytes(&value));
         assert_eq!(read_frame_opt(&mut reader, DEFAULT_MAX_FRAME_LEN), Ok(None));
     }
 
     #[test]
     fn oversized_payload_is_rejected_on_write_and_read() {
-        let payload = vec![0u8; 32];
+        // A length prefix and 24 bytes: a 32-byte payload.
+        let value = vec![0u8; 24];
         let mut buf = Vec::new();
         assert!(matches!(
-            write_frame(&mut buf, &payload, 16),
+            write_frame(&mut buf, &value, 16),
             Err(WireError::Oversized { len: 32, cap: 16 })
         ));
-        write_frame(&mut buf, &payload, 64).unwrap();
+        assert!(buf.is_empty(), "a refused frame writes nothing");
+        write_frame(&mut buf, &value, 64).unwrap();
         assert!(matches!(
             read_frame(&mut &buf[..], 16),
             Err(WireError::Oversized { len: 32, cap: 16 })
@@ -1075,22 +1096,26 @@ mod tests {
 
     #[test]
     fn frames_survive_one_byte_reads_and_interrupts() {
-        let first = to_bytes(&"straggler".to_string());
-        let second = to_bytes(&vec![1u64, 2, 3]);
+        let first = "straggler".to_string();
+        let second = vec![1u64, 2, 3];
         let mut buf = Vec::new();
         write_frame(&mut buf, &first, DEFAULT_MAX_FRAME_LEN).unwrap();
         write_frame(&mut buf, &second, DEFAULT_MAX_FRAME_LEN).unwrap();
-        let mut reader = Trickle {
+        let mut reader = std::io::BufReader::new(Trickle {
             bytes: &buf,
             reads: 0,
-        };
-        assert_eq!(read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN), Ok(first));
+        });
+        assert_eq!(
+            read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN),
+            Ok(to_bytes(&first))
+        );
         assert_eq!(
             read_frame_opt(&mut reader, DEFAULT_MAX_FRAME_LEN),
-            Ok(Some(second))
+            Ok(Some(to_bytes(&second)))
         );
         assert_eq!(read_frame_opt(&mut reader, DEFAULT_MAX_FRAME_LEN), Ok(None));
         // Every frame byte cost one interrupted and one one-byte read.
-        assert!(reader.reads >= 2 * buf.len(), "{}", reader.reads);
+        let reads = reader.get_ref().reads;
+        assert!(reads >= 2 * buf.len(), "{reads}");
     }
 }

@@ -350,14 +350,14 @@ proptest! {
     #[test]
     fn frames_roundtrip_back_to_back(seed in 0u64..u64::MAX) {
         let mut g = Gen::new(seed);
-        let first = to_bytes(&g.planned());
-        let second = to_bytes(&g.plan_error());
+        let first = g.planned();
+        let second = g.plan_error();
         let mut buf = Vec::new();
         write_frame(&mut buf, &first, DEFAULT_MAX_FRAME_LEN).unwrap();
         write_frame(&mut buf, &second, DEFAULT_MAX_FRAME_LEN).unwrap();
         let mut reader = &buf[..];
-        prop_assert_eq!(read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap(), first);
-        prop_assert_eq!(read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap(), second);
+        prop_assert_eq!(read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap(), to_bytes(&first));
+        prop_assert_eq!(read_frame(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap(), to_bytes(&second));
         prop_assert_eq!(read_frame_opt(&mut reader, DEFAULT_MAX_FRAME_LEN).unwrap(), None);
     }
 
@@ -403,9 +403,10 @@ fn every_plan_error_variant_roundtrips() {
 
 #[test]
 fn truncated_payload_is_a_typed_truncated_error() {
-    let payload = to_bytes(&"plan payload".to_string());
+    let value = "plan payload".to_string();
+    let payload = to_bytes(&value);
     let mut buf = Vec::new();
-    write_frame(&mut buf, &payload, DEFAULT_MAX_FRAME_LEN).unwrap();
+    write_frame(&mut buf, &value, DEFAULT_MAX_FRAME_LEN).unwrap();
     buf.truncate(buf.len() - 4);
     match read_frame(&mut &buf[..], DEFAULT_MAX_FRAME_LEN) {
         Err(WireError::Truncated { needed, available }) => {
@@ -419,7 +420,7 @@ fn truncated_payload_is_a_typed_truncated_error() {
 #[test]
 fn truncated_header_is_a_typed_truncated_error() {
     let mut buf = Vec::new();
-    write_frame(&mut buf, b"x", DEFAULT_MAX_FRAME_LEN).unwrap();
+    write_frame(&mut buf, &b'x', DEFAULT_MAX_FRAME_LEN).unwrap();
     for cut in 1..FRAME_HEADER_LEN {
         match read_frame(&mut &buf[..cut], DEFAULT_MAX_FRAME_LEN) {
             Err(WireError::Truncated { needed, available }) => {
