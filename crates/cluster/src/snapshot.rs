@@ -79,10 +79,9 @@ impl ClusterSnapshot {
 
     /// Whether another snapshot shares this one's structure: same node
     /// topology and the same availability pattern (a rate flipping between
-    /// finite and infinite is a node/GPU loss or join, not a drift).
-    /// Drift-only diffs — `same_structure` true — are the events the
-    /// incremental replanner may warm-start; structural diffs route to full
-    /// enumeration.
+    /// finite and infinite is a node/GPU loss or join, not a drift).  The
+    /// plan client's L1 drift eviction uses it: an entry whose snapshot
+    /// differs structurally from the live one counts as drifted.
     pub fn same_structure(&self, other: &ClusterSnapshot) -> bool {
         self.num_nodes == other.num_nodes
             && self.node_of == other.node_of

@@ -123,13 +123,10 @@ pub enum ClusterEvent {
 
 impl ClusterEvent {
     /// Classify a new snapshot relative to the previous outcome.  Failure of
-    /// an active participant dominates; then, when the previous outcome
-    /// carries its scored lattice (and with it the snapshot it was planned
-    /// against), the snapshot *diff* catches structural changes the
-    /// outcome-level heuristics cannot — a standby GPU dying, or a
-    /// previously-failed GPU rejoining while still straggling above
-    /// `threshold`.  Otherwise a previously benched GPU back under
-    /// `threshold` reads as a recovery; everything else is drift.
+    /// an active participant dominates; then a previously benched GPU back
+    /// under `threshold` reads as a recovery; everything else is drift.
+    /// Only the static baselines read the event (they cannot survive a
+    /// `Failure`); Malleus plans every event through one route.
     pub fn classify(
         previous: &PlannedOutcome,
         snapshot: &ClusterSnapshot,
@@ -141,17 +138,6 @@ impl ClusterEvent {
             .any(|&gpu| gpu.index() < snapshot.num_gpus() && !snapshot.rate(gpu).is_finite());
         if failed {
             return ClusterEvent::Failure;
-        }
-        if let Some(basis) = previous
-            .malleus
-            .as_ref()
-            .and_then(|m| m.lattice.as_ref())
-            .map(|lattice| &lattice.snapshot)
-        {
-            match Self::classify_snapshots(basis, snapshot) {
-                ClusterEvent::StragglerDrift => {}
-                structural => return structural,
-            }
         }
         let active: std::collections::HashSet<GpuId> =
             previous.active_gpus.iter().copied().collect();
@@ -166,37 +152,6 @@ impl ClusterEvent {
         } else {
             ClusterEvent::StragglerDrift
         }
-    }
-
-    /// Classify purely from a snapshot diff: node loss (any finite → infinite
-    /// rate, or a shrunk cluster) dominates a simultaneous drift or join;
-    /// then a node join (any infinite → finite rate, at *any* rate — a
-    /// rejoining GPU may still straggle); everything else is drift.
-    pub fn classify_snapshots(
-        previous: &ClusterSnapshot,
-        current: &ClusterSnapshot,
-    ) -> ClusterEvent {
-        if previous.num_gpus() != current.num_gpus() || previous.num_nodes != current.num_nodes {
-            return if current.num_gpus() < previous.num_gpus() {
-                ClusterEvent::Failure
-            } else {
-                ClusterEvent::Recovery
-            };
-        }
-        let rates = previous.rates.iter().zip(current.rates.iter());
-        if rates
-            .clone()
-            .any(|(prev, cur)| prev.is_finite() && !cur.is_finite())
-        {
-            return ClusterEvent::Failure;
-        }
-        if rates
-            .clone()
-            .any(|(prev, cur)| !prev.is_finite() && cur.is_finite())
-        {
-            return ClusterEvent::Recovery;
-        }
-        ClusterEvent::StragglerDrift
     }
 }
 
@@ -360,15 +315,12 @@ impl PlanBackend for Planner {
         previous: &PlannedOutcome,
         _event: ClusterEvent,
     ) -> Result<PlannedOutcome, PlanError> {
-        // Malleus adapts online whatever the event is; migration cost is
-        // priced separately by the runtime/arena via `plan_migration`.  A
-        // previous Malleus outcome warm-starts from its scored lattice:
-        // `replan_delta` classifies the snapshot diff itself and falls back
-        // to full enumeration when it is structural.
-        let outcome = match (&previous.malleus, &previous.plan) {
-            (Some(prev), _) => self.replan_delta(snapshot, prev)?,
-            (None, Some(plan)) => Planner::replan(self, snapshot, plan)?,
-            (None, None) => Planner::plan(self, snapshot)?,
+        // Malleus adapts online whatever the event is, through one route
+        // (the candidate memo replays whatever recurs); migration cost is
+        // priced separately by the runtime/arena via `plan_migration`.
+        let outcome = match &previous.plan {
+            Some(plan) => Planner::replan(self, snapshot, plan)?,
+            None => Planner::plan(self, snapshot)?,
         };
         Ok(PlannedOutcome::from_malleus(outcome))
     }
@@ -493,16 +445,12 @@ mod tests {
         let healthy = Cluster::homogeneous(2, 8).snapshot();
         let initial = PlanBackend::plan(&planner, &healthy, &planner.config.clone()).unwrap();
         // GPU 2 drifts while GPU 5 dies in the same observation window: the
-        // loss dominates and the event must route to full enumeration.
+        // loss dominates.
         let mut c = Cluster::homogeneous(2, 8);
         c.set_rate(GpuId(2), StragglerLevel::Level2.rate());
         c.set_rate(GpuId(5), StragglerLevel::Failed.rate());
         let event = ClusterEvent::classify(&initial, &c.snapshot(), DEFAULT_STRAGGLER_THRESHOLD);
         assert_eq!(event, ClusterEvent::Failure);
-        assert_eq!(
-            ClusterEvent::classify_snapshots(&healthy, &c.snapshot()),
-            ClusterEvent::Failure
-        );
         // The replan routed through the trait stays byte-identical to the
         // direct full replan.
         let via = PlanBackend::replan(&planner, &c.snapshot(), &initial, event).unwrap();
@@ -516,30 +464,27 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_of_failed_gpu_above_threshold_classifies_as_recovery() {
+    fn rejoin_of_failed_gpu_above_threshold_matches_a_fresh_replan() {
         let planner = planner();
-        // Plan with GPU 5 failed: the outcome's lattice basis records the
-        // infinite rate.
+        // Plan with GPU 5 failed, then let it rejoin while still straggling
+        // well above the 1.05 threshold.
         let mut f = Cluster::homogeneous(2, 8);
         f.set_rate(GpuId(5), StragglerLevel::Failed.rate());
         let previous = PlanBackend::plan(&planner, &f.snapshot(), &planner.config.clone()).unwrap();
-        // GPU 5 rejoins but still straggles well above the 1.05 threshold:
-        // the outcome-level heuristic alone would call this drift, but the
-        // snapshot diff sees the infinite → finite flip.
         let mut rejoined = Cluster::homogeneous(2, 8);
         rejoined.set_rate(GpuId(5), StragglerLevel::Level1.rate());
         let event =
             ClusterEvent::classify(&previous, &rejoined.snapshot(), DEFAULT_STRAGGLER_THRESHOLD);
-        assert_eq!(event, ClusterEvent::Recovery);
-        assert_eq!(
-            ClusterEvent::classify_snapshots(&f.snapshot(), &rejoined.snapshot()),
-            ClusterEvent::Recovery
-        );
-        // Structural: the replan must re-enumerate, and the rejoined GPU is
-        // available to the new plan.
+        // The trait replan, served partly from this planner's memo, equals a
+        // fresh planner's replan.
         let via = PlanBackend::replan(&planner, &rejoined.snapshot(), &previous, event).unwrap();
-        let lattice = via.malleus.as_ref().unwrap().lattice.as_ref().unwrap();
-        assert!(!lattice.delta, "join must not consult the memo");
+        let direct = Planner::replan(
+            &self::planner(),
+            &rejoined.snapshot(),
+            previous.plan.as_ref().expect("plan"),
+        )
+        .unwrap();
+        assert_eq!(via, PlannedOutcome::from_malleus(direct));
     }
 
     #[test]
@@ -548,16 +493,12 @@ mod tests {
         let healthy = Cluster::homogeneous(2, 8).snapshot();
         let initial = PlanBackend::plan(&planner, &healthy, &planner.config.clone()).unwrap();
         // A GPU sitting exactly at the straggler threshold is a drift, not a
-        // structural event: same topology, same availability.
+        // failure or a recovery.
         let drifted = healthy.with_rate(GpuId(2), DEFAULT_STRAGGLER_THRESHOLD);
         let event = ClusterEvent::classify(&initial, &drifted, DEFAULT_STRAGGLER_THRESHOLD);
         assert_eq!(event, ClusterEvent::StragglerDrift);
-        assert_eq!(
-            ClusterEvent::classify_snapshots(&healthy, &drifted),
-            ClusterEvent::StragglerDrift
-        );
-        // The delta path engages and stays byte-identical to the direct
-        // full-enumeration replan.
+        // The memo is consulted and the replan stays byte-identical to the
+        // direct replan.
         let via = PlanBackend::replan(&planner, &drifted, &initial, event).unwrap();
         let inner = via.malleus.as_ref().unwrap();
         assert!(inner.lattice.as_ref().unwrap().delta, "memo consulted");

@@ -1,5 +1,4 @@
-//! Warm-start delta replanning (ROADMAP: "Incremental (delta) replanning to
-//! shrink the stall window").
+//! The candidate memo: every plan replays the evaluations it has seen.
 //!
 //! A full planning invocation enumerates the candidate lattice — every
 //! (max-TP, DP, micro-batch, division-mode) tuple — and pays the Eq. (4)
@@ -8,15 +7,8 @@
 //! drifting on one GPU leaves every candidate whose cost inputs are unchanged
 //! bit-identical, and straggler levels in practice flap between a few
 //! discrete interference states (§2 / Table 4), so previously evaluated
-//! lattice points recur.
+//! lattice points recur.  A GPU that fails and later returns recurs too.
 //!
-//! Two pieces make the warm start sound:
-//!
-//! - [`ScoredLattice`]: the scored candidate lattice is persisted alongside
-//!   the chosen plan (in [`crate::PlanOutcome::lattice`]) together with the
-//!   snapshot it was planned against, so the replanner can classify the next
-//!   event from the snapshot *diff* and fall back to full enumeration when
-//!   the change is structural (node loss / node join / topology change).
 //! - [`CandidateMemo`]: a bounded cross-invocation memo of candidate
 //!   evaluations, keyed by a hash of *exactly* the inputs that determine
 //!   [`crate::Planner`]'s per-candidate evaluation (the grouping
@@ -25,10 +17,14 @@
 //!   knobs and the GPU count) and confirmed by full equality on a hit, the
 //!   profiled coefficients included — the same discipline as
 //!   [`crate::GroupingCache`].  A confirmed hit returns the bitwise-identical
-//!   evaluation a fresh computation would produce, so delta replans are
-//!   byte-identical to from-scratch plans *by construction*; the
-//!   `Parallelism::Fixed(1)` full-enumeration path remains the equivalence
+//!   evaluation a fresh computation would produce, whatever the event was
+//!   (drift, failure or rejoin), so memo-backed plans are byte-identical to
+//!   from-scratch plans *by construction*; a planner with
+//!   [`crate::PlannerConfig::incremental`] off remains the equivalence
 //!   oracle.
+//! - [`ScoredLattice`]: the scored candidate lattice and its reuse counts,
+//!   attached to the chosen plan (in [`crate::PlanOutcome::lattice`]) as
+//!   diagnostics; no plan reads it.
 //!
 //! A replan served entirely from the memo costs a lookup per candidate: the
 //! grouping part of the key (`GroupingInputs`) is hashed once per grouping
@@ -76,34 +72,20 @@ pub struct LatticeEntry {
     pub reused: bool,
 }
 
-/// The scored candidate lattice of one planning invocation, persisted
-/// alongside the chosen plan so the next replan can warm-start.
+/// The scored candidate lattice of one planning invocation, attached to the
+/// chosen plan as diagnostics: what was enumerated and what the memo served.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ScoredLattice {
-    /// The snapshot this lattice was scored against: the basis for
-    /// classifying the next event from the snapshot diff.
-    pub snapshot: ClusterSnapshot,
-    /// The DP pin in effect (replans keep the previous DP degree).
-    pub forced_dp: Option<usize>,
     /// Every enumerated candidate, in lattice order.
     pub entries: Vec<LatticeEntry>,
     /// How many candidate evaluations were served from the memo.
     pub reused: usize,
     /// How many candidates were evaluated from scratch.
     pub evaluated: usize,
-    /// Whether the memo was consulted at all (`false` on full-enumeration
-    /// invocations, which only *populate* the memo).
+    /// Whether the memo was consulted: `true` on every attached lattice,
+    /// since every plan with the memo on consults it.  Kept because the
+    /// replanbench harness reads it.
     pub delta: bool,
-}
-
-impl ScoredLattice {
-    /// Whether `snapshot` differs structurally from the lattice's planning
-    /// basis: a topology change or any availability flip
-    /// (finite ↔ infinite rate).  Structural diffs route to full
-    /// enumeration; drift-only diffs may warm-start.
-    pub fn structural_change(&self, snapshot: &ClusterSnapshot) -> bool {
-        !self.snapshot.same_structure(snapshot)
-    }
 }
 
 /// Borrowed view of the inputs every candidate of one grouping shares, with

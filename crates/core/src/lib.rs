@@ -23,11 +23,11 @@
 //! deterministic lattice-index reduction, so planning scales with cores while
 //! staying bit-identical to the serial reference path.
 //! [`migration`] computes the slice-level model-state movements needed to adopt
-//! a new plan on the fly (§5.1).  [`delta`] adds warm-start (incremental)
-//! replanning: the scored candidate lattice is persisted alongside each
-//! outcome, and drift-only cluster events reuse memoized candidate
-//! evaluations — confirmed bitwise, so delta replans stay byte-identical to
-//! full enumeration.
+//! a new plan on the fly (§5.1).  [`delta`] holds the candidate memo: every
+//! plan and replan, whatever the cluster event, reuses the candidate
+//! evaluations it has seen before — confirmed bitwise, so memo-backed plans
+//! stay byte-identical to full enumeration — and attaches its scored lattice
+//! to the outcome as diagnostics.
 
 // Floats are compared bitwise (`to_bits`), so plans stay byte-identical.
 #![cfg_attr(not(test), deny(clippy::float_cmp))]

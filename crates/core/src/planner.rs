@@ -61,15 +61,14 @@ pub struct PlannerConfig {
     /// core, `Fixed(1)` = the serial reference path).  The chosen plan is
     /// independent of this knob — see [`crate::parallel`].
     pub parallelism: Parallelism,
-    /// Enable warm-start delta replanning (see [`crate::delta`]): planning
-    /// invocations persist their scored candidate lattice in
-    /// [`PlanOutcome::lattice`] and memoize candidate evaluations, and
-    /// [`Planner::replan_delta`] reuses memoized evaluations on drift-only
-    /// events.  Like `parallelism` this is *execution policy*: memo hits are
-    /// confirmed bitwise against the full candidate inputs, so the chosen
-    /// plan is independent of this knob.  [`Planner::plan`] and
-    /// [`Planner::replan`] never *read* the memo regardless — full
-    /// enumeration stays the equivalence oracle.
+    /// Enable the candidate memo (see [`crate::delta`]): every
+    /// [`Planner::plan`] and [`Planner::replan`] serves candidates whose
+    /// inputs it has evaluated before from the memo, memoizes the rest, and
+    /// attaches its scored lattice to [`PlanOutcome::lattice`].  Like
+    /// `parallelism` this is *execution policy*: memo hits are confirmed
+    /// bitwise against the full candidate inputs, so the chosen plan is
+    /// independent of this knob, and a planner with it off is the
+    /// full-enumeration equivalence oracle.
     pub incremental: bool,
 }
 
@@ -149,18 +148,18 @@ pub struct PlanOutcome {
     pub dp: usize,
     /// Per-phase planning time.
     pub timing: PlanTiming,
-    /// The scored candidate lattice this outcome was selected from, persisted
-    /// for warm-start delta replanning (populated when
-    /// [`PlannerConfig::incremental`] is on).
+    /// The scored candidate lattice this outcome was selected from, with its
+    /// memo reuse counts: diagnostics only, no later plan reads it
+    /// (populated when [`PlannerConfig::incremental`] is on).
     pub lattice: Option<Arc<ScoredLattice>>,
 }
 
 impl PartialEq for PlanOutcome {
     /// Equality over the planning *result*.  The per-phase timing is wall
-    /// clock, and the attached lattice is advisory warm-start state (its
-    /// reuse statistics depend on memo history, not on what was planned), so
-    /// both are excluded: two independently computed identical plans compare
-    /// equal.  Compare the wire encodings where those must match too.
+    /// clock, and the attached lattice is diagnostics (its reuse statistics
+    /// depend on memo history, not on what was planned), so both are
+    /// excluded: two independently computed identical plans compare equal.
+    /// Compare the wire encodings where those must match too.
     fn eq(&self, other: &Self) -> bool {
         // Bitwise float comparison: outcome equality backs the byte-identity
         // oracle checks, where `==` would declare +0.0 == -0.0 equal and NaN
@@ -214,9 +213,9 @@ pub struct Planner {
     /// Memoized grouping results, shared read-only across candidate workers
     /// and across re-planning rounds on unchanged snapshots.
     grouping_memo: GroupingCache,
-    /// Memoized candidate evaluations for warm-start delta replanning (see
-    /// [`crate::delta`]); populated when [`PlannerConfig::incremental`] is
-    /// on, consulted only by [`Planner::replan_delta`].
+    /// Memoized candidate evaluations (see [`crate::delta`]), consulted and
+    /// filled by every plan when [`PlannerConfig::incremental`] is on, and
+    /// shared by clones of this planner.
     candidate_memo: CandidateMemo,
 }
 
@@ -254,16 +253,6 @@ impl Planner {
         &self.grouping_memo
     }
 
-    /// Builder-style injection of a shared candidate-evaluation memo (same
-    /// sharing discipline as [`Planner::with_grouping_cache`]: cloning a
-    /// [`CandidateMemo`] shares its storage, and hits are confirmed against
-    /// the full candidate inputs, so sharing degrades to recomputation, never
-    /// wrong results).
-    pub fn with_candidate_memo(mut self, memo: CandidateMemo) -> Self {
-        self.candidate_memo = memo;
-        self
-    }
-
     /// The shared candidate-evaluation memo (diagnostics / tests).
     pub fn candidate_memo(&self) -> &CandidateMemo {
         &self.candidate_memo
@@ -289,37 +278,6 @@ impl Planner {
         match self.plan_with_dp(snapshot, Some(previous.dp())) {
             Ok(outcome) => Ok(outcome),
             Err(_) => self.plan_with_dp(snapshot, self.config.fixed_dp),
-        }
-    }
-
-    /// Warm-start (delta) re-planning: when the diff between `snapshot` and
-    /// the previous outcome's planning basis is drift-only — same topology,
-    /// same availability pattern — candidate evaluations whose cost inputs
-    /// are unchanged are served from the candidate memo instead of being
-    /// recomputed, and only candidates whose cost terms touch the changed
-    /// devices are re-evaluated.  Falls back to full enumeration when the
-    /// diff is structural (node loss / node join), when the previous outcome
-    /// carries no lattice, or when [`PlannerConfig::incremental`] is off.
-    ///
-    /// Memo hits are confirmed bitwise against the full candidate inputs, so
-    /// the result is byte-identical to [`Planner::replan`] on the same
-    /// snapshot regardless of which path is taken.
-    pub fn replan_delta(
-        &self,
-        snapshot: &ClusterSnapshot,
-        previous: &PlanOutcome,
-    ) -> Result<PlanOutcome, PlanError> {
-        let drift_only = self.config.incremental
-            && previous
-                .lattice
-                .as_ref()
-                .is_some_and(|lattice| !lattice.structural_change(snapshot));
-        if !drift_only {
-            return self.replan(snapshot, &previous.plan);
-        }
-        match self.plan_with_dp_memo(snapshot, Some(previous.plan.dp()), true) {
-            Ok(outcome) => Ok(outcome),
-            Err(_) => self.plan_with_dp_memo(snapshot, self.config.fixed_dp, true),
         }
     }
 
@@ -583,15 +541,6 @@ impl Planner {
         snapshot: &ClusterSnapshot,
         forced_dp: Option<usize>,
     ) -> Result<PlanOutcome, PlanError> {
-        self.plan_with_dp_memo(snapshot, forced_dp, false)
-    }
-
-    fn plan_with_dp_memo(
-        &self,
-        snapshot: &ClusterSnapshot,
-        forced_dp: Option<usize>,
-        consult_memo: bool,
-    ) -> Result<PlanOutcome, PlanError> {
         let usable = snapshot.rates.iter().filter(|r| r.is_finite()).count();
         if usable == 0 {
             return Err(PlanError::NoUsableGpus);
@@ -651,7 +600,6 @@ impl Planner {
         // candidate evaluation.  Their key prefix is hashed here, once per
         // grouping, and every candidate of the grouping extends it.
         let memoize = self.config.incremental;
-        let consult = consult_memo && memoize;
         let memo_inputs: Vec<GroupingInputs<'_>> = if memoize {
             groupings
                 .iter()
@@ -663,10 +611,10 @@ impl Planner {
 
         // Phase 3 — evaluate candidates across workers; `fan_out` returns the
         // results indexed by lattice position, never by completion order.
-        // With the memo consulted, a candidate whose confirmed inputs are
-        // unchanged since a previous invocation is served from the memo —
-        // the shared evaluation, bitwise what a fresh one would produce —
-        // and every fresh evaluation moves into the memo for the next event.
+        // With the memo on, a candidate whose confirmed inputs are unchanged
+        // since a previous invocation is served from the memo — the shared
+        // evaluation, bitwise what a fresh one would produce — whatever the
+        // event was, and every fresh evaluation moves into the memo.
         let evals: Vec<(Arc<CandidateEval>, PlanTiming, bool)> =
             fan_out(candidates.len(), workers, |i| {
                 let cand = &candidates[i];
@@ -680,10 +628,8 @@ impl Planner {
                     cand.nonuniform_division,
                 );
                 let key = inputs.key();
-                if consult {
-                    if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
-                        return (hit, PlanTiming::default(), true);
-                    }
+                if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
+                    return (hit, PlanTiming::default(), true);
                 }
                 let (eval, eval_timing) = self.evaluate_candidate(snapshot, cand);
                 let eval = Arc::new(eval);
@@ -735,12 +681,10 @@ impl Planner {
                 if memoize {
                     let evaluated = entries.len() - reused_count;
                     outcome.lattice = Some(Arc::new(ScoredLattice {
-                        snapshot: snapshot.clone(),
-                        forced_dp,
                         entries,
                         reused: reused_count,
                         evaluated,
-                        delta: consult,
+                        delta: true,
                     }));
                 }
                 Ok(outcome)
@@ -987,14 +931,16 @@ mod tests {
         let delta = planner(ModelSpec::llama2_32b(), 64);
         let initial = delta.plan(&cluster.snapshot()).expect("initial plan");
         let lattice = initial.lattice.as_ref().expect("lattice persisted");
-        assert!(!lattice.delta, "initial plan is full enumeration");
+        assert_eq!(
+            lattice.evaluated,
+            lattice.entries.len(),
+            "an empty memo evaluates every candidate"
+        );
         assert!(!delta.candidate_memo().is_empty(), "memo populated");
 
         // Novel drift: byte-identical to a fresh full-enumeration replan.
         let drifted = cluster.snapshot().with_rate(GpuId(3), 2.57);
-        let warm = delta
-            .replan_delta(&drifted, &initial)
-            .expect("delta replan");
+        let warm = delta.replan(&drifted, &initial.plan).expect("delta replan");
         let oracle = planner(ModelSpec::llama2_32b(), 64)
             .with_parallelism(Parallelism::Fixed(1))
             .replan(&drifted, &initial.plan)
@@ -1003,9 +949,11 @@ mod tests {
         assert!(warm.lattice.as_ref().unwrap().delta, "memo was consulted");
 
         // Recurrent state: the straggler recovers to the exact rates the
-        // memo has already seen — every candidate is served from the memo.
+        // memo has already seen — every candidate is served from the memo,
+        // which a clone of the planner shares.
         let recurred = delta
-            .replan_delta(&cluster.snapshot(), &warm)
+            .clone()
+            .replan(&cluster.snapshot(), &warm.plan)
             .expect("recurrent replan");
         let recurred_lattice = recurred.lattice.as_ref().unwrap();
         assert_eq!(recurred_lattice.evaluated, 0, "full candidate reuse");
@@ -1018,26 +966,29 @@ mod tests {
     }
 
     #[test]
-    fn structural_events_fall_back_to_full_enumeration() {
+    fn failure_evaluates_every_candidate_and_rejoin_replays_the_memo() {
         let cluster = Cluster::homogeneous(4, 8);
         let p = planner(ModelSpec::llama2_32b(), 64);
         let initial = p.plan(&cluster.snapshot()).expect("initial plan");
-        // Node loss: finite → infinite is a structural diff.
+        let oracle = |snapshot: &ClusterSnapshot, previous: &ParallelizationPlan| {
+            planner(ModelSpec::llama2_32b(), 64)
+                .with_parallelism(Parallelism::Fixed(1))
+                .replan(snapshot, previous)
+                .expect("oracle replan")
+        };
+        // GPU loss: every grouping changes, so no candidate input recurs.
         let failed = cluster.snapshot().with_rate(GpuId(5), f64::INFINITY);
-        let after_loss = p.replan_delta(&failed, &initial).expect("replan");
-        assert!(
-            !after_loss.lattice.as_ref().unwrap().delta,
-            "node loss must not consult the memo"
-        );
-        let oracle = planner(ModelSpec::llama2_32b(), 64)
-            .with_parallelism(Parallelism::Fixed(1))
-            .replan(&failed, &initial.plan)
-            .expect("oracle replan");
-        assert_eq!(after_loss, oracle);
-        // Node join (the GPU comes back, still straggling): structural again.
-        let rejoined = failed.with_rate(GpuId(5), 3.75);
-        let after_join = p.replan_delta(&rejoined, &after_loss).expect("replan");
-        assert!(!after_join.lattice.as_ref().unwrap().delta);
+        let after_loss = p.replan(&failed, &initial.plan).expect("replan");
+        let lattice = after_loss.lattice.as_ref().unwrap();
+        assert_eq!(lattice.evaluated, lattice.entries.len());
+        assert_eq!(after_loss, oracle(&failed, &initial.plan));
+        // The GPU rejoins at the healthy rate: a state the memo has seen.
+        let rejoined = failed.with_rate(GpuId(5), 1.0);
+        let after_join = p.replan(&rejoined, &after_loss.plan).expect("replan");
+        let lattice = after_join.lattice.as_ref().unwrap();
+        assert_eq!(lattice.evaluated, 0, "the rejoin is a memo replay");
+        assert_eq!(lattice.reused, lattice.entries.len());
+        assert_eq!(after_join, oracle(&rejoined, &after_loss.plan));
     }
 
     #[test]
@@ -1056,32 +1007,6 @@ mod tests {
         let outcome = p.plan(&cluster.snapshot()).expect("plan");
         assert!(outcome.lattice.is_none());
         assert!(p.candidate_memo().is_empty());
-        // replan_delta degrades to plain (full) replanning.
-        let drifted = cluster.snapshot().with_rate(GpuId(1), 2.57);
-        let a = p.replan_delta(&drifted, &outcome).expect("delta");
-        let b = p.replan(&drifted, &outcome.plan).expect("full");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn candidate_memo_is_shared_across_planner_clones() {
-        let cluster = Cluster::homogeneous(2, 8);
-        let p = planner(ModelSpec::llama2_13b(), 64);
-        p.plan(&cluster.snapshot()).expect("plan");
-        let populated = p.candidate_memo().len();
-        assert!(populated > 0);
-        // A planner built with the shared memo sees the same entries.
-        let coeffs =
-            ProfiledCoefficients::derive(ModelSpec::llama2_13b(), HardwareParams::a800_cluster());
-        let sharer = Planner::new(
-            coeffs,
-            PlannerConfig {
-                global_batch_size: 64,
-                ..PlannerConfig::default()
-            },
-        )
-        .with_candidate_memo(p.candidate_memo().clone());
-        assert_eq!(sharer.candidate_memo().len(), populated);
     }
 
     #[test]

@@ -69,14 +69,11 @@ fn overlapped<O, E>(
     })
 }
 
-/// Warm-start (delta) overlapped re-planning: threads the previous
-/// [`PlanOutcome`] — including its persisted scored lattice — into
-/// [`Planner::replan_delta`], so drift-only events reuse memoized candidate
-/// evaluations instead of re-enumerating the whole lattice.  Structural
-/// events (node loss / node join) and planners with
-/// [`malleus_core::PlannerConfig::incremental`] off fall back to
-/// [`Planner::replan`] inside `replan_delta`; either way the adapted plan is
-/// byte-identical to a full `Planner::replan`.
+/// Overlapped re-planning from the previous [`PlanOutcome`] with
+/// [`Planner::replan`]: with [`malleus_core::PlannerConfig::incremental`] on,
+/// candidates whose inputs recur — after a drift, a failure or a rejoin —
+/// are replayed from the planner's memo instead of re-evaluated, and the
+/// adapted plan is byte-identical to a fresh planner's `replan`.
 pub fn replan_overlapped_incremental(
     planner: &Planner,
     snapshot: &ClusterSnapshot,
@@ -85,7 +82,7 @@ pub fn replan_overlapped_incremental(
 ) -> Result<ReplanOutcome, PlanError> {
     overlapped(
         current_step_time,
-        || planner.replan_delta(snapshot, previous),
+        || planner.replan(snapshot, &previous.plan),
         |outcome| outcome.plan != previous.plan,
     )
 }
@@ -412,7 +409,7 @@ mod tests {
         let delta = replan_overlapped_incremental(&p, &snapshot, &initial, 12.0).unwrap();
         assert!(
             delta.outcome.lattice.as_ref().unwrap().delta,
-            "drift-only event must consult the memo"
+            "the replan must consult the memo"
         );
         assert_eq!(delta.plan_changed, full.plan != initial.plan);
         assert_eq!(delta.outcome, full);

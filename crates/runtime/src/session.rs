@@ -179,9 +179,8 @@ impl TrainingSession {
         if let Some(first) = trace.phases.first() {
             self.cluster.apply_situation(&first.situation.rates);
         }
-        // Each outcome (with its scored candidate lattice) is threaded into
-        // the next re-plan, so drift-only events take the warm-start delta
-        // path instead of full enumeration.
+        // Each outcome is threaded into the next re-plan; the Malleus backend
+        // keeps its DP degree and replays recurring candidates from its memo.
         let mut current = backend.plan(&self.cluster.snapshot(), &self.planner.config)?;
         let first_plan = current.plan.clone().ok_or_else(|| {
             RuntimeError::Planning(format!(

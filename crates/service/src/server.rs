@@ -30,14 +30,14 @@
 //!   through exactly the interface it uses for an in-process service, and
 //!   keeps a per-tenant **L1 cache** in front of the shared L2.  A hit needs
 //!   the whole request to match, snapshot included, so a cached plan is
-//!   never stale; the L1 is bounded by entry count (LRU) and **drift-evicts**
-//!   — every call drops entries whose snapshot has shifted more than
-//!   [`ClientConfig::drift_threshold`] (the paper's 5% replan trigger)
-//!   relative to the live snapshot being planned for.  Drift eviction only
-//!   decides which old entries stay resident: an entry for another snapshot
-//!   could never be served for the live one anyway.  Any framing or I/O
-//!   error on its connection closes it, and every later call fails with a
-//!   typed error instead of reading another request's answer.
+//!   never stale; the L1 is bounded by entry count (LRU, 128 entries) and
+//!   **drift-evicts** — every call drops entries whose snapshot has shifted
+//!   more than 5% (the paper's replan trigger) relative to the live snapshot
+//!   being planned for.  Drift eviction only decides which old entries stay
+//!   resident: an entry for another snapshot could never be served for the
+//!   live one anyway.  Any framing or I/O error on its connection closes
+//!   it, and every later call fails with a typed error instead of reading
+//!   another request's answer.
 //! * Wire format: `malleus_wire` frames (`MWIR` magic + version + payload
 //!   length); the request payload is a [`KeyedRequest`]
 //!   (`backend_fingerprint = 0` — advisory, the daemon recomputes it from
@@ -540,17 +540,19 @@ fn serve_connection(service: &PlanService, conn: Conn, max_frame_len: usize) {
 // Client + L1 cache
 // ---------------------------------------------------------------------------
 
-/// Client-side knobs: the L1 tier and the transport cap.
+/// Maximum entries in a client's L1 cache.
+const L1_CAPACITY: usize = 128;
+
+/// Drift-eviction threshold: cached entries whose snapshot has shifted more
+/// than this (relative, per GPU) against the live snapshot being planned for
+/// are evicted before lookup.  This frees room, not correctness: a hit needs
+/// the exact snapshot, so a drifted entry could not be served anyway.  The
+/// paper replans at 5%.
+const DRIFT_THRESHOLD: f64 = 0.05;
+
+/// Client-side knobs: the transport cap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientConfig {
-    /// Maximum entries in the per-tenant L1 cache.
-    pub l1_capacity: usize,
-    /// Drift-eviction threshold: cached entries whose snapshot has shifted
-    /// more than this (relative, per GPU) against the live snapshot being
-    /// planned for are evicted before lookup.  This frees room, not
-    /// correctness: a hit needs the exact snapshot, so a drifted entry could
-    /// not be served anyway.  The paper replans at 5%.
-    pub drift_threshold: f64,
     /// Frame-payload cap enforced on both read and write.
     pub max_frame_len: usize,
 }
@@ -558,8 +560,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            l1_capacity: 128,
-            drift_threshold: 0.05,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
         }
     }
@@ -601,8 +601,8 @@ struct L1Cache {
 }
 
 impl L1Cache {
-    fn new(config: &ClientConfig) -> Self {
-        let cache = PlanCache::new(config.l1_capacity);
+    fn new() -> Self {
+        let cache = PlanCache::new(L1_CAPACITY);
         Self {
             inner: RankedMutex::new(
                 lock_rank::L1_CACHE_INNER,
@@ -612,16 +612,16 @@ impl L1Cache {
         }
     }
 
-    /// Evict every entry whose snapshot has drifted past `threshold`
+    /// Evict every entry whose snapshot has drifted past [`DRIFT_THRESHOLD`]
     /// relative to the live snapshot (structural changes — different GPU
     /// count or availability — always count as drifted).
-    fn invalidate_drifted(&self, live: &ClusterSnapshot, threshold: f64) {
+    fn invalidate_drifted(&self, live: &ClusterSnapshot) {
         let mut inner = self.inner.lock();
         let (cache, stats) = &mut *inner;
         stats.drift_evicted += cache.retain(|request| {
             let snapshot = &request.request.snapshot;
-            let stale =
-                !snapshot.same_structure(live) || snapshot.max_relative_shift(live) > threshold;
+            let stale = !snapshot.same_structure(live)
+                || snapshot.max_relative_shift(live) > DRIFT_THRESHOLD;
             !stale
         });
     }
@@ -698,7 +698,7 @@ impl PlanClient {
                 "PlanClient.stream",
                 Some(BufReader::new(conn)),
             ),
-            l1: L1Cache::new(&config),
+            l1: L1Cache::new(),
             config,
         }
     }
@@ -727,8 +727,7 @@ impl PlanClient {
         // entry for any other snapshot can never hit (a hit needs the exact
         // snapshot); the ones that drifted past the paper's replan trigger
         // are unlikely to be asked for again, so they give up their slots.
-        self.l1
-            .invalidate_drifted(&request.snapshot, self.config.drift_threshold);
+        self.l1.invalidate_drifted(&request.snapshot);
         let keyed = KeyedRequest {
             backend,
             // Advisory on the wire: the daemon recomputes the authoritative
@@ -1073,7 +1072,7 @@ mod tests {
     /// written, so the connection stays frame-aligned: the client gets a
     /// typed error naming the size and the cap, and a later request on the
     /// same connection gets its own answer.  The cap sits between the 110B
-    /// response (~3.9 KB) and the one-node 7B responses (~2.1 KB).
+    /// response (3,809 B) and the one-node 7B responses (1,973 and 2,501 B).
     #[test]
     fn oversized_response_gets_a_typed_error_and_the_connection_survives() {
         let cap = 3_000;
@@ -1113,18 +1112,12 @@ mod tests {
 
     /// A response over the client's cap leaves its payload in the stream;
     /// the client must close the connection instead of reading those bytes
-    /// as the next frame.
+    /// as the next frame.  The cap is below the 110B response (3,809 B).
     #[test]
     fn client_fails_closed_after_a_response_over_its_frame_cap() {
         let (service, _server, addr) = spawn_server();
         let cap = 2_000;
-        let client = connect(
-            addr,
-            ClientConfig {
-                max_frame_len: cap,
-                ..ClientConfig::default()
-            },
-        );
+        let client = connect(addr, ClientConfig { max_frame_len: cap });
         let large = paper_110b_request();
         match client.plan_backend(BackendId::Malleus, &large) {
             Err(ServiceError::Transport { reason }) => {

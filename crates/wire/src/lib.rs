@@ -61,8 +61,10 @@ use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Protocol version carried in every frame header.
-pub const WIRE_VERSION: u16 = 1;
+/// Protocol version carried in every frame header.  It changes whenever a
+/// payload encoding does, so a peer built against another encoding is
+/// refused with [`WireError::UnknownVersion`] instead of misparsing.
+pub const WIRE_VERSION: u16 = 2;
 
 /// Frame magic: rejects non-malleus traffic on the first four bytes.
 pub const FRAME_MAGIC: [u8; 4] = *b"MWIR";
@@ -842,8 +844,6 @@ impl Wire for LatticeEntry {
 
 impl Wire for ScoredLattice {
     fn encode(&self, e: &mut Encoder) {
-        self.snapshot.encode(e);
-        self.forced_dp.encode(e);
         self.entries.encode(e);
         e.put_usize(self.reused);
         e.put_usize(self.evaluated);
@@ -851,8 +851,6 @@ impl Wire for ScoredLattice {
     }
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(ScoredLattice {
-            snapshot: ClusterSnapshot::decode(d)?,
-            forced_dp: Option::decode(d)?,
             entries: Vec::decode(d)?,
             reused: d.get_usize()?,
             evaluated: d.get_usize()?,

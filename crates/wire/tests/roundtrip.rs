@@ -167,12 +167,6 @@ impl Gen {
 
     fn lattice(&mut self) -> ScoredLattice {
         ScoredLattice {
-            snapshot: self.snapshot(),
-            forced_dp: if self.bool() {
-                Some(1 + self.below(64) as usize)
-            } else {
-                None
-            },
             entries: (0..self.below(12))
                 .map(|_| LatticeEntry {
                     max_tp: 1 + self.below(8) as u32,
@@ -448,18 +442,20 @@ fn length_prefix_beyond_the_cap_never_allocates() {
     }
 }
 
+/// A frame from a peer one version behind or ahead is refused before its
+/// payload is read.
 #[test]
 fn unknown_version_is_rejected_before_the_payload() {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&FRAME_MAGIC);
-    buf.extend_from_slice(&(WIRE_VERSION + 1).to_le_bytes());
-    buf.extend_from_slice(&0u32.to_le_bytes());
-    assert_eq!(
-        read_frame(&mut &buf[..], DEFAULT_MAX_FRAME_LEN),
-        Err(WireError::UnknownVersion {
-            version: WIRE_VERSION + 1
-        })
-    );
+    for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&FRAME_MAGIC);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            read_frame(&mut &buf[..], DEFAULT_MAX_FRAME_LEN),
+            Err(WireError::UnknownVersion { version })
+        );
+    }
 }
 
 #[test]
