@@ -544,7 +544,7 @@ mod tests {
         let failed_snapshot = failed.snapshot();
         for backend in all_backends() {
             let initial = backend.plan(&healthy, &config()).unwrap();
-            let event = ClusterEvent::classify(&initial, &failed_snapshot, 1.05);
+            let event = ClusterEvent::classify(&initial, &failed_snapshot);
             assert_eq!(event, ClusterEvent::Failure, "{}", backend.id());
             let result = backend.replan(&failed_snapshot, &initial, event);
             match backend.id() {
@@ -571,7 +571,7 @@ mod tests {
         let healthy = snapshot_for(PaperSituation::Normal);
         let initial = PlanBackend::plan(&megatron, &healthy, &config()).unwrap();
         let straggled = snapshot_for(PaperSituation::S1);
-        let event = ClusterEvent::classify(&initial, &straggled, 1.05);
+        let event = ClusterEvent::classify(&initial, &straggled);
         let after = PlanBackend::replan(&megatron, &straggled, &initial, event).unwrap();
         assert_eq!(after.plan, initial.plan, "static plan must not change");
         assert!(
@@ -588,7 +588,7 @@ mod tests {
         let healthy = snapshot_for(PaperSituation::Normal);
         let initial = PlanBackend::plan(&restart, &healthy, &config()).unwrap();
         let straggled = snapshot_for(PaperSituation::S1);
-        let event = ClusterEvent::classify(&initial, &straggled, 1.05);
+        let event = ClusterEvent::classify(&initial, &straggled);
         let after = PlanBackend::replan(&restart, &straggled, &initial, event).unwrap();
         assert!(after.transition_cost > 60.0, "{}", after.transition_cost);
         assert!(after.active_gpus.len() < initial.active_gpus.len());

@@ -30,8 +30,7 @@ use crate::plan::ParallelizationPlan;
 use crate::planner::{PlanOutcome, Planner, PlannerConfig};
 
 /// Straggler-rate threshold (the paper's 5%): `PlannerConfig::default()`
-/// and the baselines' straggler detection use it, and it classifies cluster
-/// events for backends that do not carry their own threshold.
+/// and the baselines' straggler detection use it.
 pub const DEFAULT_STRAGGLER_THRESHOLD: f64 = 1.05;
 
 /// Stable identity of a planning backend.
@@ -113,42 +112,25 @@ impl std::fmt::Display for BackendId {
 /// rebalance" from "a participant died".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ClusterEvent {
-    /// Straggling rates moved, but every previously active GPU is alive.
+    /// Every previously active GPU is alive; rates may have moved and set-aside
+    /// GPUs may have come back.
     StragglerDrift,
     /// At least one previously active GPU has failed (infinite rate).
     Failure,
-    /// A GPU the previous plan had set aside is healthy again.
-    Recovery,
 }
 
 impl ClusterEvent {
-    /// Classify a new snapshot relative to the previous outcome.  Failure of
-    /// an active participant dominates; then a previously benched GPU back
-    /// under `threshold` reads as a recovery; everything else is drift.
-    /// Only the static baselines read the event (they cannot survive a
-    /// `Failure`); Malleus plans every event through one route.
-    pub fn classify(
-        previous: &PlannedOutcome,
-        snapshot: &ClusterSnapshot,
-        threshold: f64,
-    ) -> ClusterEvent {
+    /// Classify a new snapshot relative to the previous outcome: failure of
+    /// an active participant, else drift.  Only the static baselines read
+    /// the event (they cannot survive a `Failure`); Malleus plans every event
+    /// through one route.
+    pub fn classify(previous: &PlannedOutcome, snapshot: &ClusterSnapshot) -> ClusterEvent {
         let failed = previous
             .active_gpus
             .iter()
             .any(|&gpu| gpu.index() < snapshot.num_gpus() && !snapshot.rate(gpu).is_finite());
         if failed {
-            return ClusterEvent::Failure;
-        }
-        let active: std::collections::HashSet<GpuId> =
-            previous.active_gpus.iter().copied().collect();
-        let recovered = (0..snapshot.num_gpus() as u32).map(GpuId).any(|gpu| {
-            !active.contains(&gpu) && {
-                let rate = snapshot.rate(gpu);
-                rate.is_finite() && rate <= threshold
-            }
-        });
-        if recovered {
-            ClusterEvent::Recovery
+            ClusterEvent::Failure
         } else {
             ClusterEvent::StragglerDrift
         }
@@ -160,7 +142,6 @@ impl std::fmt::Display for ClusterEvent {
         match self {
             ClusterEvent::StragglerDrift => f.write_str("straggler drift"),
             ClusterEvent::Failure => f.write_str("failure"),
-            ClusterEvent::Recovery => f.write_str("recovery"),
         }
     }
 }
@@ -402,7 +383,7 @@ mod tests {
         let mut cluster = Cluster::homogeneous(2, 8);
         cluster.set_rate(GpuId(0), StragglerLevel::Level3.rate());
         let snapshot = cluster.snapshot();
-        let event = ClusterEvent::classify(&initial, &snapshot, DEFAULT_STRAGGLER_THRESHOLD);
+        let event = ClusterEvent::classify(&initial, &snapshot);
         assert_eq!(event, ClusterEvent::StragglerDrift);
 
         let direct = Planner::replan(&planner, &snapshot, initial.plan.as_ref().unwrap()).unwrap();
@@ -411,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_detects_failure_and_recovery() {
+    fn classify_detects_failure_and_drift() {
         let planner = planner();
         let healthy = Cluster::homogeneous(2, 8).snapshot();
         let initial = PlanBackend::plan(&planner, &healthy, &planner.config.clone()).unwrap();
@@ -419,22 +400,14 @@ mod tests {
         let mut failed = Cluster::homogeneous(2, 8);
         failed.set_rate(GpuId(1), StragglerLevel::Failed.rate());
         assert_eq!(
-            ClusterEvent::classify(&initial, &failed.snapshot(), DEFAULT_STRAGGLER_THRESHOLD),
+            ClusterEvent::classify(&initial, &failed.snapshot()),
             ClusterEvent::Failure
-        );
-
-        // Bench GPU 5 in the "previous" outcome, then show it healthy again.
-        let mut benched = initial.clone();
-        benched.active_gpus.retain(|&g| g != GpuId(5));
-        assert_eq!(
-            ClusterEvent::classify(&benched, &healthy, DEFAULT_STRAGGLER_THRESHOLD),
-            ClusterEvent::Recovery
         );
 
         let mut drifting = Cluster::homogeneous(2, 8);
         drifting.set_rate(GpuId(2), StragglerLevel::Level2.rate());
         assert_eq!(
-            ClusterEvent::classify(&initial, &drifting.snapshot(), DEFAULT_STRAGGLER_THRESHOLD),
+            ClusterEvent::classify(&initial, &drifting.snapshot()),
             ClusterEvent::StragglerDrift
         );
     }
@@ -449,7 +422,7 @@ mod tests {
         let mut c = Cluster::homogeneous(2, 8);
         c.set_rate(GpuId(2), StragglerLevel::Level2.rate());
         c.set_rate(GpuId(5), StragglerLevel::Failed.rate());
-        let event = ClusterEvent::classify(&initial, &c.snapshot(), DEFAULT_STRAGGLER_THRESHOLD);
+        let event = ClusterEvent::classify(&initial, &c.snapshot());
         assert_eq!(event, ClusterEvent::Failure);
         // The replan routed through the trait stays byte-identical to the
         // direct full replan.
@@ -473,8 +446,7 @@ mod tests {
         let previous = PlanBackend::plan(&planner, &f.snapshot(), &planner.config.clone()).unwrap();
         let mut rejoined = Cluster::homogeneous(2, 8);
         rejoined.set_rate(GpuId(5), StragglerLevel::Level1.rate());
-        let event =
-            ClusterEvent::classify(&previous, &rejoined.snapshot(), DEFAULT_STRAGGLER_THRESHOLD);
+        let event = ClusterEvent::classify(&previous, &rejoined.snapshot());
         // The trait replan, served partly from this planner's memo, equals a
         // fresh planner's replan.
         let via = PlanBackend::replan(&planner, &rejoined.snapshot(), &previous, event).unwrap();
@@ -493,9 +465,9 @@ mod tests {
         let healthy = Cluster::homogeneous(2, 8).snapshot();
         let initial = PlanBackend::plan(&planner, &healthy, &planner.config.clone()).unwrap();
         // A GPU sitting exactly at the straggler threshold is a drift, not a
-        // failure or a recovery.
+        // failure.
         let drifted = healthy.with_rate(GpuId(2), DEFAULT_STRAGGLER_THRESHOLD);
-        let event = ClusterEvent::classify(&initial, &drifted, DEFAULT_STRAGGLER_THRESHOLD);
+        let event = ClusterEvent::classify(&initial, &drifted);
         assert_eq!(event, ClusterEvent::StragglerDrift);
         // The memo is consulted and the replan stays byte-identical to the
         // direct replan.

@@ -142,7 +142,7 @@ pub fn order_and_assign_layers(
     degrees.sort_unstable();
     degrees.dedup();
 
-    let mut bundles: Vec<Vec<TpGroup>> = degrees
+    let bundles: Vec<Vec<TpGroup>> = degrees
         .iter()
         .map(|&d| {
             let mut bundle: Vec<TpGroup> = pipeline_groups
@@ -190,9 +190,6 @@ pub fn order_and_assign_layers(
             }
         }
     });
-    // `bundles` is only mutated through sorting above; silence the unused-mut
-    // lint on older compilers by touching it here.
-    let _ = &mut bundles;
     best
 }
 

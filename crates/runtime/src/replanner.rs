@@ -17,7 +17,7 @@
 use malleus_cluster::ClusterSnapshot;
 use malleus_core::{
     BackendId, ClusterEvent, ParallelizationPlan, PlanBackend, PlanError, PlanOutcome,
-    PlannedOutcome, Planner, PlannerConfig, DEFAULT_STRAGGLER_THRESHOLD,
+    PlannedOutcome, Planner, PlannerConfig,
 };
 use malleus_model::ProfiledCoefficients;
 use malleus_service::{PlanRequest, PlanTransport, ServiceError};
@@ -90,11 +90,11 @@ pub fn replan_overlapped_incremental(
 /// Overlapped re-planning through an arbitrary [`PlanBackend`] handle.
 ///
 /// The cluster event is classified from the previous outcome's active GPU set
-/// against the observed snapshot ([`ClusterEvent::classify`] with the paper's
-/// 5% threshold), then handed to the backend's `replan`.  Static backends
-/// (plain Megatron-LM / DeepSpeed) answer failures with
-/// `PlanError::CannotAdapt`, which propagates — the caller decides whether
-/// that kills the run (it does, for them: that is the paper's point).
+/// against the observed snapshot ([`ClusterEvent::classify`]), then handed to
+/// the backend's `replan`.  Static backends (plain Megatron-LM / DeepSpeed)
+/// answer failures with `PlanError::CannotAdapt`, which propagates — the
+/// caller decides whether that kills the run (it does, for them: that is the
+/// paper's point).
 pub fn replan_overlapped_backend(
     backend: &dyn PlanBackend,
     snapshot: &ClusterSnapshot,
@@ -104,7 +104,7 @@ pub fn replan_overlapped_backend(
     overlapped(
         current_step_time,
         || {
-            let event = ClusterEvent::classify(previous, snapshot, DEFAULT_STRAGGLER_THRESHOLD);
+            let event = ClusterEvent::classify(previous, snapshot);
             backend.replan(snapshot, previous, event)
         },
         |outcome| outcome.plan != previous.plan || outcome.active_gpus != previous.active_gpus,

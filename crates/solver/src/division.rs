@@ -24,7 +24,7 @@
 //!
 //! This is where the planner spends essentially all of its time (the smoke
 //! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around four ideas, each proven byte-identical to the frozen
+//! engineered around five ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
 //! * **Scratch arena** ([`DivisionScratch`]): every buffer the per-candidate
@@ -50,6 +50,20 @@
 //!   it (modulo a margin strictly larger than the float noise), no remaining
 //!   candidate can pass the strict-improvement test, so enumeration stops
 //!   early.
+//! * **Objective memo** ([`ObjectiveMemo`]): within one walk `M` is fixed,
+//!   and the min-max objective of weights that are all finite and positive
+//!   is a function of their multiset.  The allocator's last loop stops only
+//!   when no unit can leave the bottleneck slot `j` for another slot `k`
+//!   with `fl(w_k·(a_k + 1))` below the maximum `V`; an allocation with a
+//!   smaller maximum would need `b_j < a_j`, hence `b_k >= a_k + 1` for some
+//!   `k`, and `fl(w·x)` is monotone in `x`, so `fl(w_k·b_k) >= V`.  The
+//!   returned bits are therefore the float optimum of `max_j fl(w_j·a_j)`
+//!   over `Σ a_j = M`, which ignores slot order.  The walk reads nothing
+//!   but objective bits, so a table from sorted weight bits to objective
+//!   bits serves every repeat: a drift replan's twelve walks score ~24k
+//!   candidates with ~98% repeats.  The memo is reset when a search starts
+//!   (its key omits `M`), and `rebuild`, which needs the amounts, bypasses
+//!   it.
 //!
 //! The search is serial: the planner already runs candidates of its lattice
 //! on separate workers, so one division runs on its candidate's worker.
@@ -176,7 +190,8 @@ impl std::error::Error for DivisionError {}
 /// Reusable flat buffers for the division search.
 ///
 /// All vectors are sized by `dp`, `ms` (= number of slow groups) or
-/// `fast_count` in [`DivisionScratch::prepare`]; after a warm-up call on a
+/// `fast_count` in [`DivisionScratch::prepare`], and the objective memo
+/// keeps the capacity of the largest walk so far; after a warm-up call on a
 /// thread, scoring a candidate touches no heap at all.
 #[derive(Debug, Default)]
 struct DivisionScratch {
@@ -217,6 +232,100 @@ struct DivisionScratch {
     touched_mask: Vec<bool>,
     /// Slow-group visit order for the local-search seeding, length `ms`.
     order: Vec<usize>,
+    /// Objectives already computed in this walk, by weight multiset.
+    memo: ObjectiveMemo,
+}
+
+/// Most words of keys and objectives the objective memo holds (256 KiB).
+/// Its index then has at most as many 4-byte slots (128 KiB), so 384 KiB is
+/// the most a thread retains for the memo between walks.
+const MEMO_MAX_WORDS: usize = 1 << 15;
+/// Slots of the memo's index when a walk starts.
+const MEMO_INITIAL_SLOTS: usize = 1 << 8;
+
+/// Per-walk objective memo: the sorted bits of a candidate's micro-batch
+/// weights to the bits of its min-max objective (see "Objective memo" in the
+/// module doc).  Flat open addressing with linear probing; the index doubles
+/// at half load, and once the entries fill `MEMO_MAX_WORDS` the memo records
+/// nothing more for the rest of the walk.
+#[derive(Debug, Default)]
+struct ObjectiveMemo {
+    /// Words per key: the walk's `dp`.
+    width: usize,
+    /// Sorted weight bits, `width` words per entry.
+    keys: Vec<u64>,
+    /// Objective bits, one per entry.
+    objectives: Vec<u64>,
+    /// Entry index + 1 per slot, 0 when empty; a power of two in length.
+    slots: Vec<u32>,
+    /// The current candidate's key.
+    key: Vec<u64>,
+}
+
+impl ObjectiveMemo {
+    fn reset(&mut self, width: usize) {
+        self.width = width;
+        self.keys.clear();
+        self.objectives.clear();
+        self.slots.clear();
+        self.slots.resize(MEMO_INITIAL_SLOTS, 0);
+    }
+
+    /// Make the sorted bits of `weights` the current key.  Returns `false`,
+    /// and the memo must not be used, unless every weight is finite and
+    /// positive: only then is the objective a function of the multiset.
+    fn load(&mut self, weights: &[f64]) -> bool {
+        if !weights.iter().all(|w| w.is_finite() && *w > 0.0) {
+            return false;
+        }
+        self.key.clear();
+        self.key.extend(weights.iter().map(|w| w.to_bits()));
+        self.key.sort_unstable();
+        true
+    }
+
+    /// The slot holding `key`'s entry, or the empty slot where it belongs.
+    fn find(&self, key: &[u64]) -> usize {
+        let hash = key.iter().fold(0_u64, |h, &word| {
+            (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let mask = self.slots.len() - 1;
+        let mut i = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            match self.slots[i] as usize {
+                0 => return i,
+                e if self.keys[(e - 1) * self.width..e * self.width] == *key => return i,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The objective recorded for the current key.
+    fn get(&self) -> Option<f64> {
+        let e = self.slots[self.find(&self.key)] as usize;
+        (e > 0).then(|| f64::from_bits(self.objectives[e - 1]))
+    }
+
+    /// Record `objective` for the current key, which must be absent.
+    fn insert(&mut self, objective: f64) {
+        let entries = self.objectives.len() + 1;
+        if entries * (self.width + 1) > MEMO_MAX_WORDS {
+            return;
+        }
+        if 2 * entries > self.slots.len() {
+            let len = 2 * self.slots.len();
+            self.slots.clear();
+            self.slots.resize(len, 0);
+            for e in 0..entries - 1 {
+                let slot = self.find(&self.keys[e * self.width..(e + 1) * self.width]);
+                self.slots[slot] = e as u32 + 1;
+            }
+        }
+        let slot = self.find(&self.key);
+        self.slots[slot] = entries as u32;
+        self.keys.extend_from_slice(&self.key);
+        self.objectives.push(objective.to_bits());
+    }
 }
 
 thread_local! {
@@ -250,6 +359,7 @@ impl DivisionScratch {
         self.touched_mask.clear();
         self.touched_mask.resize(dp, false);
         self.order.clear();
+        self.memo.reset(dp);
 
         self.fast_unit = if problem.fast_rate > 0.0 && problem.fast_rate.is_finite() {
             1.0 / problem.fast_rate
@@ -412,21 +522,47 @@ impl DivisionScratch {
         self.recompute_touched_capacities();
     }
 
-    /// Score the current assignment: distribute the fast groups greedily,
-    /// derive the harmonic capacities, and split the micro-batches exactly.
+    /// Score the current assignment: its weights, then the objective of the
+    /// exact micro-batch split, from the walk's memo when the weight multiset
+    /// was seen before.
     ///
     /// Returns the objective, or NaN when the candidate is infeasible (cannot
     /// satisfy the minimum-groups bound, has a zero-capacity pipeline, or the
     /// allocator rejects it).  Every arithmetic step replicates the seed's
-    /// expressions so the returned bits are identical.
+    /// expressions so the returned bits are identical.  `amounts` is only
+    /// valid after a memo miss.
     fn score_current(&mut self, problem: &DivisionProblem, min_groups: usize) -> f64 {
-        let dp = problem.dp;
+        if !self.fill_weights(problem, min_groups) {
+            return f64::NAN;
+        }
+        if !self.memo.load(&self.weights) {
+            return self.allocate(problem.num_micro_batches);
+        }
+        if let Some(objective) = self.memo.get() {
+            return objective;
+        }
+        let objective = self.allocate(problem.num_micro_batches);
+        self.memo.insert(objective);
+        objective
+    }
+
+    /// Split `total` micro-batches over the current weights into `amounts`;
+    /// returns the objective, or NaN when the allocator rejects the weights.
+    fn allocate(&mut self, total: u64) -> f64 {
+        solve_minmax_allocation_into(&self.weights, total, &[], &mut self.amounts)
+            .unwrap_or(f64::NAN)
+    }
+
+    /// Distribute the fast groups greedily and derive the harmonic
+    /// capacities and micro-batch weights of the current assignment; `false`
+    /// when the candidate is infeasible.
+    fn fill_weights(&mut self, problem: &DivisionProblem, min_groups: usize) -> bool {
         // Minimum-groups fill (seed: `distribute_fast_groups` preamble).
         let mut remaining = problem.fast_count;
         for (f, &have_slow) in self.fast.iter_mut().zip(self.slow_counts.iter()) {
             let need = min_groups.saturating_sub(have_slow);
             if need > remaining {
-                return f64::NAN;
+                return false;
             }
             *f = need;
             remaining -= need;
@@ -490,27 +626,26 @@ impl DivisionScratch {
         }
         for (w, &c) in self.weights.iter_mut().zip(self.capacities.iter()) {
             if c <= 0.0 {
-                return f64::NAN;
+                return false;
             }
             *w = 1.0 / c;
         }
-        debug_assert_eq!(self.weights.len(), dp);
-        solve_minmax_allocation_into(
-            &self.weights,
-            problem.num_micro_batches,
-            &[],
-            &mut self.amounts,
-        )
-        .unwrap_or(f64::NAN)
+        debug_assert_eq!(self.weights.len(), problem.dp);
+        true
     }
 
     /// Materialize the winning candidate: restore `best_assignment`, rescore it
     /// (deterministic, so the bits match the accepted evaluation) and clone the
-    /// arena buffers into an owned [`Division`].
+    /// arena buffers into an owned [`Division`].  The amounts come from the
+    /// allocator itself: the memo keeps only objectives.
     fn rebuild(&mut self, problem: &DivisionProblem, min_groups: usize) -> Division {
         self.assignment.copy_from_slice(&self.best_assignment);
         self.init_slots();
-        let objective = self.score_current(problem, min_groups);
+        let objective = if self.fill_weights(problem, min_groups) {
+            self.allocate(problem.num_micro_batches)
+        } else {
+            f64::NAN
+        };
         debug_assert!(
             !objective.is_nan(),
             "the accepted best assignment must rescore as feasible"
@@ -859,6 +994,40 @@ mod tests {
     }
 
     #[test]
+    fn objective_memo_state_never_leaks_across_walks() {
+        // The three TP-4 divisions of a drift replan: the slow rates of
+        // `s3_tp4`, and the fast rate moving with M.  The objective memo's
+        // key omits M, so the last case repeats the first walk's weights at
+        // another M: a memo kept across walks would replay its objectives.
+        // (Not at M = 32: there every objective is exactly half the M = 64
+        // one, and the stale fold would pick the right winner.)
+        let drift = [
+            (0.25679840610196364, 64),
+            (0.2565024567654825, 32),
+            (0.2563544820972419, 16),
+            (0.25679840610196364, 16),
+        ]
+        .map(|(fast_rate, m)| {
+            let mut p = s3_tp4();
+            p.fast_rate = fast_rate;
+            p.num_micro_batches = m;
+            p
+        });
+        let expected: Vec<Division> = drift
+            .iter()
+            .map(|p| divide_pipelines_reference(p).unwrap())
+            .collect();
+        // Back to back, then interleaved with other shapes and sizes.
+        for (p, want) in drift.iter().zip(&expected) {
+            assert_eq!(divide_pipelines(p).as_ref(), Ok(want), "{p:?}");
+        }
+        for i in [2, 0, 3, 1, 0, 2] {
+            let _ = divide_pipelines(&s3_tp8());
+            assert_eq!(divide_pipelines(&drift[i]).as_ref(), Ok(&expected[i]));
+        }
+    }
+
+    #[test]
     fn optimized_division_is_bitwise_equal_to_seed_reference_on_fixed_cases() {
         let mut cases: Vec<DivisionProblem> = vec![
             DivisionProblem::new(4, 16, 1.0, vec![], 64),
@@ -987,9 +1156,19 @@ mod tests {
         // a full search may only allocate O(1) times (the returned Division's
         // four owned vectors and small bookkeeping) — nothing per candidate.
         // The tied TP-8 shape walks 1,344 of its 4^8 assignments the same way.
+        // The untied dp4_ms8_fast12 walk meets 2,795 weight multisets, so
+        // its objective memo outgrows the first table and must regrow within
+        // the capacity the warm call left.
         for p in [
             DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256),
             s3_tp8(),
+            DivisionProblem::new(
+                4,
+                12,
+                1.0,
+                vec![2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5],
+                256,
+            ),
         ] {
             let warm = divide_pipelines(&p).unwrap();
             let (allocs, d) = crate::alloc_counter::count_allocations(|| divide_pipelines(&p));

@@ -22,7 +22,9 @@
 //!
 //! The division search is the planner's hot path and is implemented
 //! allocation-free over a reusable scratch arena with incremental enumeration
-//! that skips permutations of bitwise-tied slow groups, and bound pruning.
+//! that skips permutations of bitwise-tied slow groups, bound pruning, and a
+//! per-walk objective memo keyed on the weight multiset (the min-max
+//! objective is the exact float optimum, so slot order cannot change it).
 //! It is serial and spawns no threads: the planner runs each division on the
 //! worker of its candidate.  The [`reference`] module keeps the original
 //! straightforward implementations frozen as the byte-identity oracle for

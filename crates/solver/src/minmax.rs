@@ -16,13 +16,13 @@
 //! by binary search over the feasibility predicate followed by a local
 //! tightening pass that makes the reconstruction exactly optimal.
 //!
-//! This is the innermost loop of the division MINLP (one call per enumerated
-//! slow-group assignment), so the hot entry point is
-//! [`solve_minmax_allocation_into`]: it writes into a caller-owned buffer,
-//! never clones a dense `caps` vector (the division path always passes `&[]`),
-//! collapses bitwise-tied weights into classes, re-evaluates only the classes
-//! still unpinned per halving, and memoizes uncapped thresholds per class
-//! signature.
+//! This is the innermost loop of the division MINLP (one call per weight
+//! multiset a division walk has not seen yet; the walk memoizes objectives),
+//! so the hot entry point is [`solve_minmax_allocation_into`]: it writes
+//! into a caller-owned buffer, never clones a dense `caps` vector (the
+//! division path always passes `&[]`), collapses bitwise-tied weights into
+//! classes and re-evaluates only the classes still unpinned per halving.  It
+//! keeps no state between calls beyond reusable buffers.
 //! Every shortcut is bit-for-bit equivalent to the seed implementation kept in
 //! [`crate::reference::solve_minmax_allocation_reference`].
 
@@ -108,118 +108,10 @@ fn max_units(weight: f64, cap: Option<u64>, threshold: f64) -> u64 {
     }
 }
 
-/// One memoized threshold-search result.  A bucket is empty iff `len == 0`
-/// (every real key starts with `total` and the class count, so `len >= 2`).
-#[derive(Clone, Copy, Default)]
-struct CacheSlot {
-    hash: u64,
-    start: u32,
-    len: u32,
-    threshold_bits: u64,
-}
-
-/// Deterministic open-addressing memo of threshold-search results.
-///
-/// The binary search's trajectory is a pure function of `(total, class
-/// multiset)`: every feasibility predicate it evaluates is an exact `u128`
-/// sum of per-class unit counts, so permuting slots (or discovering classes
-/// in a different order) cannot change any comparison, and therefore cannot
-/// change the final threshold bits.  The division enumeration visits the
-/// same capacity multiset over and over (candidates that permute slow groups
-/// across slots), so caching by the sorted class signature skips the ~50
-/// halvings almost always.  Everything downstream of the threshold (surplus
-/// shedding, local improvement) stays per-slot and is NOT cached: exact
-/// cross-weight load ties make those loops order-sensitive.
-///
-/// FNV-1a keyed, linear probing, no entropy: lookups are bit-deterministic
-/// and steady-state lookups allocate nothing.
-#[derive(Default)]
-struct ThresholdCache {
-    /// Power-of-two bucket array.
-    slots: Vec<CacheSlot>,
-    /// Flattened key storage: `[total, classes, (w_bits, mult)...]` runs.
-    keys: Vec<u64>,
-    entries: usize,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &w in words {
-        h ^= w;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-impl ThresholdCache {
-    fn lookup(&self, hash: u64, key: &[u64]) -> Option<u64> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        loop {
-            let slot = self.slots[i];
-            if slot.len == 0 {
-                return None;
-            }
-            if slot.hash == hash
-                && slot.len as usize == key.len()
-                && &self.keys[slot.start as usize..(slot.start + slot.len) as usize] == key
-            {
-                return Some(slot.threshold_bits);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    fn insert(&mut self, hash: u64, key: &[u64], threshold_bits: u64) {
-        // Bound the footprint for long-lived threads (e.g. the plan server):
-        // the memo only skips recomputation, so clearing is always safe.
-        if self.entries >= 1 << 17 {
-            self.slots.clear();
-            self.keys.clear();
-            self.entries = 0;
-        }
-        if self.entries * 2 >= self.slots.len() {
-            let new_cap = (self.slots.len() * 2).max(256);
-            let old = std::mem::replace(&mut self.slots, vec![CacheSlot::default(); new_cap]);
-            let mask = new_cap - 1;
-            for slot in old {
-                if slot.len == 0 {
-                    continue;
-                }
-                let mut i = (slot.hash as usize) & mask;
-                while self.slots[i].len != 0 {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = slot;
-            }
-        }
-        let start = self.keys.len() as u32;
-        self.keys.extend_from_slice(key);
-        let mask = self.slots.len() - 1;
-        let mut i = (hash as usize) & mask;
-        while self.slots[i].len != 0 {
-            i = (i + 1) & mask;
-        }
-        self.slots[i] = CacheSlot {
-            hash,
-            start,
-            len: key.len() as u32,
-            threshold_bits,
-        };
-        self.entries += 1;
-    }
-}
-
 /// Reusable buffers for the grouped threshold search.  One instance per
-/// thread: the division enumeration calls the solver once per candidate, so
-/// the buffers warm up on the first call and steady-state calls perform zero
-/// heap allocations.
+/// thread: a division walk calls the solver once per weight multiset it has
+/// not seen, so the buffers warm up on the first call and steady-state calls
+/// perform zero heap allocations.
 #[derive(Default)]
 struct SearchScratch {
     /// One entry per distinct `(weight bits, capacity)` class.
@@ -235,10 +127,6 @@ struct SearchScratch {
     active: Vec<usize>,
     /// Class index of each input slot.
     class_of: Vec<usize>,
-    /// Sorted class signature `[total, classes, (w_bits, mult)...]`.
-    key: Vec<u64>,
-    /// Threshold memo for uncapped instances, keyed by `key`.
-    cache: ThresholdCache,
 }
 
 thread_local! {
@@ -359,46 +247,6 @@ pub fn solve_minmax_allocation_into(
                 total_capacity: hard as u64,
                 requested: total,
             });
-        }
-
-        // Threshold memo (uncapped instances only — the signature does not
-        // encode capacities, and with `caps` empty every class is uniquely
-        // identified by its weight bits).  Pairs are insertion-sorted by
-        // weight bits so permuted inputs produce the same signature.
-        let mut cache_hash = None;
-        let mut cache_hit = None;
-        if caps.is_empty() {
-            s.key.clear();
-            s.key.push(total);
-            s.key.push(classes as u64);
-            for g in 0..classes {
-                let (wb, m) = (s.w[g].to_bits(), s.mult[g]);
-                let mut i = s.key.len();
-                s.key.push(0);
-                s.key.push(0);
-                while i > 2 && s.key[i - 2] > wb {
-                    s.key[i] = s.key[i - 2];
-                    s.key[i + 1] = s.key[i - 1];
-                    i -= 2;
-                }
-                s.key[i] = wb;
-                s.key[i + 1] = m;
-            }
-            let hash = fnv1a(&s.key);
-            cache_hit = s.cache.lookup(hash, &s.key);
-            cache_hash = Some(hash);
-        }
-        if let Some(bits) = cache_hit {
-            // The memoized search ended at this threshold; re-derive each
-            // class's unit count there (identical to the `u_hi` state the
-            // search would have left behind).
-            let threshold = f64::from_bits(bits);
-            s.u_hi.clear();
-            for g in 0..classes {
-                s.u_hi.push(max_units(s.w[g], s.cap[g], threshold));
-            }
-            amounts.extend(s.class_of.iter().map(|&g| s.u_hi[g]));
-            return Ok(());
         }
 
         // Binary search for the minimal feasible threshold.  (`finite_max_w`
@@ -527,10 +375,6 @@ pub fn solve_minmax_allocation_into(
             }
         }
 
-        if let Some(hash) = cache_hash {
-            s.cache.insert(hash, &s.key, hi.to_bits());
-        }
-
         // Reconstruct: fill each slot to its threshold capacity (`u_hi` holds
         // each class's exact unit count at the final `hi` — refreshed on every
         // `hi` move for active classes, pinned on the remaining interval for
@@ -565,6 +409,16 @@ pub fn solve_minmax_allocation_into(
     // strictly lowers the objective.  This turns the (already near-optimal)
     // reconstruction into an exact optimum.  (`cur_obj` is a max over
     // non-negative loads, so `<= 0.0` is exactly the seed's `== 0.0` check.)
+    //
+    // Exact optimum: with uncapped weights that are all finite and positive
+    // and `total > 0`, the loop ends only when no slot `k` other than the
+    // bottleneck `jmax` has `fl(w_k·(a_k + 1)) < V`, `V` the maximum load.
+    // Any allocation `b` with a smaller maximum has `b_jmax < a_jmax`, since
+    // `fl(w·x)` is monotone in `x`, so some `k` has `b_k >= a_k + 1` and a
+    // load `>= V`.  The returned objective is thus the float optimum of
+    // `max_j fl(w_j·a_j)` over `Σ a_j = total`, which depends only on the
+    // weight multiset and `total`; the division walk's objective memo relies
+    // on this.  (The amounts are not: ties make them order-sensitive.)
     loop {
         let (jmax, cur_obj) = amounts
             .iter()
@@ -832,27 +686,46 @@ mod tests {
     }
 
     #[test]
-    fn threshold_memo_replay_matches_first_solve_and_reference() {
-        // The first solve of each signature runs the binary search and
-        // populates the memo; permutations and repeats replay the cached
-        // threshold.  Both paths must be byte-identical to the frozen seed.
-        let cases: Vec<(Vec<f64>, u64)> = vec![
-            (vec![0.25, 0.5, 0.25, 0.125], 97),
-            (vec![0.5, 0.25, 0.125, 0.25], 97),
-            (vec![0.125, 0.25, 0.25, 0.5], 97),
-            (vec![1.0 / 3.0, 1.0 / 3.0, 0.2], 41),
-            (vec![0.2, 1.0 / 3.0, 1.0 / 3.0], 41),
-            (vec![f64::INFINITY, 0.75, 0.75], 29),
-            (vec![0.75, f64::INFINITY, 0.75], 29),
+    fn permuted_weights_match_the_seed_reference() {
+        // Each group permutes one weight multiset.  Every solve matches the
+        // frozen seed bit for bit, and within a group the objective bits
+        // agree (the amounts follow the slots).
+        let groups: Vec<(Vec<Vec<f64>>, u64)> = vec![
+            (
+                vec![
+                    vec![0.25, 0.5, 0.25, 0.125],
+                    vec![0.5, 0.25, 0.125, 0.25],
+                    vec![0.125, 0.25, 0.25, 0.5],
+                ],
+                97,
+            ),
+            (
+                vec![
+                    vec![1.0 / 3.0, 1.0 / 3.0, 0.2],
+                    vec![0.2, 1.0 / 3.0, 1.0 / 3.0],
+                ],
+                41,
+            ),
+            (
+                vec![
+                    vec![f64::INFINITY, 0.75, 0.75],
+                    vec![0.75, f64::INFINITY, 0.75],
+                ],
+                29,
+            ),
         ];
-        for (w, total) in cases {
-            let first = solve_minmax_allocation(&w, total, &[]).unwrap();
-            let replay = solve_minmax_allocation(&w, total, &[]).unwrap();
-            assert_eq!(first.amounts, replay.amounts, "w={w:?}");
-            assert_eq!(first.objective.to_bits(), replay.objective.to_bits());
-            let seed = solve_minmax_allocation_reference(&w, total, &[]).unwrap();
-            assert_eq!(first.amounts, seed.amounts, "w={w:?}");
-            assert_eq!(first.objective.to_bits(), seed.objective.to_bits());
+        for (orders, total) in groups {
+            let objectives: Vec<u64> = orders
+                .iter()
+                .map(|w| {
+                    let fast = solve_minmax_allocation(w, total, &[]).unwrap();
+                    let seed = solve_minmax_allocation_reference(w, total, &[]).unwrap();
+                    assert_eq!(fast.amounts, seed.amounts, "w={w:?}");
+                    assert_eq!(fast.objective.to_bits(), seed.objective.to_bits());
+                    fast.objective.to_bits()
+                })
+                .collect();
+            assert!(objectives.windows(2).all(|o| o[0] == o[1]), "{orders:?}");
         }
     }
 

@@ -48,7 +48,8 @@ proptest! {
         }
     }
 
-    /// On small instances the solver is exactly optimal (matches brute force).
+    /// On small instances the solver is exactly optimal: its objective has
+    /// the bits of the float optimum that brute force finds.
     #[test]
     fn matches_brute_force_on_small_instances(
         weights in prop::collection::vec(0.25f64..8.0, 1..5),
@@ -56,8 +57,27 @@ proptest! {
     ) {
         let fast = solve_minmax_allocation(&weights, total, &[]).unwrap();
         let brute = brute_force_minmax(&weights, total, &[]).unwrap();
-        prop_assert!((fast.objective - brute.1).abs() < 1e-6,
+        prop_assert_eq!(fast.objective.to_bits(), brute.1.to_bits(),
             "weights={:?} total={} fast={} brute={}", weights, total, fast.objective, brute.1);
+    }
+
+    /// The objective bits depend on the weight multiset only, not on the
+    /// slot order: the division walk memoizes objectives by sorted weights.
+    /// The palette makes ties, where slot order decides the amounts, common.
+    #[test]
+    fn permuting_weights_keeps_the_objective_bits(
+        weights in prop::collection::vec(
+            prop::sample::select(vec![0.25, 1.0 / 3.0, 0.2, 1.0 / 7.0, 0.1328328240067972]),
+            1..5,
+        ),
+        total in 0u64..64,
+    ) {
+        let bits = solve_minmax_allocation(&weights, total, &[]).unwrap().objective.to_bits();
+        for order in permutations(weights.len()) {
+            let permuted: Vec<f64> = order.iter().map(|&j| weights[j]).collect();
+            let objective = solve_minmax_allocation(&permuted, total, &[]).unwrap().objective;
+            prop_assert_eq!(objective.to_bits(), bits, "permuted={:?} total={}", permuted, total);
+        }
     }
 
     /// Scaling every weight by a constant scales the objective by the same
@@ -84,4 +104,21 @@ proptest! {
         let b = solve_minmax_allocation(&weights, total + 1, &[]).unwrap();
         prop_assert!(b.objective >= a.objective - 1e-9);
     }
+}
+
+/// Every ordering of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    permutations(n - 1)
+        .into_iter()
+        .flat_map(|order| {
+            (0..n).map(move |at| {
+                let mut longer = order.clone();
+                longer.insert(at, n - 1);
+                longer
+            })
+        })
+        .collect()
 }
