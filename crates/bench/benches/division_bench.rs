@@ -69,6 +69,18 @@ fn cases() -> Vec<Case> {
                 256,
             ),
         },
+        // Nine unit classes need 4 bits each, and 17 × 4 > 64, so this walk
+        // keeps the descriptor memo off and scores through the weight memo.
+        Case {
+            label: "dp2_ms17_fast6 (131k candidates, descriptor memo off)",
+            problem: DivisionProblem::new(
+                2,
+                6,
+                1.0,
+                (0..17).map(|k| 2.0 + 0.25 * (k % 9) as f64).collect(),
+                128,
+            ),
+        },
         Case {
             label: "dp8_ms16_fast120 (local search)",
             problem: DivisionProblem::new(

@@ -13,7 +13,9 @@
 //!
 //! `--smoke` runs only the 64-GPU S3 breakdown (the 1024-GPU plan and the
 //! scenario matrix are minutes of planner work); the JSON artifact is written
-//! in both modes.
+//! in both modes.  The phase table prints milliseconds, and its 64-GPU row is
+//! the median of five cold plans, each from a fresh planner; the JSON keeps
+//! seconds.
 
 use malleus_bench::paper_workloads;
 use malleus_bench::table::Table;
@@ -29,14 +31,14 @@ use std::hint::black_box;
 use std::time::Instant;
 
 fn row(label: &str, timing: &PlanTiming, table: &mut Table) {
-    let s = |d: std::time::Duration| format!("{:.2}s", d.as_secs_f64());
+    let ms = |d: std::time::Duration| format!("{:.2}", d.as_secs_f64() * 1e3);
     table.row([
         label.to_string(),
-        s(timing.grouping),
-        s(timing.division),
-        s(timing.ordering),
-        s(timing.assignment),
-        s(timing.total()),
+        ms(timing.grouping),
+        ms(timing.division),
+        ms(timing.ordering),
+        ms(timing.assignment),
+        ms(timing.total()),
     ]);
 }
 
@@ -86,20 +88,30 @@ fn main() {
     let workload = &paper_workloads()[2]; // 110B
     let mut table = Table::new([
         "scenario",
-        "GPU grouping",
-        "pipeline division",
-        "group ordering",
-        "work assignment",
-        "total",
+        "GPU grouping (ms)",
+        "pipeline division (ms)",
+        "group ordering (ms)",
+        "work assignment (ms)",
+        "total (ms)",
     ]);
     let mut breakdowns = Vec::new();
 
-    // ---- 64 GPUs, S3 ----
+    // ---- 64 GPUs, S3: the median of five cold plans ----
+    // Each plan comes from a fresh planner, so no candidate memo replays an
+    // earlier plan; the row is the plan with the median total.
     let snapshot = workload.snapshot_for(PaperSituation::S3);
-    let planner = workload.planner();
-    let outcome = planner.plan(&snapshot).expect("64-GPU plan");
-    row("64 GPUs (S3, B=64)", &outcome.timing, &mut table);
-    breakdowns.push(timing_json("64 GPUs (S3, B=64)", &outcome.timing));
+    let mut cold: Vec<PlanTiming> = (0..5)
+        .map(|_| {
+            workload
+                .planner()
+                .plan(&snapshot)
+                .expect("64-GPU plan")
+                .timing
+        })
+        .collect();
+    cold.sort_by_key(PlanTiming::total);
+    row("64 GPUs (S3, B=64)", &cold[2], &mut table);
+    breakdowns.push(timing_json("64 GPUs (S3, B=64)", &cold[2]));
 
     // ---- 1024 GPUs, 32 random stragglers, B = 1024 (full mode only) ----
     if !smoke {
@@ -154,7 +166,8 @@ fn main() {
 
     println!();
     table.print();
-    println!("\n(The planner runs on background CPU processes and is overlapped with one training step, §5.3.)");
+    println!("\n(64-GPU row: the median of 5 cold plans, each from a fresh planner.)");
+    println!("(The planner runs on background CPU processes and is overlapped with one training step, §5.3.)");
 
     // ---- Scenario matrix: serial oracle vs parallel candidate fan-out ----
     let mut matrix_records = Vec::new();

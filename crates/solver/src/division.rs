@@ -24,7 +24,7 @@
 //!
 //! This is where the planner spends essentially all of its time (the smoke
 //! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around five ideas, each proven byte-identical to the frozen
+//! engineered around six ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
 //! * **Scratch arena** ([`DivisionScratch`]): every buffer the per-candidate
@@ -64,6 +64,43 @@
 //!   candidates with ~98% repeats.  The memo is reset when a search starts
 //!   (its key omits `M`), and `rebuild`, which needs the amounts, bypasses
 //!   it.
+//! * **Descriptor memo** (a second `ObjectiveMemo`, consulted before the
+//!   greedy runs): each distinct bit pattern of a unit `1/y_k` gets a class
+//!   id from 1, and a pipeline's *slot descriptor* packs the class ids of
+//!   its slow groups in ascending `k` into one `u64`, maintained in the
+//!   same loop that re-folds `slow_capacity`.  A pipeline's state is its
+//!   (descriptor, fast count), and the weights follow from the multiset of
+//!   states:
+//!   1. its greedy level is `fold(units) + need·(1/ŷ)`, plus `1/ŷ` per
+//!      unit the greedy gives it, and `need` depends only on its count;
+//!   2. its capacity is `fast_prefix[f]` followed by its units in
+//!      ascending `k`;
+//!   3. the min-groups infeasibility test depends only on the multiset of
+//!      counts;
+//!   4. if every greedy pick among bitwise-equal levels picks among
+//!      pipelines of one state, each pick turns the state multiset into
+//!      the same successor whichever index wins, so induction over the
+//!      picks carries the state multiset, and with it the weight multiset,
+//!      from one candidate to any candidate with the same descriptor
+//!      multiset (where the picks meet the same levels, so no ties
+//!      either);
+//!   5. the packing is unique because class ids are never 0: the highest
+//!      field is non-zero, so the bit length fixes the number of fields.
+//!
+//!   The objective memo's argument then gives equal objective bits, so a
+//!   table from sorted descriptors (one word per pipeline) to objective
+//!   bits skips the greedy, the folds and the allocator: in a replan-drift
+//!   run ~97% of the scorings that reach it are hits.  `fill_weights`
+//!   reports a pick among equal levels held by different states, and such
+//!   a candidate is scored but not recorded.  The key cannot be
+//!   per-pipeline `(count, slow_capacity)`: equal slow sums of differently
+//!   ordered units can still fold to different capacity bits after the
+//!   fast prefix.  A walk whose descriptors could exceed 64 bits (`ms ×
+//!   bits > 64`) keeps this memo empty; misses, like such walks, go on to
+//!   the objective memo.
+//!
+//! A thread keeps both memos' buffers between walks: at most 384 KiB each
+//! (see `MEMO_MAX_WORDS`), 768 KiB in all.
 //!
 //! The search is serial: the planner already runs candidates of its lattice
 //! on separate workers, so one division runs on its candidate's worker.
@@ -224,7 +261,16 @@ struct DivisionScratch {
     /// units, so the canonical walk keeps `assignment[k] >= assignment[k +
     /// 1]`; length `ms - 1` (empty when `ms == 0`).
     tied_to_next: Vec<bool>,
-    /// `1/ŷ` under the greedy distribution's validity test, else `0.0`.
+    /// `slow_class[k]`: the class id of `slow_units[k]`'s bit pattern,
+    /// numbered from 1 in order of first appearance, or 0 for every group
+    /// when the descriptor memo is off; length `ms`.
+    slow_class: Vec<u64>,
+    /// Bits per class id in a descriptor; 0 turns the descriptor memo off.
+    class_bits: u32,
+    /// Slot descriptor per pipeline: the class ids of its slow groups in
+    /// ascending `k`, `class_bits` each; length `dp`.
+    descriptors: Vec<u64>,
+    /// `1/ŷ` when `ŷ` is finite and positive, else `0.0`.
     fast_unit: f64,
     /// Pipelines whose slow capacity must be re-folded after a counter step.
     touched: Vec<usize>,
@@ -232,27 +278,30 @@ struct DivisionScratch {
     touched_mask: Vec<bool>,
     /// Slow-group visit order for the local-search seeding, length `ms`.
     order: Vec<usize>,
+    /// Objectives already computed in this walk, by descriptor multiset.
+    descriptor_memo: ObjectiveMemo,
     /// Objectives already computed in this walk, by weight multiset.
-    memo: ObjectiveMemo,
+    weight_memo: ObjectiveMemo,
 }
 
-/// Most words of keys and objectives the objective memo holds (256 KiB).
-/// Its index then has at most as many 4-byte slots (128 KiB), so 384 KiB is
-/// the most a thread retains for the memo between walks.
+/// Most words of keys and objectives one memo holds (256 KiB).  Its index
+/// then has at most as many 4-byte slots (128 KiB), so 384 KiB is the most
+/// a thread retains per memo between walks, 768 KiB for the two.
 const MEMO_MAX_WORDS: usize = 1 << 15;
 /// Slots of the memo's index when a walk starts.
 const MEMO_INITIAL_SLOTS: usize = 1 << 8;
 
-/// Per-walk objective memo: the sorted bits of a candidate's micro-batch
-/// weights to the bits of its min-max objective (see "Objective memo" in the
-/// module doc).  Flat open addressing with linear probing; the index doubles
-/// at half load, and once the entries fill `MEMO_MAX_WORDS` the memo records
-/// nothing more for the rest of the walk.
+/// Per-walk objective memo: a sorted multiset of words (a candidate's
+/// weight bits or slot descriptors) to the bits of its min-max objective
+/// (see "Objective memo" and "Descriptor memo" in the module doc).  Flat
+/// open addressing with linear probing; the index doubles at half load, and
+/// once the entries fill `MEMO_MAX_WORDS` the memo records nothing more for
+/// the rest of the walk.
 #[derive(Debug, Default)]
 struct ObjectiveMemo {
     /// Words per key: the walk's `dp`.
     width: usize,
-    /// Sorted weight bits, `width` words per entry.
+    /// Sorted keys, `width` words per entry.
     keys: Vec<u64>,
     /// Objective bits, one per entry.
     objectives: Vec<u64>,
@@ -271,17 +320,11 @@ impl ObjectiveMemo {
         self.slots.resize(MEMO_INITIAL_SLOTS, 0);
     }
 
-    /// Make the sorted bits of `weights` the current key.  Returns `false`,
-    /// and the memo must not be used, unless every weight is finite and
-    /// positive: only then is the objective a function of the multiset.
-    fn load(&mut self, weights: &[f64]) -> bool {
-        if !weights.iter().all(|w| w.is_finite() && *w > 0.0) {
-            return false;
-        }
+    /// Make the sorted `words` the current key.
+    fn load(&mut self, words: impl Iterator<Item = u64>) {
         self.key.clear();
-        self.key.extend(weights.iter().map(|w| w.to_bits()));
+        self.key.extend(words);
         self.key.sort_unstable();
-        true
     }
 
     /// The slot holding `key`'s entry, or the empty slot where it belongs.
@@ -359,17 +402,16 @@ impl DivisionScratch {
         self.touched_mask.clear();
         self.touched_mask.resize(dp, false);
         self.order.clear();
-        self.memo.reset(dp);
+        self.descriptors.clear();
+        self.descriptors.resize(dp, 0);
+        self.weight_memo.reset(dp);
+        self.descriptor_memo.reset(dp);
 
-        self.fast_unit = if problem.fast_rate > 0.0 && problem.fast_rate.is_finite() {
-            1.0 / problem.fast_rate
-        } else {
-            0.0
-        };
-        // `harmonic_capacity` filters on `is_finite && > 0` and left-folds the
-        // reciprocals; `fast_prefix[h]` reproduces that fold for `h` copies of
-        // the fast rate by the same repeated addition.
-        let fast_contrib = if problem.fast_rate.is_finite() && problem.fast_rate > 0.0 {
+        // The greedy's unit and `harmonic_capacity` filter the fast rate
+        // alike (finite and positive), so one value serves both.
+        // `fast_prefix[h]` reproduces the harmonic left fold for `h` copies
+        // of the fast rate by the same repeated addition.
+        self.fast_unit = if problem.fast_rate.is_finite() && problem.fast_rate > 0.0 {
             1.0 / problem.fast_rate
         } else {
             0.0
@@ -379,7 +421,7 @@ impl DivisionScratch {
         let mut acc = 0.0_f64;
         self.fast_prefix.push(acc);
         for _ in 0..problem.fast_count {
-            acc += fast_contrib;
+            acc += self.fast_unit;
             self.fast_prefix.push(acc);
         }
         self.slow_units.clear();
@@ -396,6 +438,36 @@ impl DivisionScratch {
                 .windows(2)
                 .map(|pair| pair[0].to_bits() == pair[1].to_bits()),
         );
+        // A pipeline holds at most `ms` slow groups, so its descriptor fits
+        // in 64 bits when `ms × class_bits` does; this also rules out any
+        // `ms > 64` before the quadratic class scan.
+        self.slow_class.clear();
+        self.class_bits = 0;
+        if ms <= 64 {
+            let mut classes = 0_u64;
+            for (k, u) in self.slow_units.iter().enumerate() {
+                let class = match self.slow_units[..k]
+                    .iter()
+                    .position(|v| v.to_bits() == u.to_bits())
+                {
+                    Some(j) => self.slow_class[j],
+                    None => {
+                        classes += 1;
+                        classes
+                    }
+                };
+                self.slow_class.push(class);
+            }
+            let bits = u64::BITS - classes.leading_zeros();
+            if ms as u32 * bits <= u64::BITS {
+                self.class_bits = bits;
+            }
+        }
+        if self.class_bits == 0 {
+            // Zero ids at a zero shift keep every descriptor 0.
+            self.slow_class.clear();
+            self.slow_class.resize(ms, 0);
+        }
     }
 
     /// Assignment-invariant lower bound on the objective: the total capacity
@@ -416,14 +488,21 @@ impl DivisionScratch {
         lb * (1.0 - 1e-9)
     }
 
-    /// Derive `slow_counts`/`slow_capacity` from `assignment` from scratch
-    /// (ascending-`k` fold, the seed's summation order).
+    /// Derive `slow_counts`/`slow_capacity`/`descriptors` from `assignment`
+    /// from scratch (ascending-`k` fold, the seed's summation order).
     fn init_slots(&mut self) {
         self.slow_counts.fill(0);
         self.slow_capacity.fill(0.0);
-        for (&p, &u) in self.assignment.iter().zip(self.slow_units.iter()) {
+        self.descriptors.fill(0);
+        for ((&p, &u), &c) in self
+            .assignment
+            .iter()
+            .zip(&self.slow_units)
+            .zip(&self.slow_class)
+        {
             self.slow_counts[p] += 1;
             self.slow_capacity[p] += u;
+            self.descriptors[p] = (self.descriptors[p] << self.class_bits) | c;
         }
     }
 
@@ -455,16 +534,23 @@ impl DivisionScratch {
         }
     }
 
-    /// Re-fold the slow capacities of the touched pipelines in ascending-`k`
-    /// order — bit-identical to rebuilding them from scratch — then clear the
-    /// touched set.
+    /// Re-fold the slow capacities and descriptors of the touched pipelines
+    /// in ascending-`k` order — bit-identical to rebuilding them from
+    /// scratch — then clear the touched set.
     fn recompute_touched_capacities(&mut self) {
         for &t in &self.touched {
             self.slow_capacity[t] = 0.0;
+            self.descriptors[t] = 0;
         }
-        for (&p, &u) in self.assignment.iter().zip(self.slow_units.iter()) {
+        for ((&p, &u), &c) in self
+            .assignment
+            .iter()
+            .zip(&self.slow_units)
+            .zip(&self.slow_class)
+        {
             if self.touched_mask[p] {
                 self.slow_capacity[p] += u;
+                self.descriptors[p] = (self.descriptors[p] << self.class_bits) | c;
             }
         }
         for &t in &self.touched {
@@ -522,27 +608,45 @@ impl DivisionScratch {
         self.recompute_touched_capacities();
     }
 
-    /// Score the current assignment: its weights, then the objective of the
-    /// exact micro-batch split, from the walk's memo when the weight multiset
-    /// was seen before.
+    /// Score the current assignment: the objective of the exact micro-batch
+    /// split, from the walk's descriptor memo when the descriptor multiset
+    /// was seen before, else from its weights, through the weight memo when
+    /// the weight multiset was seen before.
     ///
     /// Returns the objective, or NaN when the candidate is infeasible (cannot
     /// satisfy the minimum-groups bound, has a zero-capacity pipeline, or the
     /// allocator rejects it).  Every arithmetic step replicates the seed's
     /// expressions so the returned bits are identical.  `amounts` is only
-    /// valid after a memo miss.
+    /// valid after a miss in both memos.
     fn score_current(&mut self, problem: &DivisionProblem, min_groups: usize) -> f64 {
-        if !self.fill_weights(problem, min_groups) {
-            return f64::NAN;
+        let by_descriptors = self.class_bits > 0;
+        if by_descriptors {
+            self.descriptor_memo.load(self.descriptors.iter().copied());
+            if let Some(objective) = self.descriptor_memo.get() {
+                return objective;
+            }
         }
-        if !self.memo.load(&self.weights) {
+        let Some(tied) = self.fill_weights(problem, min_groups) else {
+            return f64::NAN;
+        };
+        // Only for finite, positive weights is the objective a function of
+        // their multiset.
+        if !self.weights.iter().all(|w| w.is_finite() && *w > 0.0) {
             return self.allocate(problem.num_micro_batches);
         }
-        if let Some(objective) = self.memo.get() {
-            return objective;
+        self.weight_memo
+            .load(self.weights.iter().map(|w| w.to_bits()));
+        let objective = match self.weight_memo.get() {
+            Some(objective) => objective,
+            None => {
+                let objective = self.allocate(problem.num_micro_batches);
+                self.weight_memo.insert(objective);
+                objective
+            }
+        };
+        if by_descriptors && !tied {
+            self.descriptor_memo.insert(objective);
         }
-        let objective = self.allocate(problem.num_micro_batches);
-        self.memo.insert(objective);
         objective
     }
 
@@ -554,15 +658,19 @@ impl DivisionScratch {
     }
 
     /// Distribute the fast groups greedily and derive the harmonic
-    /// capacities and micro-batch weights of the current assignment; `false`
-    /// when the candidate is infeasible.
-    fn fill_weights(&mut self, problem: &DivisionProblem, min_groups: usize) -> bool {
+    /// capacities and micro-batch weights of the current assignment.
+    /// Returns `None` when the candidate is infeasible, else whether the
+    /// greedy met a tie: a pick among bitwise-equal levels held by pipelines
+    /// in different (descriptor, fast count) states, after which the weight
+    /// multiset may depend on pipeline indices.  Ties are looked for only
+    /// while the descriptor memo is on.
+    fn fill_weights(&mut self, problem: &DivisionProblem, min_groups: usize) -> Option<bool> {
         // Minimum-groups fill (seed: `distribute_fast_groups` preamble).
         let mut remaining = problem.fast_count;
         for (f, &have_slow) in self.fast.iter_mut().zip(self.slow_counts.iter()) {
             let need = min_groups.saturating_sub(have_slow);
             if need > remaining {
-                return false;
+                return None;
             }
             *f = need;
             remaining -= need;
@@ -582,6 +690,12 @@ impl DivisionScratch {
         // of `(level, slot)`; assigning a unit only changes the winner's level,
         // so the winner keeps winning — no rescan — until its updated `(level,
         // slot)` pair stops comparing below the runner-up from the last scan.
+        // The runner-up's level is the least among the other slots, so a pick
+        // is among equal levels exactly when the winner's level has the
+        // runner-up's bits: the first pick after a scan, or an `Equal` keep.
+        // Ties matter only to the descriptor memo, and only the first one.
+        let mut look_for_ties = self.class_bits > 0;
+        let mut tied = false;
         while remaining > 0 {
             let mut imin = 0usize;
             let mut min_lvl = self.greedy_capacity[0];
@@ -598,6 +712,10 @@ impl DivisionScratch {
                     sec_lvl = l;
                 }
             }
+            if look_for_ties && min_lvl.to_bits() == sec_lvl.to_bits() {
+                tied = self.tie_at(imin);
+                look_for_ties = !tied;
+            }
             loop {
                 self.fast[imin] += 1;
                 self.greedy_capacity[imin] += unit;
@@ -608,8 +726,14 @@ impl DivisionScratch {
                 let l = self.greedy_capacity[imin];
                 let still_winner = match l.total_cmp(&sec_lvl) {
                     std::cmp::Ordering::Less => true,
-                    std::cmp::Ordering::Equal => imin < isec,
-                    std::cmp::Ordering::Greater => false,
+                    std::cmp::Ordering::Equal if imin < isec => {
+                        if look_for_ties {
+                            tied = self.tie_at(imin);
+                            look_for_ties = !tied;
+                        }
+                        true
+                    }
+                    std::cmp::Ordering::Equal | std::cmp::Ordering::Greater => false,
                 };
                 if !still_winner {
                     break;
@@ -626,22 +750,35 @@ impl DivisionScratch {
         }
         for (w, &c) in self.weights.iter_mut().zip(self.capacities.iter()) {
             if c <= 0.0 {
-                return false;
+                return None;
             }
             *w = 1.0 / c;
         }
         debug_assert_eq!(self.weights.len(), problem.dp);
-        true
+        Some(tied)
+    }
+
+    /// Whether another pipeline at slot `i`'s greedy level is in a different
+    /// (descriptor, fast count) state, so that which of them the greedy
+    /// picks could change the resulting multiset of states.
+    fn tie_at(&self, i: usize) -> bool {
+        let level = self.greedy_capacity[i].to_bits();
+        let state = (self.descriptors[i], self.fast[i]);
+        self.greedy_capacity
+            .iter()
+            .zip(&self.descriptors)
+            .zip(&self.fast)
+            .any(|((g, &d), &f)| g.to_bits() == level && (d, f) != state)
     }
 
     /// Materialize the winning candidate: restore `best_assignment`, rescore it
     /// (deterministic, so the bits match the accepted evaluation) and clone the
     /// arena buffers into an owned [`Division`].  The amounts come from the
-    /// allocator itself: the memo keeps only objectives.
+    /// allocator itself: the memos keep only objectives.
     fn rebuild(&mut self, problem: &DivisionProblem, min_groups: usize) -> Division {
         self.assignment.copy_from_slice(&self.best_assignment);
         self.init_slots();
-        let objective = if self.fill_weights(problem, min_groups) {
+        let objective = if self.fill_weights(problem, min_groups).is_some() {
             self.allocate(problem.num_micro_batches)
         } else {
             f64::NAN
@@ -993,14 +1130,111 @@ mod tests {
         assert_eq!(divide_pipelines(p), divide_pipelines_reference(p), "{p:?}");
     }
 
+    /// Run `p`'s exact walk on a fresh scratch and return the scratch, memos
+    /// and all.
+    fn walked(p: &DivisionProblem) -> DivisionScratch {
+        let mut s = DivisionScratch::default();
+        s.prepare(p);
+        s.init_slots();
+        let lb = s.lower_bound(p);
+        assert!(enumerate_serial(
+            &mut s,
+            p,
+            p.min_groups_per_pipeline.max(1),
+            lb
+        ));
+        s
+    }
+
+    #[test]
+    fn greedy_tie_between_different_states_is_reported_and_not_recorded() {
+        // The slow group (unit 2.0) puts pipeline 0 at level 2.0; pipeline 1
+        // needs one fast group (level 1.0), and the first pick lifts it to
+        // 1.0 + 1.0.  The second pick then chooses by index between two
+        // different states at one level.
+        let p = DivisionProblem::new(2, 3, 1.0, vec![0.5], 16);
+        let mut s = DivisionScratch::default();
+        s.prepare(&p);
+        s.init_slots();
+        assert_eq!(s.fill_weights(&p, 1), Some(true));
+        assert_eq!(s.fast, [1, 2]);
+        // Scoring loads the candidate's key and leaves it unrecorded.
+        assert!(!s.score_current(&p, 1).is_nan());
+        assert_eq!(s.descriptor_memo.get(), None);
+        assert!(walked(&p).descriptor_memo.objectives.is_empty());
+        assert_matches_reference(&p);
+        // One fast group fewer ends the greedy before the tie, and the
+        // candidate is recorded.
+        let p = DivisionProblem::new(2, 2, 1.0, vec![0.5], 16);
+        s.prepare(&p);
+        s.init_slots();
+        assert_eq!(s.fill_weights(&p, 1), Some(false));
+        assert!(!s.score_current(&p, 1).is_nan());
+        assert!(s.descriptor_memo.get().is_some());
+    }
+
+    #[test]
+    fn descriptors_keep_the_order_of_units_in_a_pipeline() {
+        // Units a = 1/3, b = 2/3, a, b.  Assignment [0, 0, 1, 1] puts (a, b)
+        // on both pipelines; [0, 1, 1, 0] puts (a, b) on pipeline 0 and
+        // (b, a) on pipeline 1.
+        let p = DivisionProblem::new(2, 2, 1.0, vec![3.0, 1.5, 3.0, 1.5], 16);
+        let mut s = DivisionScratch::default();
+        s.prepare(&p);
+        // The descriptors, and the descriptor-memo key scoring loads.
+        let mut score = |assignment: [usize; 4]| {
+            s.assignment.copy_from_slice(&assignment);
+            s.init_slots();
+            s.score_current(&p, 1);
+            (s.descriptors.clone(), s.descriptor_memo.key.clone())
+        };
+        let (same, same_key) = score([0, 0, 1, 1]);
+        let (mixed, mixed_key) = score([0, 1, 1, 0]);
+        assert_eq!(same[0], same[1]);
+        assert_ne!(mixed[0], mixed[1]);
+        assert_ne!(same_key, mixed_key);
+        // The slow sums agree, but after the fast prefix the two orders fold
+        // to different capacities: 1 + 1/3 + 2/3 = 2, 1 + 2/3 + 1/3 < 2.
+        assert_eq!(s.slow_capacity[0].to_bits(), s.slow_capacity[1].to_bits());
+        assert_eq!(s.fill_weights(&p, 1), Some(true));
+        assert_eq!(s.fast, [1, 1]);
+        assert_ne!(s.capacities[0].to_bits(), s.capacities[1].to_bits());
+    }
+
+    #[test]
+    fn descriptor_memo_keeps_one_entry_per_descriptor_multiset() {
+        for (p, entries) in [(s3_tp4(), 158), (s3_tp8(), 73)] {
+            let s = walked(&p);
+            assert_eq!(s.descriptor_memo.objectives.len(), entries);
+        }
+    }
+
+    /// `dp = 2` over 17 slow groups of 9 unit classes: descriptors would
+    /// need 17 × 4 = 68 bits.
+    fn dp2_ms17() -> DivisionProblem {
+        let slow = (0..17).map(|k| 2.0 + 0.25 * (k % 9) as f64).collect();
+        DivisionProblem::new(2, 6, 1.0, slow, 128)
+    }
+
+    #[test]
+    fn walk_whose_descriptors_do_not_fit_keeps_the_descriptor_memo_empty() {
+        let p = dp2_ms17();
+        let s = walked(&p);
+        assert_eq!(s.class_bits, 0);
+        assert!(s.descriptor_memo.objectives.is_empty());
+        assert!(!s.weight_memo.objectives.is_empty());
+        assert_matches_reference(&p);
+    }
+
     #[test]
     fn objective_memo_state_never_leaks_across_walks() {
         // The three TP-4 divisions of a drift replan: the slow rates of
-        // `s3_tp4`, and the fast rate moving with M.  The objective memo's
-        // key omits M, so the last case repeats the first walk's weights at
-        // another M: a memo kept across walks would replay its objectives.
-        // (Not at M = 32: there every objective is exactly half the M = 64
-        // one, and the stale fold would pick the right winner.)
+        // `s3_tp4`, and the fast rate moving with M.  Neither memo's key
+        // holds M, and the descriptor memo's holds no rate either, so the
+        // last case repeats the first walk's keys at another M: a memo kept
+        // across walks would replay its objectives.  (Not at M = 32: there
+        // every objective is exactly half the M = 64 one, and the stale
+        // fold would pick the right winner.)
         let drift = [
             (0.25679840610196364, 64),
             (0.2565024567654825, 32),
@@ -1156,11 +1390,14 @@ mod tests {
         // a full search may only allocate O(1) times (the returned Division's
         // four owned vectors and small bookkeeping) — nothing per candidate.
         // The tied TP-8 shape walks 1,344 of its 4^8 assignments the same way.
-        // The untied dp4_ms8_fast12 walk meets 2,795 weight multisets, so
-        // its objective memo outgrows the first table and must regrow within
-        // the capacity the warm call left.
+        // The untied dp4_ms8_fast12 walk meets 2,795 descriptor multisets
+        // and as many weight multisets, so both memos outgrow the first
+        // table and must regrow within the capacity the warm call left.
+        // dp8_ms5_fast120 walks 32k candidates with the paper's fast pool,
+        // 120 greedy picks per miss.
         for p in [
             DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256),
+            DivisionProblem::new(8, 120, 0.17, vec![0.4, 0.45, 0.5, 0.55, 0.6], 1024),
             s3_tp8(),
             DivisionProblem::new(
                 4,
