@@ -810,9 +810,13 @@ mod tests {
     use super::*;
     use crate::ServiceConfig;
     use malleus_cluster::{Cluster, GpuId};
-    use malleus_core::{Parallelism, PlannerConfig};
-    use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
+    use malleus_core::{
+        LatticeEntry, Parallelism, ParallelizationPlan, PipelinePlan, PlanError, PlanTiming,
+        PlannerConfig, ScoredLattice, StagePlan, TpGroup,
+    };
+    use malleus_model::{HardwareParams, MemoryModel, ModelSpec, ProfiledCoefficients};
     use malleus_wire::to_bytes;
+    use std::time::Duration;
 
     /// Every socket read in these tests is bounded, so a regression fails
     /// instead of hanging the suite.
@@ -888,23 +892,9 @@ mod tests {
         BufReader::new(raw)
     }
 
-    #[test]
-    fn service_types_roundtrip_on_the_wire() {
-        let request = small_request(2.57);
-        let back: PlanRequest = from_bytes(&to_bytes(&request)).unwrap();
-        assert_eq!(back, request);
-        assert_eq!(back.key(), request.key());
-
-        let keyed = KeyedRequest {
-            backend: BackendId::Oobleck,
-            backend_fingerprint: 0xfeed,
-            request,
-        };
-        let back: KeyedRequest = from_bytes(&to_bytes(&keyed)).unwrap();
-        assert_eq!(back, keyed);
-        assert_eq!(back.key(), keyed.key());
-
-        let errors = [
+    /// One value of every `ServiceError` variant.
+    fn every_service_error() -> [ServiceError; 6] {
+        [
             ServiceError::Plan(PlanError::NoUsableGpus),
             ServiceError::Overloaded {
                 queue_depth: 9,
@@ -923,8 +913,26 @@ mod tests {
             ServiceError::Transport {
                 reason: "reset".into(),
             },
-        ];
-        for err in errors {
+        ]
+    }
+
+    #[test]
+    fn service_types_roundtrip_on_the_wire() {
+        let request = small_request(2.57);
+        let back: PlanRequest = from_bytes(&to_bytes(&request)).unwrap();
+        assert_eq!(back, request);
+        assert_eq!(back.key(), request.key());
+
+        let keyed = KeyedRequest {
+            backend: BackendId::Oobleck,
+            backend_fingerprint: 0xfeed,
+            request,
+        };
+        let back: KeyedRequest = from_bytes(&to_bytes(&keyed)).unwrap();
+        assert_eq!(back, keyed);
+        assert_eq!(back.key(), keyed.key());
+
+        for err in every_service_error() {
             let back: ServiceError = from_bytes(&to_bytes(&err)).unwrap();
             assert_eq!(back, err);
             let response = PlanResponse::Error(err);
@@ -938,6 +946,203 @@ mod tests {
                 tag: 9
             })
         );
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A request with every field set by hand, none from a default.
+    fn golden_request() -> PlanRequest {
+        let spec = ModelSpec {
+            name: "m".into(),
+            num_layers: 2,
+            hidden_size: 3,
+            ffn_hidden_size: 4,
+            num_heads: 5,
+            num_kv_heads: 6,
+            vocab_size: 7,
+            seq_len: 8,
+        };
+        let hardware = HardwareParams {
+            gpu_peak_flops: 1.0,
+            achievable_flops_fraction: 0.5,
+            gpu_memory_bytes: 2.0,
+            memory_reserve_bytes: 0.25,
+            intra_node_bandwidth: 4.0,
+            inter_node_bandwidth: 8.0,
+            collective_latency: 0.125,
+            checkpoint_bandwidth: 16.0,
+            restart_init_seconds: 32.0,
+        };
+        let memory = MemoryModel {
+            activation_bytes_per_token_per_hidden: 3.0,
+            backward_peak_factor: 1.5,
+            param_and_grad_bytes_per_param: 6.0,
+            optimizer_bytes_per_param: 12.0,
+        };
+        PlanRequest::new(
+            ProfiledCoefficients {
+                spec,
+                hardware,
+                memory,
+            },
+            ClusterSnapshot {
+                num_nodes: 1,
+                node_of: vec![0, 0],
+                rates: vec![1.0, 2.5],
+            },
+            PlannerConfig {
+                global_batch_size: 8,
+                candidate_tp_degrees: vec![1, 2],
+                candidate_micro_batch_sizes: vec![1],
+                candidate_dp: Some(vec![2]),
+                fixed_dp: None,
+                straggler_threshold: 1.0625,
+                enable_group_splitting: true,
+                nonuniform_layers: true,
+                nonuniform_data: false,
+                nonuniform_stages: true,
+                parallelism: Parallelism::Fixed(2),
+                incremental: true,
+            },
+        )
+    }
+
+    /// An outcome with a Malleus plan, a hand-set timing (a planner's own is
+    /// wall-clock) and a one-entry lattice.
+    fn golden_outcome() -> PlannedOutcome {
+        let plan = ParallelizationPlan {
+            pipelines: vec![PipelinePlan {
+                stages: vec![StagePlan {
+                    group: TpGroup {
+                        gpus: vec![GpuId(0), GpuId(1)],
+                    },
+                    layers: 2,
+                }],
+                num_micro_batches: 4,
+            }],
+            micro_batch_size: 1,
+            removed_gpus: vec![GpuId(2)],
+        };
+        let lattice = ScoredLattice {
+            entries: vec![LatticeEntry {
+                max_tp: 2,
+                dp: 1,
+                micro_batch: 1,
+                nonuniform_division: true,
+                estimated_step_time: Some(2.0),
+                reused: false,
+            }],
+            reused: 0,
+            evaluated: 1,
+            delta: false,
+        };
+        let malleus = PlanOutcome {
+            plan: plan.clone(),
+            estimated_step_time: 2.0,
+            estimated_step_time_simplified: 1.5,
+            chosen_tp: 2,
+            dp: 1,
+            timing: PlanTiming {
+                grouping: Duration::new(1, 2),
+                division: Duration::new(3, 4),
+                ordering: Duration::new(5, 6),
+                assignment: Duration::new(7, 8),
+            },
+            lattice: Some(Arc::new(lattice)),
+        };
+        PlannedOutcome {
+            backend: BackendId::Malleus,
+            plan: Some(plan),
+            active_gpus: vec![GpuId(0), GpuId(1)],
+            estimated_step_time: 2.0,
+            transition_cost: 0.5,
+            description: "d".into(),
+            malleus: Some(Arc::new(malleus)),
+        }
+    }
+
+    /// The bytes of [`golden_request`], one group of fields per line.
+    const GOLDEN_REQUEST: &[&str] = &[
+        // spec: name, num_layers
+        "01000000000000006d02000000",
+        // spec: hidden_size .. seq_len
+        "03000000000000000400000000000000050000000000000006000000000000000700000000000000",
+        "0800000000000000",
+        // hardware
+        "000000000000f03f000000000000e03f0000000000000040000000000000d03f0000000000001040",
+        "0000000000002040000000000000c03f00000000000030400000000000004040",
+        // memory
+        "0000000000000840000000000000f83f00000000000018400000000000002840",
+        // snapshot: num_nodes, node_of, rates
+        "0100000000000000020000000000000000000000000000000200000000000000000000000000f03f",
+        "0000000000000440",
+        // config: global batch, TP degrees, micro-batch sizes
+        "08000000000000000200000000000000010000000200000001000000000000000100000000000000",
+        // config: candidate_dp, fixed_dp
+        "010100000000000000020000000000000000",
+        // config: threshold, four flags, parallelism, incremental
+        "000000000000f13f0101000101020000000000000001",
+    ];
+
+    /// The bytes of `PlanResponse::Outcome(golden_outcome())`.
+    const GOLDEN_OUTCOME: &[&str] = &[
+        // tag Outcome, backend Malleus, Some(plan)
+        "000001",
+        // plan
+        "01000000000000000100000000000000020000000000000000000000010000000200000004000000",
+        "000000000100000000000000010000000000000002000000",
+        // active_gpus
+        "02000000000000000000000001000000",
+        // estimated_step_time, transition_cost, description
+        "0000000000000040000000000000e03f010000000000000064",
+        // Some(malleus)
+        "01",
+        // malleus.plan
+        "01000000000000000100000000000000020000000000000000000000010000000200000004000000",
+        "000000000100000000000000010000000000000002000000",
+        // estimates, chosen_tp, dp
+        "0000000000000040000000000000f83f020000000100000000000000",
+        // timing
+        "01000000000000000200000003000000000000000400000005000000000000000600000007000000",
+        "0000000008000000",
+        // Some(lattice)
+        "01010000000000000002000000010000000000000001000000000000000101000000000000004000",
+        "0000000000000000010000000000000000",
+    ];
+
+    /// The v2 bytes of the service's frames, pinned.  A roundtrip cannot
+    /// see a field list reordered in `encode` and `decode` together; these
+    /// can.  A change here is a format change and needs a `WIRE_VERSION`
+    /// bump.
+    #[test]
+    fn golden_service_encodings_are_pinned() {
+        let request = golden_request();
+        let request_hex = GOLDEN_REQUEST.concat();
+        assert_eq!(hex(&to_bytes(&request)), request_hex);
+        let keyed = KeyedRequest {
+            backend: BackendId::Oobleck,
+            backend_fingerprint: 0xfeed,
+            request,
+        };
+        let keyed_hex = ["03", "edfe000000000000", &request_hex].concat();
+        assert_eq!(hex(&to_bytes(&keyed)), keyed_hex);
+
+        // The responses of `every_service_error()`, in order.
+        let errors = [
+            "010000",
+            "010109000000000000000800000000000000",
+            "01020400000000000000626f6f6d",
+            "010305",
+            "0104010000000000000040a7dc1d01000000000000000065cd1d",
+            "010505000000000000007265736574",
+        ];
+        for (err, golden) in every_service_error().into_iter().zip(errors) {
+            assert_eq!(hex(&to_bytes(&PlanResponse::Error(err))), golden);
+        }
+        let outcome = PlanResponse::Outcome(golden_outcome());
+        assert_eq!(hex(&to_bytes(&outcome)), GOLDEN_OUTCOME.concat());
     }
 
     #[test]
