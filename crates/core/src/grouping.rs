@@ -141,7 +141,7 @@ fn group_node(
             .filter(|(_, r)| *r > straggler_threshold)
             .collect();
         stragglers.sort_by(|a, b| b.1.total_cmp(&a.1));
-        for (gpu, _) in stragglers {
+        for (gpu, rate) in stragglers {
             // Locate the group currently holding this straggler.
             let Some(gidx) = groups
                 .iter()
@@ -169,14 +169,7 @@ fn group_node(
                     candidate_groups.push(rest[offset..offset + size].to_vec());
                     offset += size;
                 }
-                candidate_groups.push(vec![(gpu, f64::NAN)]); // rate re-read below
-                                                              // Rebuild the straggler entry with its true rate.
-                let rate = gpus
-                    .iter()
-                    .find(|(id, _)| *id == gpu)
-                    .map(|(_, r)| *r)
-                    .unwrap_or(1.0);
-                *candidate_groups.last_mut().unwrap() = vec![(gpu, rate)];
+                candidate_groups.push(vec![(gpu, rate)]);
                 // Assemble the full node grouping with this candidate replacing
                 // the original group.
                 let mut full: Vec<Vec<(GpuId, f64)>> = groups

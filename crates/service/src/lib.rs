@@ -13,14 +13,14 @@
 //!   restart) can be added with [`PlanService::register_backend`] so one
 //!   deployment caches and coalesces plans for all five systems
 //!   ([`PlanService::plan_backend`]).  Metrics are broken out per backend.
-//! * **Sharded LRU plan cache** ([`cache`]) keyed by
+//! * **Sharded LRU plan cache** (`cache`) keyed by
 //!   ([`ClusterSnapshot::fingerprint`], coefficients fingerprint, config
 //!   fingerprint, [`malleus_core::BackendId`], backend config fingerprint)
 //!   with full-equality confirmation on every hit — the same collision
 //!   discipline as `malleus_core::GroupingCache`.
-//! * **Request coalescing** ([`coalesce`]): concurrent identical requests
+//! * **Request coalescing** (`coalesce`): concurrent identical requests
 //!   block on one in-flight computation (singleflight) instead of re-planning.
-//! * **Bounded admission** ([`admission`]): at most `max_concurrent_plans`
+//! * **Bounded admission** (`admission`): at most `max_concurrent_plans`
 //!   planner invocations run at once, each fanning its candidate lattice over
 //!   `worker_budget / max_concurrent_plans` threads via
 //!   `malleus_core::parallel` — total planner threads stay capped however many

@@ -1,8 +1,8 @@
 //! The standalone plan server: socket daemon, remote client, and the
 //! client-side L1 plan cache.
 //!
-//! PR 3's [`PlanService`] amortizes planning across tenants *in one process*;
-//! this module promotes it to a cross-process daemon so one warm cache,
+//! [`PlanService`] amortizes planning across tenants *in one process*; this
+//! module promotes it to a cross-process daemon so one warm plan cache,
 //! grouping memo and admission gate serve a whole fleet of training sessions:
 //!
 //! ```text
@@ -68,9 +68,9 @@
 use crate::cache::PlanCache;
 use crate::{KeyedRequest, PlanRequest, PlanService, PlanTransport, ServiceError};
 use malleus_cluster::ClusterSnapshot;
-use malleus_core::{lock_rank, BackendId, PlanError, PlanOutcome, PlannedOutcome, RankedMutex};
+use malleus_core::{lock_rank, BackendId, PlanOutcome, PlannedOutcome, RankedMutex};
 use malleus_wire::{
-    from_bytes, read_frame, read_frame_opt, write_frame, Decoder, Encoder, Wire, WireError,
+    from_bytes, read_frame, read_frame_opt, wire_enum, wire_struct, write_frame, WireError,
     DEFAULT_MAX_FRAME_LEN,
 };
 use std::io::{self, BufReader, Read, Write};
@@ -82,101 +82,31 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
-// Wire impls for the service types (the codec crate cannot implement these:
-// it must not depend on the service crate).
+// Wire formats of the service types, declared here because the codec crate
+// must not depend on the service crate.  Each list is the v2 format: a
+// reordered field or tag needs a `WIRE_VERSION` bump.
 // ---------------------------------------------------------------------------
 
-impl Wire for PlanRequest {
-    fn encode(&self, e: &mut Encoder) {
-        self.coeffs.encode(e);
-        self.snapshot.encode(e);
-        self.config.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(PlanRequest {
-            coeffs: Wire::decode(d)?,
-            snapshot: Wire::decode(d)?,
-            config: Wire::decode(d)?,
-        })
-    }
-}
-
-impl Wire for KeyedRequest {
-    fn encode(&self, e: &mut Encoder) {
-        self.backend.encode(e);
-        e.put_u64(self.backend_fingerprint);
-        self.request.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(KeyedRequest {
-            backend: BackendId::decode(d)?,
-            backend_fingerprint: d.get_u64()?,
-            request: PlanRequest::decode(d)?,
-        })
-    }
-}
-
-impl Wire for ServiceError {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            ServiceError::Plan(err) => {
-                e.put_u8(0);
-                err.encode(e);
-            }
-            ServiceError::Overloaded { queue_depth, limit } => {
-                e.put_u8(1);
-                e.put_usize(*queue_depth);
-                e.put_usize(*limit);
-            }
-            ServiceError::Internal { reason } => {
-                e.put_u8(2);
-                e.put_str(reason);
-            }
-            ServiceError::UnknownBackend { backend } => {
-                e.put_u8(3);
-                backend.encode(e);
-            }
-            ServiceError::AdmissionTimeout { waited, timeout } => {
-                e.put_u8(4);
-                waited.encode(e);
-                timeout.encode(e);
-            }
-            ServiceError::Transport { reason } => {
-                e.put_u8(5);
-                e.put_str(reason);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(ServiceError::Plan(PlanError::decode(d)?)),
-            1 => Ok(ServiceError::Overloaded {
-                queue_depth: d.get_usize()?,
-                limit: d.get_usize()?,
-            }),
-            2 => Ok(ServiceError::Internal {
-                reason: d.get_str()?,
-            }),
-            3 => Ok(ServiceError::UnknownBackend {
-                backend: BackendId::decode(d)?,
-            }),
-            4 => Ok(ServiceError::AdmissionTimeout {
-                waited: Duration::decode(d)?,
-                timeout: Duration::decode(d)?,
-            }),
-            5 => Ok(ServiceError::Transport {
-                reason: d.get_str()?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "ServiceError",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
+wire_struct!(PlanRequest {
+    coeffs,
+    snapshot,
+    config
+});
+wire_struct!(KeyedRequest {
+    backend,
+    backend_fingerprint,
+    request
+});
+wire_enum!(ServiceError {
+    0 => Plan(err),
+    1 => Overloaded { queue_depth, limit },
+    2 => Internal { reason },
+    3 => UnknownBackend { backend },
+    4 => AdmissionTimeout { waited, timeout },
+    5 => Transport { reason },
+});
 
 /// What the daemon answers every request frame with.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,30 +117,10 @@ pub enum PlanResponse {
     Error(ServiceError),
 }
 
-impl Wire for PlanResponse {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            PlanResponse::Outcome(outcome) => {
-                e.put_u8(0);
-                outcome.encode(e);
-            }
-            PlanResponse::Error(err) => {
-                e.put_u8(1);
-                err.encode(e);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(PlanResponse::Outcome(PlannedOutcome::decode(d)?)),
-            1 => Ok(PlanResponse::Error(ServiceError::decode(d)?)),
-            tag => Err(WireError::UnknownTag {
-                what: "PlanResponse",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
+wire_enum!(PlanResponse {
+    0 => Outcome(outcome),
+    1 => Error(err),
+});
 
 // ---------------------------------------------------------------------------
 // Shared stream/endpoint plumbing

@@ -27,7 +27,7 @@
 //! engineered around six ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
-//! * **Scratch arena** ([`DivisionScratch`]): every buffer the per-candidate
+//! * **Scratch arena** (`DivisionScratch`): every buffer the per-candidate
 //!   scoring needs (counts, capacities, weights, micro-batch amounts) lives in
 //!   flat reusable vectors sized by `dp`/`ms`, so the steady-state loop
 //!   performs zero heap allocations.
@@ -50,7 +50,7 @@
 //!   it (modulo a margin strictly larger than the float noise), no remaining
 //!   candidate can pass the strict-improvement test, so enumeration stops
 //!   early.
-//! * **Objective memo** ([`ObjectiveMemo`]): within one walk `M` is fixed,
+//! * **Objective memo** (`ObjectiveMemo`): within one walk `M` is fixed,
 //!   and the min-max objective of weights that are all finite and positive
 //!   is a function of their multiset.  The allocator's last loop stops only
 //!   when no unit can leave the bottleneck slot `j` for another slot `k`

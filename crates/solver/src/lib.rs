@@ -30,9 +30,9 @@
 //! optimum, so slot order cannot change it).  Together they keep at most
 //! 768 KiB per thread between walks.
 //! It is serial and spawns no threads: the planner runs each division on the
-//! worker of its candidate.  The [`reference`] module keeps the original
-//! straightforward implementations frozen as the byte-identity oracle for
-//! those optimizations.
+//! worker of its candidate.  The [`reference`](mod@reference) module keeps
+//! the original straightforward implementations frozen as the byte-identity
+//! oracle for those optimizations.
 
 // Floats are compared bitwise (`to_bits`), so plans stay byte-identical.
 #![cfg_attr(not(test), deny(clippy::float_cmp))]

@@ -12,6 +12,10 @@
 //!   `PlanError`, `ParallelizationPlan`, `PlannerConfig`,
 //!   `ProfiledCoefficients`, `ClusterSnapshot`, `ScoredLattice`, ...), and by
 //!   `malleus_service::server` for its own request/response/error types;
+//! * [`wire_struct!`] and [`wire_enum!`], which declare a type's format
+//!   once: the list of a struct's fields, or of an enum's tags and variant
+//!   fields.  The order of a list is the format, so reordering, adding or
+//!   dropping an entry changes the bytes and needs a [`WIRE_VERSION`] bump;
 //! * framing ([`write_frame`] / [`read_frame`]): each message is prefixed
 //!   with a fixed 10-byte header carrying a magic, the protocol version and
 //!   the payload length, so a reader can reject foreign/corrupt/oversized
@@ -185,22 +189,8 @@ impl Encoder {
         self.buf
     }
 
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been encoded yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     pub fn put_u32(&mut self, v: u32) {
@@ -279,10 +269,6 @@ impl<'a> Decoder<'a> {
 
     pub fn get_u8(&mut self) -> Result<u8, WireError> {
         Ok(u8::from_le_bytes(self.take_array::<1>()?))
-    }
-
-    pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take_array::<2>()?))
     }
 
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
@@ -498,12 +484,96 @@ macro_rules! wire_primitive {
 }
 
 wire_primitive!(u8, put_u8, get_u8);
-wire_primitive!(u16, put_u16, get_u16);
 wire_primitive!(u32, put_u32, get_u32);
 wire_primitive!(u64, put_u64, get_u64);
 wire_primitive!(usize, put_usize, get_usize);
 wire_primitive!(f64, put_f64, get_f64);
 wire_primitive!(bool, put_bool, get_bool);
+
+/// Implements [`Wire`] for a struct from the list of its fields, which
+/// `encode` writes and `decode` reads in list order.  A tuple struct lists
+/// its field indices: `wire_struct!(GpuId { 0 })`.
+///
+/// ```
+/// use malleus_wire::{from_bytes, to_bytes, wire_struct};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Span { start: u64, len: u32 }
+/// wire_struct!(Span { start, len });
+///
+/// let span = Span { start: 7, len: 2 };
+/// assert_eq!(to_bytes(&span), [7, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]);
+/// assert_eq!(from_bytes(&to_bytes(&span)), Ok(span));
+/// ```
+#[macro_export]
+macro_rules! wire_struct {
+    ($t:ident { $($field:tt),* $(,)? }) => {
+        impl $crate::Wire for $t {
+            fn encode(&self, e: &mut $crate::Encoder) {
+                $($crate::Wire::encode(&self.$field, e);)*
+            }
+            fn decode(d: &mut $crate::Decoder<'_>) -> Result<Self, $crate::WireError> {
+                // Struct-expression fields evaluate in the order written.
+                Ok(Self {
+                    $($field: $crate::Wire::decode(d)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Wire`] for an enum from `tag => variant` entries: `encode`
+/// writes the one-byte tag, then the variant's fields in list order.  A
+/// variant is a unit, a tuple with one name per field, or a struct.  A tag
+/// no entry lists decodes to [`WireError::UnknownTag`] naming the type.
+///
+/// ```
+/// use malleus_wire::{from_bytes, to_bytes, wire_enum, WireError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Shape { Empty, Line(u32), Rect { w: u32, h: u32 } }
+/// wire_enum!(Shape { 0 => Empty, 1 => Line(len), 2 => Rect { w, h } });
+///
+/// assert_eq!(to_bytes(&Shape::Line(3)), [1, 3, 0, 0, 0]);
+/// let rect = Shape::Rect { w: 2, h: 5 };
+/// assert_eq!(from_bytes(&to_bytes(&rect)), Ok(rect));
+/// let unknown = WireError::UnknownTag { what: "Shape", tag: 3 };
+/// assert_eq!(from_bytes::<Shape>(&[3]), Err(unknown));
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($t:ident {
+        $($tag:literal => $variant:ident
+            $(($($pos:ident),*))?
+            $({ $($field:ident),* })?
+        ),* $(,)?
+    }) => {
+        impl $crate::Wire for $t {
+            fn encode(&self, e: &mut $crate::Encoder) {
+                match self {
+                    $(Self::$variant $(($($pos),*))? $({ $($field),* })? => {
+                        e.put_u8($tag);
+                        $($($crate::Wire::encode($pos, e);)*)?
+                        $($($crate::Wire::encode($field, e);)*)?
+                    })*
+                }
+            }
+            fn decode(d: &mut $crate::Decoder<'_>) -> Result<Self, $crate::WireError> {
+                match d.get_u8()? {
+                    $($tag => {
+                        $($(let $pos = $crate::Wire::decode(d)?;)*)?
+                        $($(let $field = $crate::Wire::decode(d)?;)*)?
+                        Ok(Self::$variant $(($($pos),*))? $({ $($field),* })?)
+                    })*
+                    tag => Err($crate::WireError::UnknownTag {
+                        what: stringify!($t),
+                        tag: u64::from(tag),
+                    }),
+                }
+            }
+        }
+    };
+}
 
 impl Wire for String {
     fn encode(&self, e: &mut Encoder) {
@@ -582,420 +652,133 @@ impl Wire for Duration {
 }
 
 // ---------------------------------------------------------------------------
-// Cluster / model types
+// Planner formats: one declaration each, in today's v2 field and tag order
 // ---------------------------------------------------------------------------
 
-impl Wire for GpuId {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.0);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(GpuId(d.get_u32()?))
-    }
-}
-
-impl Wire for ClusterSnapshot {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_usize(self.num_nodes);
-        self.node_of.encode(e);
-        self.rates.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ClusterSnapshot {
-            num_nodes: usize::decode(d)?,
-            node_of: Vec::decode(d)?,
-            rates: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Wire for ModelSpec {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_str(&self.name);
-        e.put_u32(self.num_layers);
-        e.put_u64(self.hidden_size);
-        e.put_u64(self.ffn_hidden_size);
-        e.put_u64(self.num_heads);
-        e.put_u64(self.num_kv_heads);
-        e.put_u64(self.vocab_size);
-        e.put_u64(self.seq_len);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ModelSpec {
-            name: d.get_str()?,
-            num_layers: d.get_u32()?,
-            hidden_size: d.get_u64()?,
-            ffn_hidden_size: d.get_u64()?,
-            num_heads: d.get_u64()?,
-            num_kv_heads: d.get_u64()?,
-            vocab_size: d.get_u64()?,
-            seq_len: d.get_u64()?,
-        })
-    }
-}
-
-impl Wire for HardwareParams {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_f64(self.gpu_peak_flops);
-        e.put_f64(self.achievable_flops_fraction);
-        e.put_f64(self.gpu_memory_bytes);
-        e.put_f64(self.memory_reserve_bytes);
-        e.put_f64(self.intra_node_bandwidth);
-        e.put_f64(self.inter_node_bandwidth);
-        e.put_f64(self.collective_latency);
-        e.put_f64(self.checkpoint_bandwidth);
-        e.put_f64(self.restart_init_seconds);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(HardwareParams {
-            gpu_peak_flops: d.get_f64()?,
-            achievable_flops_fraction: d.get_f64()?,
-            gpu_memory_bytes: d.get_f64()?,
-            memory_reserve_bytes: d.get_f64()?,
-            intra_node_bandwidth: d.get_f64()?,
-            inter_node_bandwidth: d.get_f64()?,
-            collective_latency: d.get_f64()?,
-            checkpoint_bandwidth: d.get_f64()?,
-            restart_init_seconds: d.get_f64()?,
-        })
-    }
-}
-
-impl Wire for MemoryModel {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_f64(self.activation_bytes_per_token_per_hidden);
-        e.put_f64(self.backward_peak_factor);
-        e.put_f64(self.param_and_grad_bytes_per_param);
-        e.put_f64(self.optimizer_bytes_per_param);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(MemoryModel {
-            activation_bytes_per_token_per_hidden: d.get_f64()?,
-            backward_peak_factor: d.get_f64()?,
-            param_and_grad_bytes_per_param: d.get_f64()?,
-            optimizer_bytes_per_param: d.get_f64()?,
-        })
-    }
-}
-
-impl Wire for ProfiledCoefficients {
-    fn encode(&self, e: &mut Encoder) {
-        self.spec.encode(e);
-        self.hardware.encode(e);
-        self.memory.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ProfiledCoefficients {
-            spec: ModelSpec::decode(d)?,
-            hardware: HardwareParams::decode(d)?,
-            memory: MemoryModel::decode(d)?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Core planner types
-// ---------------------------------------------------------------------------
-
-impl Wire for Parallelism {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            Parallelism::Auto => e.put_u8(0),
-            Parallelism::Fixed(n) => {
-                e.put_u8(1);
-                e.put_usize(*n);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(Parallelism::Auto),
-            1 => Ok(Parallelism::Fixed(d.get_usize()?)),
-            tag => Err(WireError::UnknownTag {
-                what: "Parallelism",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
-
-impl Wire for PlannerConfig {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u64(self.global_batch_size);
-        self.candidate_tp_degrees.encode(e);
-        self.candidate_micro_batch_sizes.encode(e);
-        self.candidate_dp.encode(e);
-        self.fixed_dp.encode(e);
-        e.put_f64(self.straggler_threshold);
-        e.put_bool(self.enable_group_splitting);
-        e.put_bool(self.nonuniform_layers);
-        e.put_bool(self.nonuniform_data);
-        e.put_bool(self.nonuniform_stages);
-        self.parallelism.encode(e);
-        e.put_bool(self.incremental);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(PlannerConfig {
-            global_batch_size: d.get_u64()?,
-            candidate_tp_degrees: Vec::decode(d)?,
-            candidate_micro_batch_sizes: Vec::decode(d)?,
-            candidate_dp: Option::decode(d)?,
-            fixed_dp: Option::decode(d)?,
-            straggler_threshold: d.get_f64()?,
-            enable_group_splitting: d.get_bool()?,
-            nonuniform_layers: d.get_bool()?,
-            nonuniform_data: d.get_bool()?,
-            nonuniform_stages: d.get_bool()?,
-            parallelism: Parallelism::decode(d)?,
-            incremental: d.get_bool()?,
-        })
-    }
-}
-
-impl Wire for TpGroup {
-    fn encode(&self, e: &mut Encoder) {
-        self.gpus.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(TpGroup {
-            gpus: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Wire for StagePlan {
-    fn encode(&self, e: &mut Encoder) {
-        self.group.encode(e);
-        e.put_u32(self.layers);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(StagePlan {
-            group: TpGroup::decode(d)?,
-            layers: d.get_u32()?,
-        })
-    }
-}
-
-impl Wire for PipelinePlan {
-    fn encode(&self, e: &mut Encoder) {
-        self.stages.encode(e);
-        e.put_u64(self.num_micro_batches);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(PipelinePlan {
-            stages: Vec::decode(d)?,
-            num_micro_batches: d.get_u64()?,
-        })
-    }
-}
-
-impl Wire for ParallelizationPlan {
-    fn encode(&self, e: &mut Encoder) {
-        self.pipelines.encode(e);
-        e.put_u64(self.micro_batch_size);
-        self.removed_gpus.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ParallelizationPlan {
-            pipelines: Vec::decode(d)?,
-            micro_batch_size: d.get_u64()?,
-            removed_gpus: Vec::decode(d)?,
-        })
-    }
-}
-
-impl Wire for PlanTiming {
-    fn encode(&self, e: &mut Encoder) {
-        self.grouping.encode(e);
-        self.division.encode(e);
-        self.ordering.encode(e);
-        self.assignment.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(PlanTiming {
-            grouping: Duration::decode(d)?,
-            division: Duration::decode(d)?,
-            ordering: Duration::decode(d)?,
-            assignment: Duration::decode(d)?,
-        })
-    }
-}
-
-impl Wire for LatticeEntry {
-    fn encode(&self, e: &mut Encoder) {
-        e.put_u32(self.max_tp);
-        e.put_usize(self.dp);
-        e.put_u64(self.micro_batch);
-        e.put_bool(self.nonuniform_division);
-        self.estimated_step_time.encode(e);
-        e.put_bool(self.reused);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(LatticeEntry {
-            max_tp: d.get_u32()?,
-            dp: d.get_usize()?,
-            micro_batch: d.get_u64()?,
-            nonuniform_division: d.get_bool()?,
-            estimated_step_time: Option::decode(d)?,
-            reused: d.get_bool()?,
-        })
-    }
-}
-
-impl Wire for ScoredLattice {
-    fn encode(&self, e: &mut Encoder) {
-        self.entries.encode(e);
-        e.put_usize(self.reused);
-        e.put_usize(self.evaluated);
-        e.put_bool(self.delta);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ScoredLattice {
-            entries: Vec::decode(d)?,
-            reused: d.get_usize()?,
-            evaluated: d.get_usize()?,
-            delta: d.get_bool()?,
-        })
-    }
-}
-
-impl Wire for PlanOutcome {
-    fn encode(&self, e: &mut Encoder) {
-        self.plan.encode(e);
-        e.put_f64(self.estimated_step_time);
-        e.put_f64(self.estimated_step_time_simplified);
-        e.put_u32(self.chosen_tp);
-        e.put_usize(self.dp);
-        self.timing.encode(e);
-        self.lattice.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(PlanOutcome {
-            plan: ParallelizationPlan::decode(d)?,
-            estimated_step_time: d.get_f64()?,
-            estimated_step_time_simplified: d.get_f64()?,
-            chosen_tp: d.get_u32()?,
-            dp: d.get_usize()?,
-            timing: PlanTiming::decode(d)?,
-            lattice: Option::decode(d)?,
-        })
-    }
-}
-
-impl Wire for BackendId {
-    fn encode(&self, e: &mut Encoder) {
-        // Tag = position in BackendId::ALL — stable like BackendId::code(),
-        // but one byte.
-        let tag = match BackendId::ALL.iter().position(|b| b == self) {
-            Some(i) => i as u8,
-            // Unreachable by construction (ALL enumerates the enum); emit a
-            // tag `decode` rejects as UnknownTag rather than panicking in an
-            // encode path.
-            None => u8::MAX,
-        };
-        e.put_u8(tag);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        let tag = d.get_u8()?;
-        BackendId::ALL
-            .get(tag as usize)
-            .copied()
-            .ok_or(WireError::UnknownTag {
-                what: "BackendId",
-                tag: tag as u64,
-            })
-    }
-}
-
-impl Wire for PlannedOutcome {
-    fn encode(&self, e: &mut Encoder) {
-        self.backend.encode(e);
-        self.plan.encode(e);
-        self.active_gpus.encode(e);
-        e.put_f64(self.estimated_step_time);
-        e.put_f64(self.transition_cost);
-        e.put_str(&self.description);
-        self.malleus.encode(e);
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(PlannedOutcome {
-            backend: BackendId::decode(d)?,
-            plan: Option::decode(d)?,
-            active_gpus: Vec::decode(d)?,
-            estimated_step_time: d.get_f64()?,
-            transition_cost: d.get_f64()?,
-            description: d.get_str()?,
-            malleus: Option::decode(d)?,
-        })
-    }
-}
-
-impl Wire for PlanError {
-    fn encode(&self, e: &mut Encoder) {
-        match self {
-            PlanError::NoUsableGpus => e.put_u8(0),
-            PlanError::NoFeasiblePlan { reason } => {
-                e.put_u8(1);
-                e.put_str(reason);
-            }
-            PlanError::InvalidPlan { reason } => {
-                e.put_u8(2);
-                e.put_str(reason);
-            }
-            PlanError::InfeasibleDataParallel { dp, groups } => {
-                e.put_u8(3);
-                e.put_usize(*dp);
-                e.put_usize(*groups);
-            }
-            PlanError::NoHealthyNodes => e.put_u8(4),
-            PlanError::InfeasibleConfiguration { backend, reason } => {
-                e.put_u8(5);
-                e.put_str(backend);
-                e.put_str(reason);
-            }
-            PlanError::CannotAdapt { backend, reason } => {
-                e.put_u8(6);
-                e.put_str(backend);
-                e.put_str(reason);
-            }
-            PlanError::Unavailable { reason } => {
-                e.put_u8(7);
-                e.put_str(reason);
-            }
-        }
-    }
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(PlanError::NoUsableGpus),
-            1 => Ok(PlanError::NoFeasiblePlan {
-                reason: d.get_str()?,
-            }),
-            2 => Ok(PlanError::InvalidPlan {
-                reason: d.get_str()?,
-            }),
-            3 => Ok(PlanError::InfeasibleDataParallel {
-                dp: d.get_usize()?,
-                groups: d.get_usize()?,
-            }),
-            4 => Ok(PlanError::NoHealthyNodes),
-            5 => Ok(PlanError::InfeasibleConfiguration {
-                backend: d.get_str()?,
-                reason: d.get_str()?,
-            }),
-            6 => Ok(PlanError::CannotAdapt {
-                backend: d.get_str()?,
-                reason: d.get_str()?,
-            }),
-            7 => Ok(PlanError::Unavailable {
-                reason: d.get_str()?,
-            }),
-            tag => Err(WireError::UnknownTag {
-                what: "PlanError",
-                tag: tag as u64,
-            }),
-        }
-    }
-}
+wire_struct!(GpuId { 0 });
+wire_struct!(ClusterSnapshot {
+    num_nodes,
+    node_of,
+    rates
+});
+wire_struct!(ModelSpec {
+    name,
+    num_layers,
+    hidden_size,
+    ffn_hidden_size,
+    num_heads,
+    num_kv_heads,
+    vocab_size,
+    seq_len
+});
+wire_struct!(HardwareParams {
+    gpu_peak_flops,
+    achievable_flops_fraction,
+    gpu_memory_bytes,
+    memory_reserve_bytes,
+    intra_node_bandwidth,
+    inter_node_bandwidth,
+    collective_latency,
+    checkpoint_bandwidth,
+    restart_init_seconds
+});
+wire_struct!(MemoryModel {
+    activation_bytes_per_token_per_hidden,
+    backward_peak_factor,
+    param_and_grad_bytes_per_param,
+    optimizer_bytes_per_param
+});
+wire_struct!(ProfiledCoefficients {
+    spec,
+    hardware,
+    memory
+});
+wire_enum!(Parallelism {
+    0 => Auto,
+    1 => Fixed(threads),
+});
+wire_struct!(PlannerConfig {
+    global_batch_size,
+    candidate_tp_degrees,
+    candidate_micro_batch_sizes,
+    candidate_dp,
+    fixed_dp,
+    straggler_threshold,
+    enable_group_splitting,
+    nonuniform_layers,
+    nonuniform_data,
+    nonuniform_stages,
+    parallelism,
+    incremental
+});
+wire_struct!(TpGroup { gpus });
+wire_struct!(StagePlan { group, layers });
+wire_struct!(PipelinePlan {
+    stages,
+    num_micro_batches
+});
+wire_struct!(ParallelizationPlan {
+    pipelines,
+    micro_batch_size,
+    removed_gpus
+});
+wire_struct!(PlanTiming {
+    grouping,
+    division,
+    ordering,
+    assignment
+});
+wire_struct!(LatticeEntry {
+    max_tp,
+    dp,
+    micro_batch,
+    nonuniform_division,
+    estimated_step_time,
+    reused
+});
+wire_struct!(ScoredLattice {
+    entries,
+    reused,
+    evaluated,
+    delta
+});
+wire_struct!(PlanOutcome {
+    plan,
+    estimated_step_time,
+    estimated_step_time_simplified,
+    chosen_tp,
+    dp,
+    timing,
+    lattice
+});
+// Tags follow `BackendId::ALL` order.
+wire_enum!(BackendId {
+    0 => Malleus,
+    1 => Megatron,
+    2 => DeepSpeed,
+    3 => Oobleck,
+    4 => MegatronRestart,
+    5 => DeepSpeedRestart,
+});
+wire_struct!(PlannedOutcome {
+    backend,
+    plan,
+    active_gpus,
+    estimated_step_time,
+    transition_cost,
+    description,
+    malleus
+});
+wire_enum!(PlanError {
+    0 => NoUsableGpus,
+    1 => NoFeasiblePlan { reason },
+    2 => InvalidPlan { reason },
+    3 => InfeasibleDataParallel { dp, groups },
+    4 => NoHealthyNodes,
+    5 => InfeasibleConfiguration { backend, reason },
+    6 => CannotAdapt { backend, reason },
+    7 => Unavailable { reason },
+});
 
 #[cfg(test)]
 mod tests {
