@@ -25,8 +25,9 @@ fn cases() -> Vec<Case> {
     let tied = 0.1328328240067972;
     vec![
         // The two dp = 4 divisions that dominate the 64-GPU LLaMA-110B S3
-        // plan, at 64 micro-batches: 65k assignments each, walked as 1,344
-        // and 6,400 once bitwise-tied slow groups are collapsed.
+        // plan, at 64 micro-batches: 65k assignments each, 1,344 and 6,400
+        // once bitwise-tied slow groups are collapsed, walked as 375 and 486
+        // once relabelled pipelines are too.
         Case {
             label: "dp4_ms8_fast14 TP-8 (64-GPU S3 shape, tied)",
             problem: DivisionProblem::new(
@@ -69,8 +70,22 @@ fn cases() -> Vec<Case> {
                 256,
             ),
         },
+        // Units 1/2 and 1/4 alternate, so dyadic greedy levels meet bitwise
+        // between different pipeline states: the relabelling walk declines
+        // and restarts in counter order.
+        Case {
+            label: "dp4_ms8_fast12 dyadic (65k candidates, restart)",
+            problem: DivisionProblem::new(
+                4,
+                12,
+                1.0,
+                vec![2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0],
+                256,
+            ),
+        },
         // Nine unit classes need 4 bits each, and 17 × 4 > 64, so this walk
-        // keeps the descriptor memo off and scores through the weight memo.
+        // keeps the descriptor memo off, walks in counter order and scores
+        // through the weight memo.
         Case {
             label: "dp2_ms17_fast6 (131k candidates, descriptor memo off)",
             problem: DivisionProblem::new(

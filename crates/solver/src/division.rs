@@ -24,7 +24,7 @@
 //!
 //! This is where the planner spends essentially all of its time (the smoke
 //! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around six ideas, each proven byte-identical to the frozen
+//! engineered around seven ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
 //! * **Scratch arena** (`DivisionScratch`): every buffer the per-candidate
@@ -98,6 +98,40 @@
 //!   fast prefix.  A walk whose descriptors could exceed 64 bits (`ms ×
 //!   bits > 64`) keeps this memo empty; misses, like such walks, go on to
 //!   the objective memo.
+//! * **Relabelling walk** (only while the descriptor memo is on): the `dp`
+//!   pipelines are interchangeable, and relabelling them, like permuting a
+//!   tied run, keeps the descriptor multiset.  Counter order compares
+//!   assignments from the top digit down, so the counter-first member of
+//!   each orbit under relabelling × tied-run permutation is tie-canonical
+//!   and *restricted-growth* read from the top digit: the top digit is 0,
+//!   and no digit exceeds 1 + the largest label above it (else relabelling
+//!   the pipelines in order of first appearance, or sorting a tied run,
+//!   gives an earlier member).  `advance` keeps a per-digit ceiling and
+//!   visits only such assignments: 486 of the TP-4 S3 walk's 6,400, 375 of
+//!   TP-8's 1,344, and 15 of the 4,096 of `dp = 8` over four untied groups.
+//!   Every skipped assignment comes after a visited member of its orbit,
+//!   whose scoring had one of three outcomes:
+//!   1. recorded in, or served by, the descriptor memo: the memo's argument
+//!      gives every member of the orbit the same objective bits, so the
+//!      skipped one could never pass `obj < best − 1e-12`;
+//!   2. infeasible (`fill_weights` returns `None`), which holds for the
+//!      whole orbit: the min-groups test reads the count multiset, and a
+//!      capacity is zero exactly when more pipelines sit at greedy level 0
+//!      (no required fast group, only zero units) than there are fast
+//!      groups left to hand out, or, when `1/ŷ` is 0, when some pipeline
+//!      holds only zero units, both functions of the descriptor multiset;
+//!   3. declined: a reported greedy tie, or weights not all finite and
+//!      positive, so the objective may depend on pipeline indices.  The
+//!      walk then restarts from the all-zero assignment in counter order
+//!      and folds afresh; both memos stay, as their entries hold for the
+//!      whole walk.
+//!
+//!   Walks with the memo off keep the counter order, since they neither
+//!   look for ties nor tell pipeline states apart.  Only a white-box test
+//!   guards the restart: a tie between different states leaves the
+//!   multiset of greedy levels unchanged, so members of a tied orbit differ
+//!   only by rounding, far under the fold's 1e-12 margin, and a walk
+//!   without the restart still matches the reference on every sweep.
 //!
 //! A thread keeps both memos' buffers between walks: at most 384 KiB each
 //! (see `MEMO_MAX_WORDS`), 768 KiB in all.
@@ -270,6 +304,17 @@ struct DivisionScratch {
     /// Slot descriptor per pipeline: the class ids of its slow groups in
     /// ascending `k`, `class_bits` each; length `dp`.
     descriptors: Vec<u64>,
+    /// Whether the walk visits only restricted-growth assignments (see
+    /// "Relabelling walk" in the module doc).
+    relabelling: bool,
+    /// `ceiling[k]`: the largest label digit `k` may take, `dp - 1` on the
+    /// counter walk; on the relabelling walk `min(dp - 1, 1 + the largest
+    /// label above k)`, and 0 for the top digit; length `ms`.
+    ceiling: Vec<usize>,
+    /// A candidate scored since the walk started had weights the
+    /// descriptor memo declines to record: a reported greedy tie, or
+    /// weights not all finite and positive.
+    declined: bool,
     /// `1/ŷ` when `ŷ` is finite and positive, else `0.0`.
     fast_unit: f64,
     /// Pipelines whose slow capacity must be re-folded after a counter step.
@@ -404,6 +449,8 @@ impl DivisionScratch {
         self.order.clear();
         self.descriptors.clear();
         self.descriptors.resize(dp, 0);
+        self.ceiling.clear();
+        self.ceiling.resize(ms, 0);
         self.weight_memo.reset(dp);
         self.descriptor_memo.reset(dp);
 
@@ -506,6 +553,23 @@ impl DivisionScratch {
         }
     }
 
+    /// Put the walk at the all-zero assignment, on the relabelling walk when
+    /// `relabelling`, else on the counter walk.  The memos are left alone.
+    fn start_walk(&mut self, dp: usize, relabelling: bool) {
+        self.relabelling = relabelling;
+        self.declined = false;
+        // Below an all-zero top, every digit may rise to label 1.
+        let ceiling = if relabelling { 1.min(dp - 1) } else { dp - 1 };
+        self.ceiling.fill(ceiling);
+        if relabelling {
+            if let Some(top) = self.ceiling.last_mut() {
+                *top = 0;
+            }
+        }
+        self.assignment.fill(0);
+        self.init_slots();
+    }
+
     /// Overwrite `assignment` with the mixed-radix decoding of `idx`
     /// (digit `k` is the least significant after `k` divisions, matching the
     /// enumeration counter which increments position 0 first).
@@ -587,16 +651,27 @@ impl DivisionScratch {
         }
     }
 
-    /// Step to the next canonical assignment in counter order, incrementally
-    /// maintaining `slow_counts` and `slow_capacity`: increment the lowest
-    /// digit below `dp - 1` and reset the digits below it.  Returns `false`
-    /// when the walk is exhausted.
+    /// Step to the walk's next assignment in counter order, incrementally
+    /// maintaining `slow_counts`, `slow_capacity` and `descriptors`:
+    /// increment the lowest digit below its ceiling and reset the digits
+    /// below it.  Returns `false` when the walk is exhausted.
     fn advance(&mut self, dp: usize) -> bool {
-        let Some(pos) = self.assignment.iter().position(|&p| p + 1 < dp) else {
+        let Some(pos) = self
+            .assignment
+            .iter()
+            .zip(&self.ceiling)
+            .position(|(&p, &c)| p < c)
+        else {
             return false;
         };
         self.set_digit(pos, self.assignment[pos] + 1);
         self.reset_below(pos);
+        if self.relabelling {
+            // Each reset digit is 0 or a copy of digit `pos`, so every digit
+            // below `pos` sees the same largest label above it.
+            let c = self.ceiling[pos].max((self.assignment[pos] + 1).min(dp - 1));
+            self.ceiling[..pos].fill(c);
+        }
         self.recompute_touched_capacities();
         true
     }
@@ -631,7 +706,9 @@ impl DivisionScratch {
         };
         // Only for finite, positive weights is the objective a function of
         // their multiset.
-        if !self.weights.iter().all(|w| w.is_finite() && *w > 0.0) {
+        let by_multiset = self.weights.iter().all(|w| w.is_finite() && *w > 0.0);
+        self.declined |= by_descriptors && (tied || !by_multiset);
+        if !by_multiset {
             return self.allocate(problem.num_micro_batches);
         }
         self.weight_memo
@@ -797,9 +874,10 @@ impl DivisionScratch {
     }
 }
 
-/// Sequential exact enumeration of the canonical walk with incremental
-/// counter maintenance and lower-bound early exit.  Expects `prepare` +
-/// `init_slots` to have run.
+/// Sequential exact enumeration with incremental counter maintenance and
+/// lower-bound early exit: the relabelling walk while the descriptor memo is
+/// on, restarted as the counter walk after a declined candidate, else the
+/// counter walk.  Expects `prepare` to have run.
 /// Returns whether any feasible candidate was found; the winner is left in
 /// `scratch.best_assignment`.
 fn enumerate_serial(
@@ -808,6 +886,7 @@ fn enumerate_serial(
     min_groups: usize,
     lb: f64,
 ) -> bool {
+    scratch.start_walk(problem.dp, scratch.class_bits > 0);
     let mut have = false;
     let mut best = 0.0_f64;
     loop {
@@ -818,6 +897,11 @@ fn enumerate_serial(
             break;
         }
         let obj = scratch.score_current(problem, min_groups);
+        if scratch.relabelling && scratch.declined {
+            scratch.start_walk(problem.dp, false);
+            have = false;
+            continue;
+        }
         if !obj.is_nan() && (!have || obj < best - 1e-12) {
             have = true;
             best = obj;
@@ -933,7 +1017,6 @@ pub fn divide_pipelines(problem: &DivisionProblem) -> Result<Division, DivisionE
         scratch.prepare(problem);
         let lb = scratch.lower_bound(problem);
         let found = if search_space <= problem.exact_enumeration_limit {
-            scratch.init_slots();
             enumerate_serial(scratch, problem, min_groups, lb)
         } else {
             local_search(scratch, problem, min_groups, lb)
@@ -1065,13 +1148,14 @@ mod tests {
         DivisionProblem::new(4, 14, 0.25679840610196364, slow, 64)
     }
 
-    /// Walk `p` from the all-zero counter, checking the incrementally
-    /// maintained slot state against a from-scratch rebuild after every
-    /// step; returns the visited counter indices.
-    fn canonical_walk(p: &DivisionProblem) -> Vec<u64> {
+    /// Walk `p` from the all-zero counter, on the relabelling walk when
+    /// `relabelling`, checking the incrementally maintained slot state
+    /// against a from-scratch rebuild after every step; returns the visited
+    /// counter indices.
+    fn walk_order(p: &DivisionProblem, relabelling: bool) -> Vec<u64> {
         let mut s = DivisionScratch::default();
         s.prepare(p);
-        s.init_slots();
+        s.start_walk(p.dp, relabelling);
         let mut visited = vec![s.counter_index(p.dp)];
         while s.advance(p.dp) {
             assert_slots_match_rebuild(&mut s);
@@ -1083,47 +1167,76 @@ mod tests {
     fn assert_slots_match_rebuild(s: &mut DivisionScratch) {
         let counts = s.slow_counts.clone();
         let capacity: Vec<u64> = s.slow_capacity.iter().map(|c| c.to_bits()).collect();
+        let descriptors = s.descriptors.clone();
         s.init_slots();
         assert_eq!(counts, s.slow_counts);
         let rebuilt: Vec<u64> = s.slow_capacity.iter().map(|c| c.to_bits()).collect();
         assert_eq!(capacity, rebuilt);
+        assert_eq!(descriptors, s.descriptors);
     }
 
     /// Brute force: the counter indices whose digits are non-increasing in
-    /// `k` inside every run of bitwise-tied units.
-    fn canonical_indices(p: &DivisionProblem) -> Vec<u64> {
+    /// `k` inside every run of bitwise-tied units and, when `relabelling`,
+    /// restricted-growth read from the top digit: 0 at the top, and no digit
+    /// above 1 + the largest label above it.
+    fn walk_indices(p: &DivisionProblem, relabelling: bool) -> Vec<u64> {
         let mut s = DivisionScratch::default();
         s.prepare(p);
         let n = (p.dp as u64).pow(p.slow_rates.len() as u32);
         (0..n)
             .filter(|&idx| {
                 s.set_counter(idx, p.dp);
+                let mut labels = 0;
+                let restricted_growth = s.assignment.iter().rev().all(|&d| {
+                    let fits = d <= labels;
+                    labels = labels.max(d + 1);
+                    fits
+                });
                 (0..s.tied_to_next.len())
                     .all(|k| !s.tied_to_next[k] || s.assignment[k] >= s.assignment[k + 1])
+                    && (restricted_growth || !relabelling)
             })
             .collect()
     }
 
-    #[test]
-    fn canonical_walk_visits_the_first_assignment_of_each_tied_permutation_class() {
-        let untied = DivisionProblem::new(4, 12, 1.0, vec![2.0, 2.5, 3.0, 3.5, 4.0, 4.5], 256);
-        // Distinct rates whose units tie bitwise, next to a failed group and a
-        // zero rate (both unit 0.0).
-        let unit_ties = DivisionProblem::new(
+    fn untied() -> DivisionProblem {
+        DivisionProblem::new(4, 12, 1.0, vec![2.0, 2.5, 3.0, 3.5, 4.0, 4.5], 256)
+    }
+
+    /// Distinct rates whose units tie bitwise, next to a failed group and a
+    /// zero rate (both unit 0.0).
+    fn unit_ties() -> DivisionProblem {
+        DivisionProblem::new(
             3,
             4,
             1.0,
             vec![3.5, 3.5000000000000004, f64::INFINITY, 0.0, 2.0, 2.0],
             32,
-        );
-        for p in [s3_tp8(), s3_tp4(), untied, unit_ties.clone()] {
-            assert_eq!(canonical_walk(&p), canonical_indices(&p), "{p:?}");
+        )
+    }
+
+    #[test]
+    fn canonical_walk_visits_the_first_assignment_of_each_tied_permutation_class() {
+        for p in [s3_tp8(), s3_tp4(), untied(), unit_ties()] {
+            assert_eq!(walk_order(&p, false), walk_indices(&p, false), "{p:?}");
         }
         // 4 * 4 * C(9, 6) and C(6, 3) * 4 * C(6, 3) * 4 of the 4^8 = 65,536;
         // three tied pairs at dp 3: C(4, 2)^3 of 3^6 = 729.
-        assert_eq!(canonical_walk(&s3_tp8()).len(), 1_344);
-        assert_eq!(canonical_walk(&s3_tp4()).len(), 6_400);
-        assert_eq!(canonical_walk(&unit_ties).len(), 216);
+        assert_eq!(walk_order(&s3_tp8(), false).len(), 1_344);
+        assert_eq!(walk_order(&s3_tp4(), false).len(), 6_400);
+        assert_eq!(walk_order(&unit_ties(), false).len(), 216);
+    }
+
+    #[test]
+    fn relabelling_walk_visits_the_restricted_growth_assignments_of_the_canonical_walk() {
+        for p in [s3_tp8(), s3_tp4(), untied(), unit_ties()] {
+            assert_eq!(walk_order(&p, true), walk_indices(&p, true), "{p:?}");
+        }
+        assert_eq!(walk_order(&s3_tp8(), true).len(), 375);
+        assert_eq!(walk_order(&s3_tp4(), true).len(), 486);
+        // Six untied groups over at most four labels: the set partitions of
+        // six items into at most four blocks, 1 + 31 + 90 + 65.
+        assert_eq!(walk_order(&untied(), true).len(), 187);
     }
 
     fn assert_matches_reference(p: &DivisionProblem) {
@@ -1135,7 +1248,6 @@ mod tests {
     fn walked(p: &DivisionProblem) -> DivisionScratch {
         let mut s = DivisionScratch::default();
         s.prepare(p);
-        s.init_slots();
         let lb = s.lower_bound(p);
         assert!(enumerate_serial(
             &mut s,
@@ -1171,6 +1283,41 @@ mod tests {
         assert_eq!(s.fill_weights(&p, 1), Some(false));
         assert!(!s.score_current(&p, 1).is_nan());
         assert!(s.descriptor_memo.get().is_some());
+    }
+
+    /// `dp = 4` over alternating units 1/2 and 1/4: dyadic levels meet
+    /// bitwise, so greedy picks tie between different states.
+    fn dyadic() -> DivisionProblem {
+        DivisionProblem::new(
+            4,
+            12,
+            1.0,
+            vec![2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0],
+            256,
+        )
+    }
+
+    #[test]
+    fn relabelling_walk_restarts_in_counter_order_after_a_declined_candidate() {
+        // A greedy tie; recurring greedy ties; and a unit of +inf (rate
+        // 5e-324), whose pipeline gets weight 0.
+        for p in [
+            DivisionProblem::new(2, 3, 1.0, vec![0.5], 16),
+            dyadic(),
+            DivisionProblem::new(3, 4, 1.0, vec![5e-324, 2.0, 3.0], 32),
+        ] {
+            let s = walked(&p);
+            assert!(s.class_bits > 0 && !s.relabelling, "{p:?}");
+            assert_eq!(s.ceiling, vec![p.dp - 1; p.slow_rates.len()], "{p:?}");
+            assert_matches_reference(&p);
+        }
+        // Walks that meet no declined candidate stay restricted-growth.
+        for p in [s3_tp4(), s3_tp8(), untied()] {
+            let s = walked(&p);
+            assert!(!s.declined && s.relabelling, "{p:?}");
+        }
+        // With the descriptor memo off, the walk keeps the counter order.
+        assert!(!walked(&dp2_ms17()).relabelling);
     }
 
     #[test]
@@ -1277,6 +1424,8 @@ mod tests {
             DivisionProblem::new(4, 4, 1.0, vec![2.0], 0),
             // Equal rates everywhere: maximal 1e-12 tie pressure on the fold.
             DivisionProblem::new(4, 8, 1.0, vec![1.0, 1.0, 1.0], 96),
+            // A subnormal rate: its unit is +inf, so one weight is 0.
+            DivisionProblem::new(3, 4, 1.0, vec![5e-324, 2.0, 3.0], 32),
         ];
         let mut min2 = DivisionProblem::new(2, 2, 1.0, vec![2.0, 2.0], 16);
         min2.min_groups_per_pipeline = 2;
@@ -1386,15 +1535,16 @@ mod tests {
 
     #[test]
     fn steady_state_enumeration_is_allocation_free() {
-        // 8^4 = 4096 enumerated candidates.  After a warm call on this thread,
-        // a full search may only allocate O(1) times (the returned Division's
-        // four owned vectors and small bookkeeping) — nothing per candidate.
-        // The tied TP-8 shape walks 1,344 of its 4^8 assignments the same way.
-        // The untied dp4_ms8_fast12 walk meets 2,795 descriptor multisets
-        // and as many weight multisets, so both memos outgrow the first
-        // table and must regrow within the capacity the warm call left.
-        // dp8_ms5_fast120 walks 32k candidates with the paper's fast pool,
-        // 120 greedy picks per miss.
+        // After a warm call on this thread, a full search may only allocate
+        // O(1) times (the returned Division's four owned vectors and small
+        // bookkeeping) — nothing per candidate.  The relabelling walk visits
+        // 15 of dp8_ms4's 8^4 = 4096 assignments, 52 of dp8_ms5_fast120's
+        // 32k (the paper's fast pool, 120 greedy picks per miss) and 375 of
+        // the tied TP-8 shape's 4^8.  The untied dp4_ms8_fast12 walk visits
+        // 2,795 assignments, one per descriptor multiset, with as many
+        // weight multisets, so both memos outgrow the first table and must
+        // regrow within the capacity the warm call left.  The dyadic shape
+        // restarts in counter order after a greedy tie.
         for p in [
             DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256),
             DivisionProblem::new(8, 120, 0.17, vec![0.4, 0.45, 0.5, 0.55, 0.6], 1024),
@@ -1406,6 +1556,7 @@ mod tests {
                 vec![2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 5.5],
                 256,
             ),
+            dyadic(),
         ] {
             let warm = divide_pipelines(&p).unwrap();
             let (allocs, d) = crate::alloc_counter::count_allocations(|| divide_pipelines(&p));

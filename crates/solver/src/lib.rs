@@ -22,13 +22,15 @@
 //!
 //! The division search is the planner's hot path and is implemented
 //! allocation-free over a reusable scratch arena with incremental enumeration
-//! that skips permutations of bitwise-tied slow groups, bound pruning, and
-//! two per-walk objective memos: one keyed on the multiset of per-pipeline
-//! slot descriptors (the class ids of a pipeline's slow groups in ascending
-//! order), consulted before the fast-group greedy runs, and behind it one
-//! keyed on the weight multiset (the min-max objective is the exact float
-//! optimum, so slot order cannot change it).  Together they keep at most
-//! 768 KiB per thread between walks.
+//! that skips permutations of bitwise-tied slow groups and, while the
+//! descriptor memo below is on, relabellings of the pipelines (restarting
+//! in counter order after a candidate that memo declines to record), bound
+//! pruning, and two per-walk objective memos: one keyed on the multiset of
+//! per-pipeline slot descriptors (the class ids of a pipeline's slow groups
+//! in ascending order), consulted before the fast-group greedy runs, and
+//! behind it one keyed on the weight multiset (the min-max objective is the
+//! exact float optimum, so slot order cannot change it).  Together they keep
+//! at most 768 KiB per thread between walks.
 //! It is serial and spawns no threads: the planner runs each division on the
 //! worker of its candidate.  The [`reference`](mod@reference) module keeps
 //! the original straightforward implementations frozen as the byte-identity
