@@ -232,17 +232,48 @@ fn main() {
     // ---- Division micro-breakdown: frozen seed reference vs scratch-arena solver ----
     // Runs in both modes: the pipeline-division phase dominates planning time on
     // straggler-heavy fleets, so this is where the solver rework must pay off.
-    // Every optimized plan is asserted byte-identical to the seed reference, and
-    // the best speedup over the division-dominated instances must clear 5x.
+    // Every optimized plan is asserted byte-identical to the seed reference, the
+    // best speedup over the division-dominated instances must clear 5x, and so
+    // must each instance walked in counter order (`true` below): the first two
+    // walk 15 relabelling-canonical assignments each, so only the last two
+    // time the counter walk and its order-statistic scoring.
     let division_iters = if smoke { 3 } else { 7 };
-    let division_cases: Vec<(&str, DivisionProblem)> = vec![
+    let division_cases: Vec<(&str, DivisionProblem, bool)> = vec![
         (
             "dp8_ms4_fast24 (4k candidates)",
             DivisionProblem::new(8, 24, 1.0, vec![2.0, 3.0, 2.5, 4.0], 256),
+            false,
         ),
         (
             "dp16_ms4_fast48 (65k candidates)",
             DivisionProblem::new(16, 48, 1.0, vec![2.0, 2.5, 3.0, 3.5], 512),
+            false,
+        ),
+        // Nine unit classes need 4 bits each, and 17 × 4 > 64: the descriptor
+        // memo stays off and the walk keeps counter order.
+        (
+            "dp2_ms17_fast6 (131k candidates, descriptor memo off)",
+            DivisionProblem::new(
+                2,
+                6,
+                1.0,
+                (0..17).map(|k| 2.0 + 0.25 * (k % 9) as f64).collect(),
+                128,
+            ),
+            true,
+        ),
+        // Dyadic greedy levels tie between different pipeline states, so the
+        // relabelling walk restarts in counter order.
+        (
+            "dp4_ms8_fast12 dyadic (65k candidates, restart)",
+            DivisionProblem::new(
+                4,
+                12,
+                1.0,
+                vec![2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0],
+                256,
+            ),
+            true,
         ),
     ];
     println!("\nDivision micro-breakdown: seed reference vs scratch-arena solver (best of {division_iters}, interleaved)");
@@ -255,11 +286,15 @@ fn main() {
     ]);
     let mut division_records = Vec::new();
     let mut best_division_speedup = 0.0f64;
-    for (label, problem) in &division_cases {
+    let mut counter_walk_speedup = f64::INFINITY;
+    for (label, problem, counter_walk) in &division_cases {
         let ((ref_secs, ref_d), (opt_secs, opt_d)) = interleaved_best_secs(division_iters, problem);
         assert_eq!(opt_d, ref_d, "{label}");
         let speedup = ref_secs / opt_secs.max(1e-12);
         best_division_speedup = best_division_speedup.max(speedup);
+        if *counter_walk {
+            counter_walk_speedup = counter_walk_speedup.min(speedup);
+        }
         division_table.row([
             label.to_string(),
             format!("{:.2}", ref_secs * 1e3),
@@ -279,9 +314,16 @@ fn main() {
     println!(
         "\nBest division speedup vs seed: {best_division_speedup:.2}x (gate: >= 5x on division-dominated instances)"
     );
+    println!(
+        "Worst counter-walk speedup vs seed: {counter_walk_speedup:.2}x (gate: >= 5x on each counter-order walk)"
+    );
     assert!(
         best_division_speedup >= 5.0,
         "division solver speedup regressed: best {best_division_speedup:.2}x < 5x vs seed reference"
+    );
+    assert!(
+        counter_walk_speedup >= 5.0,
+        "counter-walk division speedup regressed: {counter_walk_speedup:.2}x < 5x vs seed reference"
     );
 
     let artifact = JsonValue::obj(vec![
@@ -293,6 +335,10 @@ fn main() {
         (
             "division_speedup_vs_seed",
             JsonValue::Num(best_division_speedup),
+        ),
+        (
+            "counter_walk_speedup_vs_seed",
+            JsonValue::Num(counter_walk_speedup),
         ),
     ]);
     match write_json("BENCH_planning.json", &artifact) {

@@ -6,12 +6,20 @@
 //! memory constraints, and stages that receive zero layers are dropped from the
 //! pipeline — this is the mechanism by which heavy stragglers are removed from
 //! training and parked as standby devices.
+//!
+//! [`assign_layers`] and the ordering search of
+//! [`crate::orchestration::order_and_assign_layers`] share one
+//! drop-and-re-solve loop.  It runs on group indices in a per-thread
+//! `LayerScratch`, reading each group's TP degree and group rate computed
+//! once per call, and only the winning order's groups are cloned into the
+//! returned [`LayerAssignment`].
 
 use crate::cost::CostModel;
 use crate::plan::{StagePlan, TpGroup};
 use malleus_cluster::ClusterSnapshot;
-use malleus_solver::solve_minmax_allocation;
+use malleus_solver::{solve_minmax_allocation, solve_minmax_allocation_into};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 
 /// Result of assigning layers to the stages of one pipeline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,84 +46,200 @@ pub fn assign_layers(
     zero_dp: u32,
     uniform: bool,
 ) -> Option<LayerAssignment> {
-    let mut active: Vec<TpGroup> = groups.to_vec();
-    let mut dropped: Vec<TpGroup> = Vec::new();
-    loop {
-        if active.is_empty() {
-            return None;
+    LayerScratch::with(|s| {
+        s.load(cost, groups, snapshot, micro_batch_size);
+        s.order.clear();
+        s.order.extend(0..groups.len());
+        s.solve_order(cost, num_layers, micro_batch_size, zero_dp, uniform);
+        s.best_assignment(groups)
+    })
+}
+
+/// Reusable buffers of the layer assignment, one per thread.  A replan
+/// orders every pipeline of every candidate through them, so a warm call
+/// allocates only the assignment it returns.  Groups are named by their
+/// index in the caller's slice.
+#[derive(Debug, Default)]
+pub(crate) struct LayerScratch {
+    /// TP degree of each group.
+    pub(crate) degrees: Vec<u32>,
+    /// Group straggling rate `y` of each group.
+    pub(crate) rates: Vec<f64>,
+    /// The stage order `solve_order` solves.
+    pub(crate) order: Vec<usize>,
+    /// The groups in bundle order (see `order_and_assign_layers`).
+    pub(crate) bundled: Vec<usize>,
+    /// Where each bundle starts in `bundled`, then `bundled.len()`.
+    pub(crate) bundle_starts: Vec<usize>,
+    /// The bundle permutation being visited.
+    pub(crate) perm: Vec<usize>,
+    /// Groups still holding a stage, in stage order.
+    active: Vec<usize>,
+    /// Groups dropped with zero layers, in drop order.
+    dropped: Vec<usize>,
+    /// Weights, capacities and layers of the active stages.
+    weights: Vec<f64>,
+    caps: Vec<Option<u64>>,
+    layers: Vec<u64>,
+    /// The best feasible order so far: its objective, then its stages,
+    /// their layers and its dropped groups.
+    best: Option<f64>,
+    best_active: Vec<usize>,
+    best_layers: Vec<u64>,
+    best_dropped: Vec<usize>,
+}
+
+thread_local! {
+    static LAYER_SCRATCH: RefCell<LayerScratch> = RefCell::new(LayerScratch::default());
+}
+
+impl LayerScratch {
+    /// Run `f` on this thread's scratch.
+    pub(crate) fn with<R>(f: impl FnOnce(&mut LayerScratch) -> R) -> R {
+        LAYER_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+    }
+
+    /// Compute each group's TP degree and group rate, and forget the best
+    /// order.
+    pub(crate) fn load(
+        &mut self,
+        cost: &CostModel,
+        groups: &[TpGroup],
+        snapshot: &ClusterSnapshot,
+        micro_batch_size: u64,
+    ) {
+        self.degrees.clear();
+        self.degrees.extend(groups.iter().map(TpGroup::tp_degree));
+        self.rates.clear();
+        self.rates.extend(groups.iter().map(|g| {
+            cost.coeffs
+                .group_rate(g.tp_degree(), g.max_rate(snapshot), micro_batch_size)
+        }));
+        self.best = None;
+    }
+
+    /// Assign layers to the groups of `order`, in that stage order, and
+    /// keep the result as the best when it is feasible and the first, or
+    /// its objective is below the best one's by more than 1e-15.
+    pub(crate) fn solve_order(
+        &mut self,
+        cost: &CostModel,
+        num_layers: u64,
+        micro_batch_size: u64,
+        zero_dp: u32,
+        uniform: bool,
+    ) {
+        let Some(objective) = self.solve(cost, num_layers, micro_batch_size, zero_dp, uniform)
+        else {
+            return;
+        };
+        if self.best.is_none_or(|best| objective < best - 1e-15) {
+            // `solve` refills all three buffers, so a swap keeps the best
+            // without copying it.
+            self.best = Some(objective);
+            std::mem::swap(&mut self.best_active, &mut self.active);
+            std::mem::swap(&mut self.best_layers, &mut self.layers);
+            std::mem::swap(&mut self.best_dropped, &mut self.dropped);
         }
-        let pp = active.len();
-        let weights: Vec<f64> = active
-            .iter()
-            .map(|g| {
-                cost.coeffs
-                    .group_rate(g.tp_degree(), g.max_rate(snapshot), micro_batch_size)
-            })
-            .collect();
-        let caps: Vec<Option<u64>> = active
-            .iter()
-            .enumerate()
-            .map(|(j, g)| cost.max_layers(g.tp_degree(), j, pp, micro_batch_size, zero_dp))
-            .collect();
-        // A stage whose ν alone exceeds the budget is unusable in this position.
-        if caps.iter().any(|c| c.is_none()) {
-            return None;
-        }
-        let layers: Vec<u64> = if uniform {
-            let base = num_layers / pp as u64;
-            let extra = num_layers % pp as u64;
-            let layers: Vec<u64> = (0..pp)
-                .map(|j| base + if (j as u64) < extra { 1 } else { 0 })
-                .collect();
-            for (j, &l) in layers.iter().enumerate() {
-                if let Some(cap) = caps[j] {
-                    if l > cap {
+    }
+
+    /// The drop-and-re-solve loop over `order`: returns the objective, with
+    /// the surviving stages in `active`, their layers in `layers` and the
+    /// dropped groups in `dropped`, or `None` when infeasible.
+    fn solve(
+        &mut self,
+        cost: &CostModel,
+        num_layers: u64,
+        micro_batch_size: u64,
+        zero_dp: u32,
+        uniform: bool,
+    ) -> Option<f64> {
+        self.active.clone_from(&self.order);
+        self.dropped.clear();
+        loop {
+            if self.active.is_empty() {
+                return None;
+            }
+            let pp = self.active.len();
+            self.weights.clear();
+            self.weights
+                .extend(self.active.iter().map(|&g| self.rates[g]));
+            self.caps.clear();
+            for (j, &g) in self.active.iter().enumerate() {
+                // A stage whose ν alone exceeds the budget is unusable in
+                // this position.
+                let cap = cost.max_layers(self.degrees[g], j, pp, micro_batch_size, zero_dp)?;
+                self.caps.push(Some(cap));
+            }
+            self.layers.clear();
+            if uniform {
+                let base = num_layers / pp as u64;
+                let extra = num_layers % pp as u64;
+                for (j, &cap) in self.caps.iter().enumerate() {
+                    let l = base + if (j as u64) < extra { 1 } else { 0 };
+                    if cap.is_some_and(|c| l > c) {
                         return None;
                     }
+                    self.layers.push(l);
+                }
+            } else {
+                solve_minmax_allocation_into(
+                    &self.weights,
+                    num_layers,
+                    &self.caps,
+                    &mut self.layers,
+                )
+                .ok()?;
+                if self.layers.contains(&0) {
+                    // Drop zero-layer stages (their straggling rate is too
+                    // high to be worth any work) and re-solve with the
+                    // shorter pipeline, whose memory coefficients are more
+                    // favourable.
+                    let mut kept = 0;
+                    for j in 0..pp {
+                        let g = self.active[j];
+                        if self.layers[j] == 0 {
+                            self.dropped.push(g);
+                        } else {
+                            self.active[kept] = g;
+                            kept += 1;
+                        }
+                    }
+                    self.active.truncate(kept);
+                    continue;
                 }
             }
-            layers
-        } else {
-            match solve_minmax_allocation(&weights, num_layers, &caps) {
-                Ok(result) => result.amounts,
-                Err(_) => return None,
-            }
-        };
-
-        if !uniform && layers.contains(&0) {
-            // Drop zero-layer stages (their straggling rate is too high to be
-            // worth any work) and re-solve with the shorter pipeline, whose
-            // memory coefficients are more favourable.
-            let mut next_active = Vec::new();
-            for (g, &l) in active.iter().zip(layers.iter()) {
-                if l == 0 {
-                    dropped.push(g.clone());
-                } else {
-                    next_active.push(g.clone());
-                }
-            }
-            active = next_active;
-            continue;
+            return Some(
+                self.layers
+                    .iter()
+                    .zip(&self.weights)
+                    .map(|(&l, &w)| l as f64 * w)
+                    .fold(0.0, f64::max),
+            );
         }
+    }
 
-        let objective = layers
-            .iter()
-            .zip(weights.iter())
-            .map(|(&l, &w)| l as f64 * w)
-            .fold(0.0, f64::max);
-        let stages = active
-            .iter()
-            .zip(layers.iter())
-            .map(|(g, &l)| StagePlan {
-                group: g.clone(),
-                layers: l as u32,
-            })
-            .collect();
-        return Some(LayerAssignment {
-            stages,
-            dropped_groups: dropped,
+    /// Clone the best order's groups out of `groups` into a
+    /// [`LayerAssignment`], or `None` when no order was feasible.
+    pub(crate) fn best_assignment(&self, groups: &[TpGroup]) -> Option<LayerAssignment> {
+        let objective = self.best?;
+        Some(LayerAssignment {
+            stages: self
+                .best_active
+                .iter()
+                .zip(&self.best_layers)
+                .map(|(&g, &l)| StagePlan {
+                    group: groups[g].clone(),
+                    layers: l as u32,
+                })
+                .collect(),
+            dropped_groups: self
+                .best_dropped
+                .iter()
+                .map(|&g| groups[g].clone())
+                .collect(),
             objective,
-        });
+        })
     }
 }
 

@@ -40,6 +40,8 @@ pub mod error;
 pub mod grouping;
 pub mod migration;
 pub mod orchestration;
+#[cfg(test)]
+mod ordering_reference;
 pub mod parallel;
 pub mod plan;
 pub mod planner;

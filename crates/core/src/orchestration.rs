@@ -8,9 +8,10 @@
 //!   descending straggling rate — faster groups serve the later stages because
 //!   later stages retain fewer in-flight activations and can therefore hold
 //!   more layers) and enumerates the ≤ 4! orderings of the size *bundles* when
-//!   groups of different TP degrees share a pipeline.
+//!   groups of different TP degrees share a pipeline.  The search walks
+//!   group indices and clones only the winning order's groups.
 
-use crate::assignment::{assign_layers, LayerAssignment};
+use crate::assignment::{LayerAssignment, LayerScratch};
 use crate::cost::CostModel;
 use crate::error::PlanError;
 use crate::grouping::GroupingResult;
@@ -127,7 +128,9 @@ pub fn divide_groups(
 /// Groups are bundled by TP degree; within a bundle Theorem 3 applies (sort by
 /// descending rate).  All permutations of the bundles (≤ 4! since TP degrees
 /// are in {1,2,4,8}) are evaluated through the layer-assignment ILP and the
-/// best feasible ordering is returned.
+/// best feasible ordering is returned.  Each group's TP degree and rate are
+/// computed once, the orders are walked as group indices in a per-thread
+/// scratch, and only the winning order's groups are cloned.
 pub fn order_and_assign_layers(
     cost: &CostModel,
     pipeline_groups: &[TpGroup],
@@ -137,60 +140,41 @@ pub fn order_and_assign_layers(
     zero_dp: u32,
     uniform_layers: bool,
 ) -> Option<LayerAssignment> {
-    // Bundle by TP degree.
-    let mut degrees: Vec<u32> = pipeline_groups.iter().map(|g| g.tp_degree()).collect();
-    degrees.sort_unstable();
-    degrees.dedup();
-
-    let bundles: Vec<Vec<TpGroup>> = degrees
-        .iter()
-        .map(|&d| {
-            let mut bundle: Vec<TpGroup> = pipeline_groups
-                .iter()
-                .filter(|g| g.tp_degree() == d)
-                .cloned()
-                .collect();
-            // Theorem 3: descending group straggling rate within the bundle.
-            bundle.sort_by(|a, b| {
-                let ya =
-                    cost.coeffs
-                        .group_rate(a.tp_degree(), a.max_rate(snapshot), micro_batch_size);
-                let yb =
-                    cost.coeffs
-                        .group_rate(b.tp_degree(), b.max_rate(snapshot), micro_batch_size);
-                yb.total_cmp(&ya)
-            });
-            bundle
-        })
-        .collect();
-
-    // Enumerate permutations of the bundles.
-    let mut best: Option<LayerAssignment> = None;
-    let mut indices: Vec<usize> = (0..bundles.len()).collect();
-    permute(&mut indices, 0, &mut |perm| {
-        let ordered: Vec<TpGroup> = perm
-            .iter()
-            .flat_map(|&bi| bundles[bi].iter().cloned())
-            .collect();
-        if let Some(assignment) = assign_layers(
-            cost,
-            &ordered,
-            snapshot,
-            num_layers,
-            micro_batch_size,
-            zero_dp,
-            uniform_layers,
-        ) {
-            if best
-                .as_ref()
-                .map(|b| assignment.objective < b.objective - 1e-15)
-                .unwrap_or(true)
-            {
-                best = Some(assignment);
+    LayerScratch::with(|s| {
+        s.load(cost, pipeline_groups, snapshot, micro_batch_size);
+        // Bundle by TP degree, ascending; Theorem 3 within a bundle:
+        // descending group rate, ties in pipeline order (the sort is stable).
+        s.bundled.clear();
+        s.bundled.extend(0..pipeline_groups.len());
+        let (degrees, rates) = (&s.degrees, &s.rates);
+        s.bundled.sort_by(|&a, &b| {
+            degrees[a]
+                .cmp(&degrees[b])
+                .then_with(|| rates[b].total_cmp(&rates[a]))
+        });
+        s.bundle_starts.clear();
+        for (i, &g) in s.bundled.iter().enumerate() {
+            if i == 0 || s.degrees[g] != s.degrees[s.bundled[i - 1]] {
+                s.bundle_starts.push(i);
             }
         }
-    });
-    best
+        s.bundle_starts.push(s.bundled.len());
+
+        // Enumerate permutations of the bundles.
+        let mut perm = std::mem::take(&mut s.perm);
+        perm.clear();
+        perm.extend(0..s.bundle_starts.len() - 1);
+        permute(&mut perm, 0, &mut |perm| {
+            s.order.clear();
+            for &bi in perm {
+                let bundle = s.bundle_starts[bi]..s.bundle_starts[bi + 1];
+                s.order.extend_from_slice(&s.bundled[bundle]);
+            }
+            s.solve_order(cost, num_layers, micro_batch_size, zero_dp, uniform_layers);
+        });
+        s.perm = perm;
+        s.best_assignment(pipeline_groups)
+    })
 }
 
 /// In-place permutation enumeration (Heap's algorithm would also do; the bundle

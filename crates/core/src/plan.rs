@@ -166,18 +166,29 @@ impl ParallelizationPlan {
                 ),
             });
         }
-        let mut seen: BTreeSet<GpuId> = BTreeSet::new();
-        for p in &self.pipelines {
-            for g in p.gpus() {
-                if !seen.insert(g) {
-                    return Err(PlanError::InvalidPlan {
-                        reason: format!("{g} is assigned to more than one stage"),
-                    });
-                }
+        // GPU ids are dense snapshot indices, so a mask up to the largest id
+        // marks them.
+        let active = || {
+            self.pipelines
+                .iter()
+                .flat_map(|p| &p.stages)
+                .flat_map(|s| &s.group.gpus)
+        };
+        let ids = active()
+            .chain(&self.removed_gpus)
+            .map(|g| g.index() + 1)
+            .max()
+            .unwrap_or(0);
+        let mut seen = vec![false; ids];
+        for g in active() {
+            if std::mem::replace(&mut seen[g.index()], true) {
+                return Err(PlanError::InvalidPlan {
+                    reason: format!("{g} is assigned to more than one stage"),
+                });
             }
         }
         for g in &self.removed_gpus {
-            if seen.contains(g) {
+            if seen[g.index()] {
                 return Err(PlanError::InvalidPlan {
                     reason: format!("{g} is both active and removed"),
                 });

@@ -26,7 +26,6 @@ use crate::plan::{ParallelizationPlan, PipelinePlan};
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -486,18 +485,25 @@ impl Planner {
         timing.assignment += t0.elapsed();
 
         let pipelines: Vec<PipelinePlan> = assignments
-            .iter()
+            .into_iter()
             .zip(micro_batches.iter())
             .map(|(a, &m)| PipelinePlan {
-                stages: a.stages.clone(),
+                stages: a.stages,
                 num_micro_batches: m,
             })
             .collect();
 
-        let active: BTreeSet<GpuId> = pipelines.iter().flat_map(|p| p.gpus()).collect();
+        let mut active = vec![false; snapshot.num_gpus()];
+        for stage in pipelines.iter().flat_map(|p| &p.stages) {
+            for g in &stage.group.gpus {
+                if let Some(seen) = active.get_mut(g.index()) {
+                    *seen = true;
+                }
+            }
+        }
         let removed: Vec<GpuId> = (0..snapshot.num_gpus() as u32)
             .map(GpuId)
-            .filter(|g| !active.contains(g))
+            .filter(|g| !active[g.index()])
             .collect();
         let plan = ParallelizationPlan {
             pipelines,

@@ -17,14 +17,14 @@
 //! is small (the common case: at most a handful of slow groups) and falls back
 //! to a deterministic local search otherwise (used by the 1024-GPU scalability
 //! experiment of Appendix A.2).  Fast groups are then distributed greedily to
-//! balance the capacities, and micro-batches are split with the exact min-max
-//! allocator.
+//! balance the capacities, and the winner's micro-batches are split with the
+//! exact min-max allocator.
 //!
 //! # Hot-path structure
 //!
 //! This is where the planner spends essentially all of its time (the smoke
 //! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around seven ideas, each proven byte-identical to the frozen
+//! engineered around eight ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
 //! * **Scratch arena** (`DivisionScratch`): every buffer the per-candidate
@@ -89,7 +89,7 @@
 //!
 //!   The objective memo's argument then gives equal objective bits, so a
 //!   table from sorted descriptors (one word per pipeline) to objective
-//!   bits skips the greedy, the folds and the allocator: in a replan-drift
+//!   bits skips the greedy, the folds and the scoring: in a replan-drift
 //!   run ~97% of the scorings that reach it are hits.  `fill_weights`
 //!   reports a pick among equal levels held by different states, and such
 //!   a candidate is scored but not recorded.  The key cannot be
@@ -132,6 +132,29 @@
 //!   multiset of greedy levels unchanged, so members of a tied orbit differ
 //!   only by rounding, far under the fold's 1e-12 margin, and a walk
 //!   without the restart still matches the reference on every sweep.
+//! * **Order-statistic objective** (the weight memo's miss path): for
+//!   weights that are all finite and positive, the allocator returns the
+//!   float optimum of `max_j fl(w_j·a_j)` over `Σ a_j = M` (the objective
+//!   memo's argument), and that optimum is the `M`-th smallest element of
+//!   the multiset `{fl(w_j·k) : j, k >= 1}`:
+//!   1. lower bound: a split's `M` loads `fl(w_j·k)`, `k <= a_j`, are
+//!      elements of the multiset, and none is larger than its maximum;
+//!   2. attained: `fl(w·k)` is nondecreasing in `k`, so the `M` smallest
+//!      elements form a prefix of each slot's sequence, which is a split.
+//!
+//!   `minmax_objective` (in `minmax.rs`) computes it on two `dp`-long
+//!   buffers of the scratch.  With `t = fl(M / Σ_j 1/w_j)·(1 − 1e-9)`, it
+//!   counts each slot's loads below `t` exactly, starting at `⌊t/w_j⌋`,
+//!   stepping down while `fl(w_j·k) >= t` and up while `fl(w_j·(k + 1)) <
+//!   t`; then it takes the slot with the smallest next load until `M`
+//!   loads are placed, and the last load taken is the objective.  If `t`
+//!   is at most the optimum, every counted load is below it, so fewer than
+//!   `M` are counted; a count of `M` or more therefore sets every count
+//!   back to 0, and exactness never rests on the margin.  The merge takes
+//!   about `dp + 1` steps, whatever `M` is.  The allocator still serves
+//!   `rebuild`, which needs the amounts, and candidates whose weights are
+//!   not all finite and positive (the declined path); debug builds also
+//!   check every order statistic against it, bit for bit.
 //!
 //! A thread keeps both memos' buffers between walks: at most 384 KiB each
 //! (see `MEMO_MAX_WORDS`), 768 KiB in all.
@@ -139,7 +162,7 @@
 //! The search is serial: the planner already runs candidates of its lattice
 //! on separate workers, so one division runs on its candidate's worker.
 
-use crate::minmax::solve_minmax_allocation_into;
+use crate::minmax::{minmax_objective, solve_minmax_allocation_into};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -285,6 +308,12 @@ struct DivisionScratch {
     weights: Vec<f64>,
     /// Micro-batch amounts from the min-max allocator, length `dp`.
     amounts: Vec<u64>,
+    /// Loads counted per pipeline by the order-statistic objective, length
+    /// `dp`.
+    counts: Vec<u64>,
+    /// Each pipeline's next uncounted load in the order-statistic merge,
+    /// length `dp`.
+    next_load: Vec<f64>,
     /// `fast_prefix[h]` = harmonic capacity of `h` fast groups, computed by the
     /// same repeated addition as `harmonic_capacity`, length `fast_count + 1`.
     fast_prefix: Vec<f64>,
@@ -442,6 +471,10 @@ impl DivisionScratch {
         self.capacities.resize(dp, 0.0);
         self.weights.clear();
         self.weights.resize(dp, 0.0);
+        self.counts.clear();
+        self.counts.resize(dp, 0);
+        self.next_load.clear();
+        self.next_load.resize(dp, 0.0);
         self.touched.clear();
         self.touched.reserve(dp);
         self.touched_mask.clear();
@@ -686,13 +719,15 @@ impl DivisionScratch {
     /// Score the current assignment: the objective of the exact micro-batch
     /// split, from the walk's descriptor memo when the descriptor multiset
     /// was seen before, else from its weights, through the weight memo when
-    /// the weight multiset was seen before.
+    /// the weight multiset was seen before, else as an order statistic of
+    /// the weights' loads.  Only weights that are not all finite and
+    /// positive go to the allocator.
     ///
     /// Returns the objective, or NaN when the candidate is infeasible (cannot
     /// satisfy the minimum-groups bound, has a zero-capacity pipeline, or the
     /// allocator rejects it).  Every arithmetic step replicates the seed's
-    /// expressions so the returned bits are identical.  `amounts` is only
-    /// valid after a miss in both memos.
+    /// expressions so the returned bits are identical.  Scoring never reads
+    /// `amounts`; only `rebuild` does.
     fn score_current(&mut self, problem: &DivisionProblem, min_groups: usize) -> f64 {
         let by_descriptors = self.class_bits > 0;
         if by_descriptors {
@@ -716,7 +751,15 @@ impl DivisionScratch {
         let objective = match self.weight_memo.get() {
             Some(objective) => objective,
             None => {
-                let objective = self.allocate(problem.num_micro_batches);
+                let total = problem.num_micro_batches;
+                let objective =
+                    minmax_objective(&self.weights, total, &mut self.counts, &mut self.next_load);
+                debug_assert_eq!(
+                    objective.to_bits(),
+                    self.allocate(total).to_bits(),
+                    "order statistic against the allocator for {:?} at M = {total}",
+                    self.weights
+                );
                 self.weight_memo.insert(objective);
                 objective
             }
@@ -1426,6 +1469,9 @@ mod tests {
             DivisionProblem::new(4, 8, 1.0, vec![1.0, 1.0, 1.0], 96),
             // A subnormal rate: its unit is +inf, so one weight is 0.
             DivisionProblem::new(3, 4, 1.0, vec![5e-324, 2.0, 3.0], 32),
+            // Two such rates on different pipelines: two zero weights, whose
+            // threshold shares of `u64::MAX` units each overflow a `u64` sum.
+            DivisionProblem::new(3, 9, 2.0, vec![5e-324, 5e-324], 82),
         ];
         let mut min2 = DivisionProblem::new(2, 2, 1.0, vec![2.0, 2.0], 16);
         min2.min_groups_per_pipeline = 2;
@@ -1544,7 +1590,9 @@ mod tests {
         // 2,795 assignments, one per descriptor multiset, with as many
         // weight multisets, so both memos outgrow the first table and must
         // regrow within the capacity the warm call left.  The dyadic shape
-        // restarts in counter order after a greedy tie.
+        // restarts in counter order after a greedy tie, and dp2_ms17 walks
+        // its 2^17 assignments in counter order with the descriptor memo
+        // off, scoring every weight-memo miss by order statistic.
         for p in [
             DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256),
             DivisionProblem::new(8, 120, 0.17, vec![0.4, 0.45, 0.5, 0.55, 0.6], 1024),
@@ -1557,6 +1605,7 @@ mod tests {
                 256,
             ),
             dyadic(),
+            dp2_ms17(),
         ] {
             let warm = divide_pipelines(&p).unwrap();
             let (allocs, d) = crate::alloc_counter::count_allocations(|| divide_pipelines(&p));

@@ -30,7 +30,8 @@
 //! in ascending order), consulted before the fast-group greedy runs, and
 //! behind it one keyed on the weight multiset (the min-max objective is the
 //! exact float optimum, so slot order cannot change it).  Together they keep
-//! at most 768 KiB per thread between walks.
+//! at most 768 KiB per thread between walks.  A miss in both is scored as
+//! an order statistic of the weights' loads, without running the allocator.
 //! It is serial and spawns no threads: the planner runs each division on the
 //! worker of its candidate.  The [`reference`](mod@reference) module keeps
 //! the original straightforward implementations frozen as the byte-identity

@@ -16,13 +16,17 @@
 //! by binary search over the feasibility predicate followed by a local
 //! tightening pass that makes the reconstruction exactly optimal.
 //!
-//! This is the innermost loop of the division MINLP (one call per weight
-//! multiset a division walk has not seen yet; the walk memoizes objectives),
-//! so the hot entry point is [`solve_minmax_allocation_into`]: it writes
-//! into a caller-owned buffer, never clones a dense `caps` vector (the
-//! division path always passes `&[]`), collapses bitwise-tied weights into
-//! classes and re-evaluates only the classes still unpinned per halving.  It
-//! keeps no state between calls beyond reusable buffers.
+//! The division walk scores its candidates without this allocator: it reads
+//! only objective bits, which `minmax_objective` computes as an order
+//! statistic (see "Order-statistic objective" in the `division` module doc).
+//! The allocator still splits the micro-batches of each division's winner,
+//! scores the division's candidates whose weights are not all finite and
+//! positive, and solves every layer and data assignment.  The entry point
+//! for those repeated calls is [`solve_minmax_allocation_into`]: it writes
+//! into a caller-owned buffer, never clones a dense `caps` vector,
+//! collapses bitwise-tied weights into classes and re-evaluates only the
+//! classes still unpinned per halving.  It keeps no state between calls
+//! beyond reusable buffers.
 //! Every shortcut is bit-for-bit equivalent to the seed implementation kept in
 //! [`crate::reference::solve_minmax_allocation_reference`].
 
@@ -383,9 +387,11 @@ pub fn solve_minmax_allocation_into(
         amounts.extend(s.class_of.iter().map(|&g| s.u_hi[g]));
         Ok(())
     })?;
-    let mut assigned: u64 = amounts.iter().sum();
-    debug_assert!(assigned >= total);
-    while assigned > total {
+    // Two free slots each take `u64::MAX` units, so the count is a `u128`.
+    let mut assigned: u128 = amounts.iter().map(|&a| a as u128).sum();
+    let total_units = total as u128;
+    debug_assert!(assigned >= total_units);
+    while assigned > total_units {
         // Shed one unit from the most loaded positive slot (`max_by` keeps
         // the *last* among ties), so the maximum only decreases; a free slot
         // sheds its whole share of the surplus in one step.
@@ -397,12 +403,12 @@ pub fn solve_minmax_allocation_into(
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("assigned > total implies a positive slot exists");
         let shed = if weights[j] <= 0.0 {
-            (assigned - total).min(amounts[j])
+            (assigned - total_units).min(amounts[j] as u128) as u64
         } else {
             1
         };
         amounts[j] -= shed;
-        assigned -= shed;
+        assigned -= shed as u128;
     }
 
     // Local improvement: move single units away from the bottleneck slot if that
@@ -465,6 +471,79 @@ pub fn solve_minmax_allocation_into(
     Ok(objective)
 }
 
+/// The objective [`solve_minmax_allocation_into`] returns for `total` units
+/// over uncapped `weights` that are all finite and positive, without running
+/// the allocator: the `total`-th smallest load `fl(w_j·k)`, `k >= 1` (see
+/// "Order-statistic objective" in the `division` module doc).  `counts` and
+/// `next` are scratch buffers of `weights.len()` entries; no heap is touched.
+pub(crate) fn minmax_objective(
+    weights: &[f64],
+    total: u64,
+    counts: &mut [u64],
+    next: &mut [f64],
+) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let inverse_sum: f64 = weights.iter().map(|w| 1.0 / w).sum();
+    let start = total as f64 / inverse_sum * (1.0 - 1e-9);
+    minmax_objective_from(weights, total, start, counts, next)
+}
+
+/// [`minmax_objective`] counting from the loads below `start`: exact for any
+/// `start`, and about `weights.len()` merge steps while `start` sits just
+/// below the optimum.
+fn minmax_objective_from(
+    weights: &[f64],
+    total: u64,
+    start: f64,
+    counts: &mut [u64],
+    next: &mut [f64],
+) -> f64 {
+    debug_assert!(total > 0 && weights.iter().all(|w| w.is_finite() && *w > 0.0));
+    // Count each slot's loads below `start` exactly: `fl(w·k)` is monotone
+    // in `k`, so the count is a prefix, and `floor(start / w)` is within a
+    // step or two of its end.
+    let mut placed: u64 = 0;
+    for ((count, load), &w) in counts.iter_mut().zip(next.iter_mut()).zip(weights) {
+        let mut k = (start / w) as u64;
+        while k > 0 && w * k as f64 >= start {
+            k -= 1;
+        }
+        while w * ((k + 1) as f64) < start {
+            k += 1;
+        }
+        *count = k;
+        *load = w * (k + 1) as f64;
+        placed = placed.saturating_add(k);
+    }
+    if placed >= total {
+        // `start` was above the optimum: the counted loads need not be among
+        // the `total` smallest, so merge from the first load of every slot.
+        placed = 0;
+        for ((count, load), &w) in counts.iter_mut().zip(next.iter_mut()).zip(weights) {
+            *count = 0;
+            *load = w;
+        }
+    }
+    // Merge the slots' remaining loads in nondecreasing order up to the
+    // `total`-th.
+    let mut objective = 0.0;
+    while placed < total {
+        let mut j = 0;
+        for (i, load) in next.iter().enumerate().skip(1) {
+            if load.total_cmp(&next[j]).is_lt() {
+                j = i;
+            }
+        }
+        objective = next[j];
+        counts[j] += 1;
+        next[j] = weights[j] * (counts[j] + 1) as f64;
+        placed += 1;
+    }
+    objective
+}
+
 /// Exhaustive reference solver used in tests (exponential, tiny inputs only).
 pub fn brute_force_minmax(
     weights: &[f64],
@@ -520,6 +599,7 @@ pub fn brute_force_minmax(
 mod tests {
     use super::*;
     use crate::reference::solve_minmax_allocation_reference;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_total_yields_zero_allocation() {
@@ -594,11 +674,10 @@ mod tests {
             (vec![1.2, 1.2, 5.4, 1.2], 12, vec![]),
             (vec![2.62, 2.62, 1.0, 1.0], 11, vec![]),
             // Large-surplus instances: the threshold reconstruction overshoots
-            // badly (free or tied slots), pinning the surplus shed.  (At most
-            // one uncapped zero-weight slot per instance: a second one pushes
-            // the reconstruction sum past u64::MAX, which the seed never
-            // supported either.)
+            // badly (free or tied slots), pinning the surplus shed.  Two
+            // uncapped free slots each take `u64::MAX` units at first.
             (vec![0.0, 1.0, 1.0], 14, vec![]),
+            (vec![0.0, 0.0, 1.0], 5, vec![]),
             (vec![0.0, 2.0, 2.0], 13, vec![Some(4), None, None]),
             (vec![1.0, 1.0, 1.0, 1.0, 1.0], 17, vec![]),
             (vec![0.5, 0.5, 0.5, 4.0], 15, vec![]),
@@ -632,6 +711,12 @@ mod tests {
                 vec![None, Some(3), None, None],
             ),
             (vec![f64::INFINITY, 1.0, 0.0], 64, vec![]),
+            (vec![0.0, 0.0, 1.0], 5, vec![]),
+            (
+                vec![0.0, 2.0, 0.0, 0.0],
+                37,
+                vec![None, None, Some(3), None],
+            ),
         ];
         // A pseudo-random (but fixed-seed) family for breadth.
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -643,8 +728,8 @@ mod tests {
         };
         for _ in 0..200 {
             let n = 1 + (next() % 6) as usize;
-            // At most one zero-weight slot (always slot 0 when present): two
-            // uncapped free slots overflow the seed's reconstruction sum.
+            // At most one zero-weight slot (always slot 0 when present); the
+            // fixed cases above hold several.
             let mut weights: Vec<f64> = (0..n)
                 .map(|_| ((next() % 900) + 100) as f64 / 250.0)
                 .collect();
@@ -740,6 +825,132 @@ mod tests {
         assert_eq!(buf.capacity(), cap);
         assert_eq!(buf.as_ptr(), ptr);
         assert_eq!(buf.iter().sum::<u64>(), 10);
+    }
+
+    #[test]
+    fn two_free_slots_count_their_surplus_without_overflow() {
+        // Both zero weights take `u64::MAX` units in the reconstruction; the
+        // later one sheds its whole share first.
+        let r = solve_minmax_allocation(&[0.0, 0.0, 1.0], 5, &[]).unwrap();
+        assert_eq!(r.amounts, vec![5, 0, 0]);
+        assert_eq!(r.objective.to_bits(), 0.0_f64.to_bits());
+        assert_eq!(
+            Ok(r),
+            solve_minmax_allocation_reference(&[0.0, 0.0, 1.0], 5, &[])
+        );
+    }
+
+    /// The `total`-th smallest of the loads `w_j·k`, `1 <= k <= total`, by
+    /// sorting all of them.
+    fn sorted_loads_statistic(weights: &[f64], total: u64) -> f64 {
+        if total == 0 {
+            return 0.0;
+        }
+        let mut loads: Vec<f64> = weights
+            .iter()
+            .flat_map(|&w| (1..=total).map(move |k| w * k as f64))
+            .collect();
+        loads.sort_by(f64::total_cmp);
+        loads[total as usize - 1]
+    }
+
+    fn order_statistic(weights: &[f64], total: u64) -> f64 {
+        let (mut counts, mut next) = (vec![0; weights.len()], vec![0.0; weights.len()]);
+        let objective = minmax_objective(weights, total, &mut counts, &mut next);
+        assert_eq!(counts.iter().sum::<u64>(), total, "{weights:?}");
+        objective
+    }
+
+    /// Palettes of the order-statistic proptest: tied weights, dyadic
+    /// weights, whose loads meet bitwise across slots, and weights spread
+    /// over 2^-19..2^19 (a ratio under 1e12, where the allocator's threshold
+    /// search stays fast).
+    fn palette_weight(palette: usize, code: u64) -> f64 {
+        match palette {
+            0 => [0.25, 1.0 / 3.0, 0.75, 1.0 / 3.0][code as usize % 4],
+            1 => 0.5_f64.powi((code % 8) as i32),
+            _ => 2.0_f64.powf((code % (1 << 20)) as f64 / (1 << 20) as f64 * 38.0 - 19.0),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The order statistic's bits are those of the sorted loads and of
+        /// the allocator's objective.
+        #[test]
+        fn order_statistic_is_the_sorted_loads_statistic_and_the_allocator_objective(
+            palette in 0usize..3,
+            codes in prop::collection::vec(0u64..1 << 20, 1..17),
+            total in 0u64..4097,
+        ) {
+            let weights: Vec<f64> = codes.iter().map(|&c| palette_weight(palette, c)).collect();
+            let objective = order_statistic(&weights, total).to_bits();
+            prop_assert_eq!(
+                objective,
+                sorted_loads_statistic(&weights, total).to_bits()
+            );
+            prop_assert_eq!(
+                objective,
+                solve_minmax_allocation(&weights, total, &[]).unwrap().objective.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn order_statistic_counts_from_below_the_optimum() {
+        for (weights, total) in [
+            (vec![1.0, 2.0, 3.0], 10),
+            (vec![0.25, 0.5, 0.25, 0.125], 97),
+            (vec![1.0 / 3.0, 1.0 / 3.0, 0.2], 41),
+            (vec![0.75], 29),
+        ] {
+            let objective = order_statistic(&weights, total);
+            assert_eq!(
+                objective.to_bits(),
+                sorted_loads_statistic(&weights, total).to_bits()
+            );
+            let allocated = solve_minmax_allocation(&weights, total, &[]).unwrap();
+            assert_eq!(objective.to_bits(), allocated.objective.to_bits());
+            // Counting from the optimum itself stays below `total`.
+            let (mut counts, mut next) = (vec![0; weights.len()], vec![0.0; weights.len()]);
+            let at = minmax_objective_from(&weights, total, objective, &mut counts, &mut next);
+            assert_eq!(at.to_bits(), objective.to_bits());
+        }
+    }
+
+    #[test]
+    fn order_statistic_restarts_from_zero_when_the_count_reaches_the_total() {
+        // A start above the optimum counts `total` or more loads, so the
+        // merge starts over from every slot's first load.
+        for (weights, total) in [(vec![1.0, 2.0, 3.0], 10), (vec![0.5, 0.5, 0.25], 64)] {
+            let objective = order_statistic(&weights, total);
+            for start in [
+                f64::from_bits(objective.to_bits() + 1),
+                2.0 * objective,
+                4.0 * objective,
+            ] {
+                let (mut counts, mut next) = (vec![0; weights.len()], vec![0.0; weights.len()]);
+                let from = minmax_objective_from(&weights, total, start, &mut counts, &mut next);
+                assert_eq!(
+                    from.to_bits(),
+                    objective.to_bits(),
+                    "{weights:?} from {start}"
+                );
+                assert_eq!(counts.iter().sum::<u64>(), total);
+            }
+        }
+        // A weight below 1 / f64::MAX has an infinite inverse, so the start
+        // is 0 and no load is counted before the merge.  (The allocator's
+        // threshold search does not finish on such weights; see ROADMAP.)
+        for (weights, total) in [(vec![1e-309, 1.0], 5), (vec![4e-310, 1e-309, 2.0], 12)] {
+            let objective = order_statistic(&weights, total);
+            assert_eq!(
+                objective.to_bits(),
+                sorted_loads_statistic(&weights, total).to_bits(),
+                "{weights:?}"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,14 @@
 //!   gate against their wall clock.
 //!
 //! Do not "improve" this module: its value is that it does not change.
-//! (The only edits vs the seed are three `== 0.0` comparisons rewritten to the
-//! equivalent `<= 0.0` — weights are validated non-negative, and the folds that
-//! produce `finite_max_w`/`cur_obj` start at `+0.0` — so the module holds no
-//! float `==` at all; `clippy::float_cmp`, denied crate-wide, exempts zero.)
+//! The only edits vs the seed:
+//! * three `== 0.0` comparisons rewritten to the equivalent `<= 0.0` —
+//!   weights are validated non-negative, and the folds that produce
+//!   `finite_max_w`/`cur_obj` start at `+0.0` — so the module holds no float
+//!   `==` at all; `clippy::float_cmp`, denied crate-wide, exempts zero;
+//! * the allocator's surplus count is a `u128`: two zero weights each take
+//!   `u64::MAX` units, which overflowed the seed's `u64` sum.  Every input
+//!   the seed could count keeps its amounts.
 
 use crate::division::{Division, DivisionError, DivisionProblem};
 use crate::minmax::{AllocationError, AllocationResult};
@@ -129,9 +133,9 @@ pub fn solve_minmax_allocation_reference(
         .enumerate()
         .map(|(j, &w)| max_units(w, caps_vec[j], threshold))
         .collect();
-    let mut assigned: u64 = amounts.iter().sum();
-    debug_assert!(assigned >= total);
-    while assigned > total {
+    let mut assigned: u128 = amounts.iter().map(|&a| a as u128).sum();
+    debug_assert!(assigned >= total as u128);
+    while assigned > total as u128 {
         let (j, _) = amounts
             .iter()
             .enumerate()
@@ -139,14 +143,14 @@ pub fn solve_minmax_allocation_reference(
             .map(|(j, &a)| (j, weights[j] * a as f64))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("assigned > total implies a positive slot exists");
-        let surplus = assigned - total;
+        let surplus = assigned - total as u128;
         let shed = if weights[j] <= 0.0 {
-            surplus.min(amounts[j])
+            surplus.min(amounts[j] as u128) as u64
         } else {
             1
         };
         amounts[j] -= shed;
-        assigned -= shed;
+        assigned -= shed as u128;
     }
 
     loop {
