@@ -7,8 +7,12 @@
 //! cargo bench -p malleus-bench --bench division_bench -- --smoke # CI mode
 //! ```
 //!
-//! `--smoke` runs one timing iteration per cell instead of taking the best of
-//! several; the identity assertions run in both modes.
+//! The solver is timed cold and warm.  A cold call runs on a fresh thread,
+//! so it is the first walk of its shape there and, on a relabelling walk,
+//! records the thread's replay list; a warm call follows one on the same
+//! thread, so a relabelling walk replays that list.  `--smoke` runs one
+//! timing iteration per cell instead of taking the best of several; the
+//! identity assertions run in both modes, on the cold and the warm result.
 
 use malleus_bench::table::Table;
 use malleus_solver::reference::divide_pipelines_reference;
@@ -109,16 +113,19 @@ fn cases() -> Vec<Case> {
     ]
 }
 
-fn best_secs(iters: usize, mut f: impl FnMut() -> Division) -> (f64, Division) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let d = black_box(f());
-        best = best.min(t0.elapsed().as_secs_f64());
-        out = Some(d);
-    }
-    (best, out.expect("at least one iteration"))
+/// The wall time of one call of `f`, and its result.
+fn timed(f: impl FnOnce() -> Division) -> (f64, Division) {
+    let t0 = Instant::now();
+    let d = black_box(f());
+    (t0.elapsed().as_secs_f64(), d)
+}
+
+/// The least time of `iters` runs, and the last run's result.
+fn best_of(iters: usize, mut run: impl FnMut() -> (f64, Division)) -> (f64, Division) {
+    (0..iters)
+        .map(|_| run())
+        .reduce(|(best, _), (secs, d)| (best.min(secs), d))
+        .expect("at least one iteration")
 }
 
 fn main() {
@@ -129,25 +136,44 @@ fn main() {
         if smoke { " [smoke]" } else { "" }
     );
 
-    let mut table = Table::new(["instance", "seed ref (ms)", "optimized (ms)", "speedup"]);
-    let mut worst = f64::INFINITY;
+    let mut table = Table::new([
+        "instance",
+        "seed ref (ms)",
+        "cold (ms)",
+        "warm (ms)",
+        "speedup (cold)",
+        "speedup (warm)",
+    ]);
+    let mut worst = (f64::INFINITY, f64::INFINITY);
     for case in cases() {
         let p = &case.problem;
-        let (ref_secs, ref_d) =
-            best_secs(iters, || divide_pipelines_reference(p).expect("reference"));
-        let (opt_secs, opt_d) = best_secs(iters, || divide_pipelines(p).expect("optimized"));
-        assert_eq!(opt_d, ref_d, "{}", case.label);
-        let speedup = ref_secs / opt_secs.max(1e-12);
-        worst = worst.min(speedup);
+        let optimized = || divide_pipelines(p).expect("optimized");
+        let (ref_secs, ref_d) = best_of(iters, || {
+            timed(|| divide_pipelines_reference(p).expect("reference"))
+        });
+        let (cold_secs, cold_d) = best_of(iters, || {
+            std::thread::scope(|s| s.spawn(|| timed(optimized)).join().expect("cold call"))
+        });
+        optimized();
+        let (warm_secs, warm_d) = best_of(iters, || timed(optimized));
+        assert_eq!(cold_d, ref_d, "{} (cold)", case.label);
+        assert_eq!(warm_d, ref_d, "{} (warm)", case.label);
+        let cold = ref_secs / cold_secs.max(1e-12);
+        let warm = ref_secs / warm_secs.max(1e-12);
+        worst = (worst.0.min(cold), worst.1.min(warm));
         table.row([
             case.label.to_string(),
             format!("{:.2}", ref_secs * 1e3),
-            format!("{:.2}", opt_secs * 1e3),
-            format!("{speedup:.2}x"),
+            format!("{:.3}", cold_secs * 1e3),
+            format!("{:.3}", warm_secs * 1e3),
+            format!("{cold:.2}x"),
+            format!("{warm:.2}x"),
         ]);
     }
     table.print();
     println!(
-        "\nAll instances byte-identical to the seed reference. Worst-case speedup: {worst:.2}x."
+        "\nAll instances byte-identical to the seed reference, cold and warm. \
+         Worst-case speedup: {:.2}x cold, {:.2}x warm.",
+        worst.0, worst.1
     );
 }

@@ -15,7 +15,10 @@
 //! scenario matrix are minutes of planner work); the JSON artifact is written
 //! in both modes.  The phase table prints milliseconds, and its 64-GPU row is
 //! the median of five cold plans, each from a fresh planner; the JSON keeps
-//! seconds.
+//! seconds.  A fresh planner replays no candidate, but the division walks
+//! keep their replay lists per thread, so whenever the plans run on one
+//! thread (one CPU, as under `taskset`), every plan after the first replays
+//! the lists of the walks it repeats.
 
 use malleus_bench::paper_workloads;
 use malleus_bench::table::Table;
@@ -98,7 +101,8 @@ fn main() {
 
     // ---- 64 GPUs, S3: the median of five cold plans ----
     // Each plan comes from a fresh planner, so no candidate memo replays an
-    // earlier plan; the row is the plan with the median total.
+    // earlier plan; the row is the plan with the median total.  Plans on one
+    // thread share its division replay lists, which the first plan records.
     let snapshot = workload.snapshot_for(PaperSituation::S3);
     let mut cold: Vec<PlanTiming> = (0..5)
         .map(|_| {
@@ -166,7 +170,10 @@ fn main() {
 
     println!();
     table.print();
-    println!("\n(64-GPU row: the median of 5 cold plans, each from a fresh planner.)");
+    println!(
+        "\n(64-GPU row: the median of 5 cold plans, each from a fresh planner; plans \
+         on one thread reuse the division replay lists after the first.)"
+    );
     println!("(The planner runs on background CPU processes and is overlapped with one training step, §5.3.)");
 
     // ---- Scenario matrix: serial oracle vs parallel candidate fan-out ----

@@ -15,6 +15,7 @@
 //! returned [`LayerAssignment`].
 
 use crate::cost::CostModel;
+use crate::grouping::load_group_rates;
 use crate::plan::{StagePlan, TpGroup};
 use malleus_cluster::ClusterSnapshot;
 use malleus_solver::{solve_minmax_allocation, solve_minmax_allocation_into};
@@ -110,11 +111,13 @@ impl LayerScratch {
     ) {
         self.degrees.clear();
         self.degrees.extend(groups.iter().map(TpGroup::tp_degree));
-        self.rates.clear();
-        self.rates.extend(groups.iter().map(|g| {
-            cost.coeffs
-                .group_rate(g.tp_degree(), g.max_rate(snapshot), micro_batch_size)
-        }));
+        load_group_rates(
+            &mut self.rates,
+            groups,
+            snapshot,
+            &cost.coeffs,
+            micro_batch_size,
+        );
         self.best = None;
     }
 

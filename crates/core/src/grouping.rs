@@ -39,11 +39,42 @@ impl GroupingResult {
         coeffs: &ProfiledCoefficients,
         micro_batch_size: u64,
     ) -> Vec<f64> {
-        self.groups
-            .iter()
-            .map(|g| coeffs.group_rate(g.tp_degree(), g.max_rate(snapshot), micro_batch_size))
-            .collect()
+        let mut rates = Vec::with_capacity(self.groups.len());
+        load_group_rates(&mut rates, &self.groups, snapshot, coeffs, micro_batch_size);
+        rates
     }
+}
+
+/// Replace `rates` with the group straggling rates of `groups`, computing
+/// `ρ` once per distinct TP degree: each rate is the product
+/// [`ProfiledCoefficients::group_rate`] forms, so it keeps its bits.
+pub(crate) fn load_group_rates(
+    rates: &mut Vec<f64>,
+    groups: &[TpGroup],
+    snapshot: &ClusterSnapshot,
+    coeffs: &ProfiledCoefficients,
+    micro_batch_size: u64,
+) {
+    // `(degree, ρ)` per degree met so far: a grouping has a handful of
+    // degrees, and any past the table's size are computed per group.
+    let mut rhos = [(0_u32, 0.0_f64); 8];
+    let mut met = 0;
+    rates.clear();
+    rates.extend(groups.iter().map(|g| {
+        let degree = g.tp_degree();
+        let rho = match rhos[..met].iter().find(|&&(d, _)| d == degree) {
+            Some(&(_, rho)) => rho,
+            None => {
+                let rho = coeffs.rho(degree, micro_batch_size);
+                if let Some(slot) = rhos.get_mut(met) {
+                    *slot = (degree, rho);
+                    met += 1;
+                }
+                rho
+            }
+        };
+        rho * g.max_rate(snapshot)
+    }));
 }
 
 /// Theorem 1: partition the (rate, gpu) pairs of one node — already sorted by
@@ -349,6 +380,46 @@ mod tests {
         let rates = result.group_rates(&cluster.snapshot(), &c, 1);
         assert_eq!(rates.len(), 1);
         assert!((rates[0] - c.rho(8, 1) * 3.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn group_rates_keep_the_bits_of_per_group_rates() {
+        // Degrees 8, 4, 2, 1, 1 and 4 again, with stragglers in some groups.
+        let mut cluster = Cluster::homogeneous(3, 8);
+        for (gpu, rate) in [(1, 5.42), (9, 2.57), (13, 12.53), (20, 1.3)] {
+            cluster.set_rate(GpuId(gpu), rate);
+        }
+        let snapshot = cluster.snapshot();
+        let group = |ids: std::ops::Range<u32>| TpGroup::new(ids.map(GpuId).collect());
+        let result = GroupingResult {
+            max_tp: 8,
+            groups: vec![
+                group(0..8),
+                group(8..12),
+                group(12..14),
+                group(14..15),
+                group(15..16),
+                group(16..20),
+                group(20..24),
+            ],
+        };
+        let c = coeffs();
+        for b in [1, 2, 4] {
+            let rates: Vec<u64> = result
+                .group_rates(&snapshot, &c, b)
+                .iter()
+                .map(|y| y.to_bits())
+                .collect();
+            let per_group: Vec<u64> = result
+                .groups
+                .iter()
+                .map(|g| {
+                    c.group_rate(g.tp_degree(), g.max_rate(&snapshot), b)
+                        .to_bits()
+                })
+                .collect();
+            assert_eq!(rates, per_group);
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //!
 //! This is where the planner spends essentially all of its time (the smoke
 //! profile attributes >99% of planning to this search), so the inner loop is
-//! engineered around eight ideas, each proven byte-identical to the frozen
+//! engineered around nine ideas, each proven byte-identical to the frozen
 //! seed implementation in [`crate::reference`]:
 //!
 //! * **Scratch arena** (`DivisionScratch`): every buffer the per-candidate
@@ -155,9 +155,45 @@
 //!   `rebuild`, which needs the amounts, and candidates whose weights are
 //!   not all finite and positive (the declined path); debug builds also
 //!   check every order statistic against it, bit for bit.
+//! * **Replayed walks** (`ReplayCache`, per thread): the relabelling walk's
+//!   order (per-digit ceilings and tied runs) and every slot descriptor
+//!   depend only on the walk's *shape*, `dp` and the class-id sequence of
+//!   the slow groups: adjacent equal ids are exactly the tied runs,
+//!   `class_bits` follows from the largest id and `ms`, and ids are
+//!   numbered by first appearance, so the sequence is canonical.  A
+//!   relabelling walk that visits every assignment, with no restart and no
+//!   bound exit, records the list `L` of the assignments the descriptor
+//!   memo did not serve, in visit order, and every later walk of its shape
+//!   (other rates, `M` or fast count) scores only `L`, in order, with the
+//!   same fold, bound exit and restart.  An assignment `X` not in `L` was
+//!   served, so an earlier member `R` of `L` has its descriptor multiset
+//!   and was scored feasible and undeclined.  On the later walk `R` has one
+//!   of three outcomes:
+//!   1. scored and undeclined: the descriptor memo's argument gives `X`
+//!      `R`'s objective bits, which cannot pass `obj < best − 1e-12`;
+//!   2. infeasible: then so is `X` (outcome 2 of the relabelling walk);
+//!   3. declined: the walk restarts at `R` in counter order, as the
+//!      unreplayed walk does, and never reaches `X`.
 //!
-//! A thread keeps both memos' buffers between walks: at most 384 KiB each
-//! (see `MEMO_MAX_WORDS`), 768 KiB in all.
+//!   So the fold, the bound exit and the restart point all match the
+//!   unreplayed walk, and `rebuild` gets the same `best_assignment`.
+//!   Members infeasible on the recording walk may appear more than once,
+//!   since their repeats were not served; scoring them again is harmless.
+//!   A replay scores through the miss path (greedy, weight memo, order
+//!   statistic) and never reads or writes the descriptor memo; a restart
+//!   walks the counter through it, as on any walk.  The first walk of a
+//!   shape pays one append per miss, and a warm drift walk scores 158
+//!   (TP-4) or 73 (TP-8) members instead of visiting 486 or 375
+//!   assignments.  Debug builds re-derive every replayed walk by the full
+//!   relabelling walk, through the same loop, and assert the same winner
+//!   and objective bits.
+//!
+//! A thread keeps both memos' buffers between walks, at most 384 KiB each
+//! (see `MEMO_MAX_WORDS`), 768 KiB in all, and its replay lists, at most
+//! 64 KiB of lists and keys (see `REPLAY_MAX_BYTES`), plus as much for the
+//! list being recorded.  The lists outlive the walk, but only the thread
+//! that recorded one replays it: a plan fanned out over scoped workers
+//! reuses a list only among the candidates one worker evaluates.
 //!
 //! The search is serial: the planner already runs candidates of its lattice
 //! on separate workers, so one division runs on its candidate's worker.
@@ -165,6 +201,7 @@
 use crate::minmax::{minmax_objective, solve_minmax_allocation_into};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Input description of a pipeline-division problem.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -344,6 +381,19 @@ struct DivisionScratch {
     /// descriptor memo declines to record: a reported greedy tie, or
     /// weights not all finite and positive.
     declined: bool,
+    /// Whether scoring appends each descriptor-memo miss to `recorded`;
+    /// cleared by a restart, a bound exit or a list over
+    /// `REPLAY_MAX_BYTES`, so it is still set after a walk exactly when
+    /// `recorded` is the walk's whole replay list.
+    recording: bool,
+    /// The assignments the descriptor memo did not serve on this walk, in
+    /// visit order, one byte per digit (a relabelling label is below `ms
+    /// <= 64`).
+    recorded: Vec<u8>,
+    /// Debug builds: a replayed walk's winner, which the full walk must
+    /// re-derive; length `ms`.
+    #[cfg(debug_assertions)]
+    replayed_best: Vec<usize>,
     /// `1/ŷ` when `ŷ` is finite and positive, else `0.0`.
     fast_unit: f64,
     /// Pipelines whose slow capacity must be re-folded after a counter step.
@@ -445,8 +495,51 @@ impl ObjectiveMemo {
     }
 }
 
+/// Most bytes of lists and keys one thread's replay cache holds (64 KiB).
+const REPLAY_MAX_BYTES: usize = 1 << 16;
+
+/// Per-thread replay lists (see "Replayed walks" in the module doc): for
+/// each walk shape, the assignments its recording walk scored past the
+/// descriptor memo, in visit order.  A list whose bytes and key exceed
+/// `REPLAY_MAX_BYTES` is not kept, and the cache clears wholesale when the
+/// next list would not fit.
+#[derive(Debug, Default)]
+struct ReplayCache {
+    /// Shape key to list, `ms` digits per member.
+    lists: HashMap<Box<[u64]>, Box<[u8]>>,
+    /// Bytes of the kept lists and keys.
+    bytes: usize,
+    /// The shape of the current walk: `dp`, then the class ids.
+    key: Vec<u64>,
+}
+
+impl ReplayCache {
+    /// Make `dp` and `classes` the current shape and return its list.
+    fn find(&mut self, dp: usize, classes: &[u64]) -> Option<&[u8]> {
+        self.key.clear();
+        self.key.push(dp as u64);
+        self.key.extend_from_slice(classes);
+        self.lists.get(self.key.as_slice()).map(|list| &list[..])
+    }
+
+    /// Keep `list` for the current shape, if it fits the budget.
+    fn keep(&mut self, list: &[u8]) {
+        let bytes = list.len() + std::mem::size_of_val(self.key.as_slice());
+        if bytes > REPLAY_MAX_BYTES {
+            return;
+        }
+        if self.bytes + bytes > REPLAY_MAX_BYTES {
+            self.lists.clear();
+            self.bytes = 0;
+        }
+        self.bytes += bytes;
+        self.lists.insert(self.key.as_slice().into(), list.into());
+    }
+}
+
 thread_local! {
     static SCRATCH: RefCell<DivisionScratch> = RefCell::new(DivisionScratch::default());
+    static REPLAYS: RefCell<ReplayCache> = RefCell::new(ReplayCache::default());
 }
 
 impl DivisionScratch {
@@ -484,6 +577,9 @@ impl DivisionScratch {
         self.descriptors.resize(dp, 0);
         self.ceiling.clear();
         self.ceiling.resize(ms, 0);
+        self.recording = false;
+        #[cfg(debug_assertions)]
+        self.replayed_best.resize(ms, 0);
         self.weight_memo.reset(dp);
         self.descriptor_memo.reset(dp);
 
@@ -587,10 +683,13 @@ impl DivisionScratch {
     }
 
     /// Put the walk at the all-zero assignment, on the relabelling walk when
-    /// `relabelling`, else on the counter walk.  The memos are left alone.
+    /// `relabelling`, else on the counter walk, and stop any recording.  The
+    /// memos are left alone.
     fn start_walk(&mut self, dp: usize, relabelling: bool) {
         self.relabelling = relabelling;
         self.declined = false;
+        self.recording = false;
+        self.recorded.clear();
         // Below an all-zero top, every digit may rise to label 1.
         let ceiling = if relabelling { 1.min(dp - 1) } else { dp - 1 };
         self.ceiling.fill(ceiling);
@@ -716,12 +815,19 @@ impl DivisionScratch {
         self.recompute_touched_capacities();
     }
 
+    /// Put the walk at a replayed list member, one label per slow group.
+    fn load_member(&mut self, labels: &[u8]) {
+        for (p, &label) in self.assignment.iter_mut().zip(labels) {
+            *p = usize::from(label);
+        }
+        self.init_slots();
+    }
+
     /// Score the current assignment: the objective of the exact micro-batch
     /// split, from the walk's descriptor memo when the descriptor multiset
-    /// was seen before, else from its weights, through the weight memo when
-    /// the weight multiset was seen before, else as an order statistic of
-    /// the weights' loads.  Only weights that are not all finite and
-    /// positive go to the allocator.
+    /// was seen before, else by `score_miss`, recording the objective in
+    /// the memo unless the candidate declines it.  While `recording`, each
+    /// miss is appended to `recorded`.
     ///
     /// Returns the objective, or NaN when the candidate is infeasible (cannot
     /// satisfy the minimum-groups bound, has a zero-capacity pipeline, or the
@@ -729,22 +835,45 @@ impl DivisionScratch {
     /// expressions so the returned bits are identical.  Scoring never reads
     /// `amounts`; only `rebuild` does.
     fn score_current(&mut self, problem: &DivisionProblem, min_groups: usize) -> f64 {
-        let by_descriptors = self.class_bits > 0;
-        if by_descriptors {
-            self.descriptor_memo.load(self.descriptors.iter().copied());
-            if let Some(objective) = self.descriptor_memo.get() {
-                return objective;
+        if self.class_bits == 0 {
+            return self.score_miss(problem, min_groups).0;
+        }
+        self.descriptor_memo.load(self.descriptors.iter().copied());
+        if let Some(objective) = self.descriptor_memo.get() {
+            return objective;
+        }
+        if self.recording {
+            if self.recorded.len() + self.assignment.len() > REPLAY_MAX_BYTES {
+                self.recording = false;
+            } else {
+                self.recorded
+                    .extend(self.assignment.iter().map(|&p| p as u8));
             }
         }
+        let (objective, recordable) = self.score_miss(problem, min_groups);
+        if recordable {
+            self.descriptor_memo.insert(objective);
+        }
+        objective
+    }
+
+    /// Score the current assignment from its weights: through the weight
+    /// memo when the weight multiset was seen before, else as an order
+    /// statistic of the weights' loads.  Only weights that are not all
+    /// finite and positive go to the allocator.  Returns the objective (NaN
+    /// when infeasible) and whether the descriptor memo may record it: not
+    /// after a reported greedy tie or for weights not all finite and
+    /// positive, which mark the walk `declined` while the memo is on.
+    fn score_miss(&mut self, problem: &DivisionProblem, min_groups: usize) -> (f64, bool) {
         let Some(tied) = self.fill_weights(problem, min_groups) else {
-            return f64::NAN;
+            return (f64::NAN, false);
         };
         // Only for finite, positive weights is the objective a function of
         // their multiset.
         let by_multiset = self.weights.iter().all(|w| w.is_finite() && *w > 0.0);
-        self.declined |= by_descriptors && (tied || !by_multiset);
+        self.declined |= self.class_bits > 0 && (tied || !by_multiset);
         if !by_multiset {
-            return self.allocate(problem.num_micro_batches);
+            return (self.allocate(problem.num_micro_batches), false);
         }
         self.weight_memo
             .load(self.weights.iter().map(|w| w.to_bits()));
@@ -764,10 +893,7 @@ impl DivisionScratch {
                 objective
             }
         };
-        if by_descriptors && !tied {
-            self.descriptor_memo.insert(objective);
-        }
-        objective
+        (objective, !tied)
     }
 
     /// Split `total` micro-batches over the current weights into `amounts`;
@@ -919,42 +1045,99 @@ impl DivisionScratch {
 
 /// Sequential exact enumeration with incremental counter maintenance and
 /// lower-bound early exit: the relabelling walk while the descriptor memo is
-/// on, restarted as the counter walk after a declined candidate, else the
-/// counter walk.  Expects `prepare` to have run.
+/// on, replayed from the thread's list for its shape once a complete walk
+/// recorded one, else the counter walk.  Expects `prepare` to have run.
 /// Returns whether any feasible candidate was found; the winner is left in
 /// `scratch.best_assignment`.
 fn enumerate_serial(
     scratch: &mut DivisionScratch,
+    replays: &mut ReplayCache,
     problem: &DivisionProblem,
     min_groups: usize,
     lb: f64,
 ) -> bool {
-    scratch.start_walk(problem.dp, scratch.class_bits > 0);
-    let mut have = false;
-    let mut best = 0.0_f64;
+    if scratch.class_bits == 0 {
+        scratch.start_walk(problem.dp, false);
+        return walk(scratch, problem, min_groups, lb, None).is_some();
+    }
+    scratch.start_walk(problem.dp, true);
+    if let Some(list) = replays.find(problem.dp, &scratch.slow_class) {
+        let best = walk(scratch, problem, min_groups, lb, Some(list));
+        #[cfg(debug_assertions)]
+        {
+            scratch
+                .replayed_best
+                .copy_from_slice(&scratch.best_assignment);
+            scratch.start_walk(problem.dp, true);
+            let full = walk(scratch, problem, min_groups, lb, None);
+            assert_eq!(
+                full.map(f64::to_bits),
+                best.map(f64::to_bits),
+                "replayed walk of {problem:?}"
+            );
+            assert_eq!(
+                scratch.best_assignment, scratch.replayed_best,
+                "replayed walk of {problem:?}"
+            );
+        }
+        return best.is_some();
+    }
+    scratch.recording = true;
+    let best = walk(scratch, problem, min_groups, lb, None);
+    if scratch.recording {
+        replays.keep(&scratch.recorded);
+    }
+    best.is_some()
+}
+
+/// The fold of an exact walk from the all-zero assignment `start_walk` put
+/// it at: score, keep a strict improvement, step.  With a `replay` list the
+/// walk scores the list's members in order through the miss path instead
+/// of stepping (see "Replayed walks" in the module doc).  A declined
+/// candidate on the relabelling walk, replayed or not, restarts the walk in
+/// counter order.  Returns the best objective, `None` when no candidate is
+/// feasible; the winner is left in `scratch.best_assignment`.
+fn walk(
+    scratch: &mut DivisionScratch,
+    problem: &DivisionProblem,
+    min_groups: usize,
+    lb: f64,
+    replay: Option<&[u8]>,
+) -> Option<f64> {
+    // A list starts with the all-zero assignment the walk starts at.
+    let mut replay = replay.map(|list| list.chunks_exact(problem.slow_rates.len()).skip(1));
+    let mut best: Option<f64> = None;
     loop {
         // Once the incumbent touches the relaxed optimum no candidate can pass
         // `obj < best - 1e-12` (every objective is >= the margined bound), so
         // the holes this break leaves behind cannot change the fold result.
-        if have && best <= lb {
+        if best.is_some_and(|best| best <= lb) {
+            scratch.recording = false;
             break;
         }
-        let obj = scratch.score_current(problem, min_groups);
+        let obj = match replay {
+            Some(_) => scratch.score_miss(problem, min_groups).0,
+            None => scratch.score_current(problem, min_groups),
+        };
         if scratch.relabelling && scratch.declined {
             scratch.start_walk(problem.dp, false);
-            have = false;
+            replay = None;
+            best = None;
             continue;
         }
-        if !obj.is_nan() && (!have || obj < best - 1e-12) {
-            have = true;
-            best = obj;
+        if !obj.is_nan() && best.is_none_or(|best| obj < best - 1e-12) {
+            best = Some(obj);
             scratch.best_assignment.copy_from_slice(&scratch.assignment);
         }
-        if !scratch.advance(problem.dp) {
+        let stepped = match &mut replay {
+            Some(members) => members.next().map(|m| scratch.load_member(m)).is_some(),
+            None => scratch.advance(problem.dp),
+        };
+        if !stepped {
             break;
         }
     }
-    have
+    best
 }
 
 /// Deterministic local search for oversized search spaces: greedy seeding
@@ -1060,7 +1243,9 @@ pub fn divide_pipelines(problem: &DivisionProblem) -> Result<Division, DivisionE
         scratch.prepare(problem);
         let lb = scratch.lower_bound(problem);
         let found = if search_space <= problem.exact_enumeration_limit {
-            enumerate_serial(scratch, problem, min_groups, lb)
+            REPLAYS.with(|replays| {
+                enumerate_serial(scratch, &mut replays.borrow_mut(), problem, min_groups, lb)
+            })
         } else {
             local_search(scratch, problem, min_groups, lb)
         };
@@ -1286,19 +1471,31 @@ mod tests {
         assert_eq!(divide_pipelines(p), divide_pipelines_reference(p), "{p:?}");
     }
 
-    /// Run `p`'s exact walk on a fresh scratch and return the scratch, memos
-    /// and all.
+    /// Run `p`'s exact walk on a fresh scratch and replay cache and return
+    /// the scratch, memos and all.
     fn walked(p: &DivisionProblem) -> DivisionScratch {
+        walked_with(p, &mut ReplayCache::default())
+    }
+
+    /// Run `p`'s exact walk on a fresh scratch against `replays`.
+    fn walked_with(p: &DivisionProblem, replays: &mut ReplayCache) -> DivisionScratch {
         let mut s = DivisionScratch::default();
         s.prepare(p);
         let lb = s.lower_bound(p);
         assert!(enumerate_serial(
             &mut s,
+            replays,
             p,
             p.min_groups_per_pipeline.max(1),
             lb
         ));
         s
+    }
+
+    /// The division `walked_with` leaves in `s`, which must be the seed's.
+    fn assert_rebuilds_reference(s: &mut DivisionScratch, p: &DivisionProblem) {
+        let d = s.rebuild(p, p.min_groups_per_pipeline.max(1));
+        assert_eq!(Ok(d), divide_pipelines_reference(p), "{p:?}");
     }
 
     #[test]
@@ -1342,16 +1539,21 @@ mod tests {
 
     #[test]
     fn relabelling_walk_restarts_in_counter_order_after_a_declined_candidate() {
-        // A greedy tie; recurring greedy ties; and a unit of +inf (rate
-        // 5e-324), whose pipeline gets weight 0.
+        // A greedy tie; recurring greedy ties; a unit of +inf (rate
+        // 5e-324), whose pipeline gets weight 0; and zero units, which leave
+        // a pipeline at an empty pipeline's greedy level.
         for p in [
             DivisionProblem::new(2, 3, 1.0, vec![0.5], 16),
             dyadic(),
             DivisionProblem::new(3, 4, 1.0, vec![5e-324, 2.0, 3.0], 32),
+            unit_ties(),
         ] {
-            let s = walked(&p);
+            let mut replays = ReplayCache::default();
+            let s = walked_with(&p, &mut replays);
             assert!(s.class_bits > 0 && !s.relabelling, "{p:?}");
             assert_eq!(s.ceiling, vec![p.dp - 1; p.slow_rates.len()], "{p:?}");
+            // A walk that restarts keeps no replay list.
+            assert!(replays.lists.is_empty(), "{p:?}");
             assert_matches_reference(&p);
         }
         // Walks that meet no declined candidate stay restricted-growth.
@@ -1391,12 +1593,150 @@ mod tests {
         assert_ne!(s.capacities[0].to_bits(), s.capacities[1].to_bits());
     }
 
-    #[test]
-    fn descriptor_memo_keeps_one_entry_per_descriptor_multiset() {
-        for (p, entries) in [(s3_tp4(), 158), (s3_tp8(), 73)] {
-            let s = walked(&p);
-            assert_eq!(s.descriptor_memo.objectives.len(), entries);
+    /// Brute force: the first assignment of each descriptor multiset on the
+    /// relabelling walk, in walk order, one byte per digit.
+    fn first_visits(p: &DivisionProblem) -> Vec<u8> {
+        let mut s = DivisionScratch::default();
+        s.prepare(p);
+        let mut seen = std::collections::HashSet::new();
+        let mut list = Vec::new();
+        for idx in walk_indices(p, true) {
+            s.set_counter(idx, p.dp);
+            s.init_slots();
+            let mut multiset = s.descriptors.clone();
+            multiset.sort_unstable();
+            if seen.insert(multiset) {
+                list.extend(s.assignment.iter().map(|&d| d as u8));
+            }
         }
+        list
+    }
+
+    #[test]
+    fn replay_list_holds_the_first_visit_of_each_descriptor_multiset() {
+        // Every member is feasible and undeclined here, so the recording
+        // walk's descriptor memo holds one entry per member too.
+        // `unit_ties` restarts (a pipeline of zero units sits at an empty
+        // pipeline's greedy level) and keeps no list, so its bitwise-tied
+        // distinct rates stand here beside rate 6.0 instead of its zero
+        // units.
+        let tied_units = DivisionProblem {
+            slow_rates: vec![3.5, 3.5000000000000004, 6.0, 2.2, 2.2],
+            ..unit_ties()
+        };
+        for (p, members) in [
+            (s3_tp4(), 158),
+            (s3_tp8(), 73),
+            (untied(), 187),
+            (tied_units, 20),
+        ] {
+            let mut replays = ReplayCache::default();
+            let s = walked_with(&p, &mut replays);
+            let list = replays.find(p.dp, &s.slow_class).expect("a kept list");
+            assert_eq!(list, first_visits(&p), "{p:?}");
+            assert_eq!(list.len(), members * p.slow_rates.len(), "{p:?}");
+            assert_eq!(s.descriptor_memo.objectives.len(), members, "{p:?}");
+        }
+    }
+
+    /// `s3_tp4` with its tied runs of three shortened to two: 4^6
+    /// assignments, so the seed reference stays cheap.
+    fn short_tp4() -> DivisionProblem {
+        let slow = vec![1.0, 1.0, 5.42, 1.0, 1.0, 2.57];
+        DivisionProblem::new(4, 10, 0.25679840610196364, slow, 64)
+    }
+
+    #[test]
+    fn replayed_walks_match_the_reference() {
+        // The first walk of the shape records; the others replay it at the
+        // drift replan's other rates and sizes, with more fast groups, and
+        // with a second minimum group per pipeline.
+        let mut replays = ReplayCache::default();
+        for (fast_rate, m, fast_count, min_groups) in [
+            (0.25679840610196364, 64, 10, 1),
+            (0.2565024567654825, 32, 10, 1),
+            (0.2563544820972419, 16, 10, 1),
+            (0.25679840610196364, 64, 18, 1),
+            (0.3, 48, 16, 2),
+        ] {
+            let p = DivisionProblem {
+                fast_rate,
+                num_micro_batches: m,
+                fast_count,
+                min_groups_per_pipeline: min_groups,
+                ..short_tp4()
+            };
+            let mut s = walked_with(&p, &mut replays);
+            assert!(s.relabelling, "{p:?}");
+            assert_rebuilds_reference(&mut s, &p);
+        }
+        assert_eq!(replays.lists.len(), 1);
+    }
+
+    #[test]
+    fn replayed_walk_restarts_in_counter_order_at_a_declined_member() {
+        // Two tied runs at rates whose greedy levels never meet between
+        // different states: the walk keeps a list of nine members.
+        let p = DivisionProblem::new(4, 12, 1.0, vec![3.0, 3.0, 7.0, 7.0], 256);
+        let mut replays = ReplayCache::default();
+        let s = walked_with(&p, &mut replays);
+        assert!(s.relabelling);
+        assert_eq!(replays.find(p.dp, &s.slow_class).map(<[u8]>::len), Some(36));
+        // Dyadic rates of the same shape tie the greedy on the fifth member
+        // (a fresh walk records four memo entries first).  The replay runs
+        // without the debug-build re-derivation, which would walk again.
+        let list = replays.find(p.dp, &s.slow_class).unwrap().to_vec();
+        let p = DivisionProblem::new(4, 12, 1.0, vec![2.0, 2.0, 4.0, 4.0], 256);
+        let mut s = DivisionScratch::default();
+        s.prepare(&p);
+        let lb = s.lower_bound(&p);
+        s.start_walk(p.dp, true);
+        assert!(walk(&mut s, &p, 1, lb, Some(&list)).is_some());
+        assert!(s.declined && !s.relabelling);
+        assert_eq!(s.ceiling, vec![p.dp - 1; p.slow_rates.len()]);
+        // The replay wrote no memo entry; the counter walk after the
+        // restart recorded the four an unreplayed walk ends with.
+        assert_eq!(s.descriptor_memo.objectives.len(), 4);
+        assert_eq!(walked(&p).descriptor_memo.objectives.len(), 4);
+        assert_rebuilds_reference(&mut s, &p);
+    }
+
+    #[test]
+    fn walk_shape_keys_on_dp() {
+        // One class sequence at dp 2 and at dp 4, interleaved: the lists
+        // differ, and neither serves the other.
+        let at = |dp| DivisionProblem { dp, ..short_tp4() };
+        let expected = [2, 4].map(|dp| divide_pipelines_reference(&at(dp)).unwrap());
+        let mut replays = ReplayCache::default();
+        for dp in [2, 4, 2, 4, 4, 2] {
+            let p = at(dp);
+            let want = &expected[dp / 4];
+            let mut s = walked_with(&p, &mut replays);
+            assert_eq!(&s.rebuild(&p, 1), want, "{p:?}");
+            assert_eq!(divide_pipelines(&p).as_ref(), Ok(want), "{p:?}");
+        }
+        assert_eq!(replays.lists.len(), 2);
+    }
+
+    #[test]
+    fn replay_cache_keeps_lists_within_its_budget() {
+        let mut replays = ReplayCache::default();
+        let _ = replays.find(4, &[1, 2]);
+        replays.keep(&[0; REPLAY_MAX_BYTES]);
+        assert!(
+            replays.lists.is_empty(),
+            "a list over the budget is not kept"
+        );
+        // Three quarter-budget lists and their keys fit; a fourth clears
+        // the cache first.
+        let quarter = [0; REPLAY_MAX_BYTES / 4];
+        for (dp, kept) in [(1, 1), (2, 2), (3, 3), (4, 1)] {
+            let _ = replays.find(dp, &[1]);
+            replays.keep(&quarter);
+            assert_eq!(replays.lists.len(), kept);
+            assert!(replays.find(dp, &[1]).is_some());
+        }
+        assert_eq!(replays.bytes, REPLAY_MAX_BYTES / 4 + 16);
     }
 
     /// `dp = 2` over 17 slow groups of 9 unit classes: descriptors would
@@ -1585,18 +1925,22 @@ mod tests {
         // O(1) times (the returned Division's four owned vectors and small
         // bookkeeping) — nothing per candidate.  The relabelling walk visits
         // 15 of dp8_ms4's 8^4 = 4096 assignments, 52 of dp8_ms5_fast120's
-        // 32k (the paper's fast pool, 120 greedy picks per miss) and 375 of
-        // the tied TP-8 shape's 4^8.  The untied dp4_ms8_fast12 walk visits
-        // 2,795 assignments, one per descriptor multiset, with as many
-        // weight multisets, so both memos outgrow the first table and must
-        // regrow within the capacity the warm call left.  The dyadic shape
-        // restarts in counter order after a greedy tie, and dp2_ms17 walks
-        // its 2^17 assignments in counter order with the descriptor memo
-        // off, scoring every weight-memo miss by order statistic.
+        // 32k (the paper's fast pool, 120 greedy picks per miss), and 375
+        // and 486 of the tied S3 shapes' 4^8; the warm call records each
+        // walk's replay list and the counted call replays it (debug builds
+        // then re-derive it by the full walk on the same buffers).  The
+        // untied dp4_ms8_fast12 walk visits 2,795 assignments, one per
+        // descriptor multiset, with as many weight multisets, so both memos
+        // outgrow the first table and must regrow within the capacity the
+        // warm call left.  The dyadic shape restarts in counter order after
+        // a greedy tie, and dp2_ms17 walks its 2^17 assignments in counter
+        // order with the descriptor memo off, scoring every weight-memo miss
+        // by order statistic.
         for p in [
             DivisionProblem::new(8, 24, 1.0, vec![2.0, 2.5, 3.0, 3.5], 256),
             DivisionProblem::new(8, 120, 0.17, vec![0.4, 0.45, 0.5, 0.55, 0.6], 1024),
             s3_tp8(),
+            s3_tp4(),
             DivisionProblem::new(
                 4,
                 12,

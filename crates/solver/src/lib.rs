@@ -32,6 +32,10 @@
 //! exact float optimum, so slot order cannot change it).  Together they keep
 //! at most 768 KiB per thread between walks.  A miss in both is scored as
 //! an order statistic of the weights' loads, without running the allocator.
+//! A thread also keeps, per walk shape (`dp` and the slow groups' class
+//! ids), the assignments its first complete relabelling walk scored past
+//! the descriptor memo; later walks of that shape score only those, at
+//! most 64 KiB of lists per thread.
 //! It is serial and spawns no threads: the planner runs each division on the
 //! worker of its candidate.  The [`reference`](mod@reference) module keeps
 //! the original straightforward implementations frozen as the byte-identity

@@ -394,7 +394,9 @@ pub fn solve_minmax_allocation_into(
     while assigned > total_units {
         // Shed one unit from the most loaded positive slot (`max_by` keeps
         // the *last* among ties), so the maximum only decreases; a free slot
-        // sheds its whole share of the surplus in one step.
+        // sheds its whole share of the surplus in one step, and a surplus of
+        // more than one unit per slot leaves the positive weights in one
+        // step too, the units this loop would shed one by one.
         let (j, _) = amounts
             .iter()
             .enumerate()
@@ -402,13 +404,18 @@ pub fn solve_minmax_allocation_into(
             .map(|(j, &a)| (j, weights[j] * a as f64))
             .max_by(|a, b| a.1.total_cmp(&b.1))
             .expect("assigned > total implies a positive slot exists");
-        let shed = if weights[j] <= 0.0 {
-            (assigned - total_units).min(amounts[j] as u128) as u64
+        let surplus = assigned - total_units;
+        if weights[j] <= 0.0 {
+            let shed = surplus.min(amounts[j] as u128) as u64;
+            amounts[j] -= shed;
+            assigned -= shed as u128;
+        } else if surplus > weights.len() as u128 {
+            shed_largest_loads(weights, amounts, surplus);
+            assigned = total_units;
         } else {
-            1
-        };
-        amounts[j] -= shed;
-        assigned -= shed as u128;
+            amounts[j] -= 1;
+            assigned -= 1;
+        }
     }
 
     // Local improvement: move single units away from the bottleneck slot if that
@@ -469,6 +476,68 @@ pub fn solve_minmax_allocation_into(
         .map(|(j, &a)| weights[j] * a as f64)
         .fold(0.0_f64, f64::max);
     Ok(objective)
+}
+
+/// Shed `surplus` units from the positive-weight slots, the units the shed
+/// loop of [`solve_minmax_allocation_into`] sheds one per pass.  A pass
+/// sheds the largest key `(fl(w_j·a_j), j)` (loads by `total_cmp`, ties to
+/// the later slot), and `fl(w·x)` is monotone in `x`, so the passes shed
+/// the `surplus` largest keys `(fl(w_j·x), j)`, `1 <= x <= a_j`.  The loop
+/// calls this only while a positive slot holds units, and then the free
+/// slots hold fewer than `total` between them (an uncapped one, or caps
+/// summing to `total` or more, pin the threshold at 0, where no positive
+/// slot gets a unit), so the surplus is below the positive slots' units; a
+/// free slot's load, 0, is below theirs, so none of its units is among
+/// the keys shed.  The last key shed has the least load `level` with fewer
+/// than `surplus` loads above it, found by bisecting the bits of the
+/// non-negative floats, which order them.  Every load above `level` goes,
+/// then the loads equal to it, from the latest slot down.  After a
+/// threshold search that stops at an absolute width of `f64::EPSILON`, a
+/// slot of weight `w` far below it holds about `EPSILON / w` surplus units,
+/// which one unit per pass would take that many passes to shed.
+fn shed_largest_loads(weights: &[f64], amounts: &mut [u64], surplus: u128) {
+    let positive = |j: &usize| weights[*j] > 0.0;
+    let above = |t: f64| -> u128 {
+        (0..weights.len())
+            .filter(positive)
+            .map(|j| (amounts[j] - loads_at_most(weights[j], amounts[j], t)) as u128)
+            .sum()
+    };
+    // Every load is above 0.0, and none above +inf.
+    debug_assert!(above(0.0) > surplus, "the positive slots hold the surplus");
+    let (mut below, mut level) = (0.0_f64.to_bits(), f64::INFINITY.to_bits());
+    while level - below > 1 {
+        let mid = below + (level - below) / 2;
+        if above(f64::from_bits(mid)) < surplus {
+            level = mid;
+        } else {
+            below = mid;
+        }
+    }
+    let (below, level) = (f64::from_bits(below), f64::from_bits(level));
+    let mut left = surplus - above(level);
+    for j in (0..weights.len()).rev().filter(positive) {
+        let keep = loads_at_most(weights[j], amounts[j], level);
+        let at_level = keep - loads_at_most(weights[j], amounts[j], below);
+        let take = left.min(at_level as u128) as u64;
+        left -= take as u128;
+        amounts[j] = keep - take;
+    }
+}
+
+/// How many of the loads `fl(w·x)`, `1 <= x <= amount`, are at most `t`
+/// (`w > 0`): a prefix, since `fl(w·x)` is monotone in `x`, counted as
+/// `minmax_objective_from` counts loads, by an estimate from division and
+/// exact steps.
+fn loads_at_most(w: f64, amount: u64, t: f64) -> u64 {
+    let mut k = ((t / w) as u64).min(amount);
+    while k > 0 && w * k as f64 > t {
+        k -= 1;
+    }
+    while k < amount && w * (k + 1) as f64 <= t {
+        k += 1;
+    }
+    k
 }
 
 /// The objective [`solve_minmax_allocation_into`] returns for `total` units
@@ -717,6 +786,14 @@ mod tests {
                 37,
                 vec![None, None, Some(3), None],
             ),
+            // Weights far below `f64::EPSILON`: the threshold search leaves
+            // such a slot ~`EPSILON / w` surplus units (~22k at 1e-20),
+            // which the seed sheds one per pass.
+            (vec![1e-20, 1.0], 1, vec![]),
+            (vec![1e-18, 1.0, 2.0], 7, vec![]),
+            (vec![3e-19, 3e-19, 1.0], 5, vec![]),
+            (vec![1.0, 1e-19, 0.5], 9, vec![None, Some(4), None]),
+            (vec![2e-20, 1e-20, 0.0], 3, vec![]),
         ];
         // A pseudo-random (but fixed-seed) family for breadth.
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -751,6 +828,26 @@ mod tests {
             };
             let total = next() % 300;
             cases.push((weights, total, caps));
+        }
+        // A second family with one or two weights between 1e-15 and 1e-20,
+        // whose surpluses the seed still sheds within milliseconds.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..40 {
+            let n = 2 + (next() % 4) as usize;
+            let mut weights: Vec<f64> = (0..n)
+                .map(|_| ((next() % 900) + 100) as f64 / 250.0)
+                .collect();
+            for _ in 0..1 + next() % 2 {
+                let slot = (next() % n as u64) as usize;
+                weights[slot] = 10f64.powi(-15 - (next() % 6) as i32) * (1 + next() % 9) as f64;
+            }
+            cases.push((weights, 1 + next() % 40, Vec::new()));
         }
         for (w, total, caps) in cases {
             let new = solve_minmax_allocation(&w, total, &caps);
@@ -825,6 +922,51 @@ mod tests {
         assert_eq!(buf.capacity(), cap);
         assert_eq!(buf.as_ptr(), ptr);
         assert_eq!(buf.iter().sum::<u64>(), 10);
+    }
+
+    /// `solve_minmax_allocation` on a spawned thread: a call that does not
+    /// return within 10 s fails the test instead of hanging it.
+    fn solve_or_time_out(weights: &[f64], total: u64) -> AllocationResult {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let owned = weights.to_vec();
+        let solver =
+            std::thread::spawn(move || tx.send(solve_minmax_allocation(&owned, total, &[])));
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("{weights:?} at total {total}: {e}"));
+        solver.join().unwrap().unwrap();
+        result.unwrap()
+    }
+
+    #[test]
+    fn tiny_weights_return_the_optimum() {
+        // The threshold search leaves a slot of weight `w` far below
+        // `f64::EPSILON` ~`EPSILON / w` surplus units, which the shed loop
+        // removes in one step while the slot stays the most loaded.
+        for w in [1e-20, 1e-25, 1e-30, 1e-300, 5e-324] {
+            for (weights, total) in [
+                (vec![w, 1.0], 1),
+                (vec![w, 1.0], 5),
+                (vec![1.0, w, w], 4),
+                (vec![w, 2.0 * w, 1.0], 3),
+                (vec![0.5, w, 0.0], 2),
+            ] {
+                let r = solve_or_time_out(&weights, total);
+                let (_, objective) = brute_force_minmax(&weights, total, &[]).unwrap();
+                assert_eq!(r.objective.to_bits(), objective.to_bits(), "{weights:?}");
+                assert_eq!(r.amounts.iter().sum::<u64>(), total, "{weights:?}");
+                assert_eq!(
+                    r.amounts
+                        .iter()
+                        .zip(&weights)
+                        .map(|(&a, &w)| w * a as f64)
+                        .fold(0.0, f64::max)
+                        .to_bits(),
+                    objective.to_bits(),
+                    "{weights:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -941,8 +1083,7 @@ mod tests {
             }
         }
         // A weight below 1 / f64::MAX has an infinite inverse, so the start
-        // is 0 and no load is counted before the merge.  (The allocator's
-        // threshold search does not finish on such weights; see ROADMAP.)
+        // is 0 and no load is counted before the merge.
         for (weights, total) in [(vec![1e-309, 1.0], 5), (vec![4e-310, 1e-309, 2.0], 12)] {
             let objective = order_statistic(&weights, total);
             assert_eq!(
@@ -950,6 +1091,8 @@ mod tests {
                 sorted_loads_statistic(&weights, total).to_bits(),
                 "{weights:?}"
             );
+            let allocated = solve_or_time_out(&weights, total);
+            assert_eq!(objective.to_bits(), allocated.objective.to_bits());
         }
     }
 
