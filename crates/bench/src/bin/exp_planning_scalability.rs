@@ -11,20 +11,22 @@
 //! cargo run --release -p malleus-bench --bin exp_planning_scalability -- --smoke # 64-GPU only
 //! ```
 //!
-//! `--smoke` runs only the 64-GPU S3 breakdown (the 1024-GPU plan and the
-//! scenario matrix are minutes of planner work); the JSON artifact is written
-//! in both modes.  The phase table prints milliseconds, and its 64-GPU row is
-//! the median of five cold plans, each from a fresh planner; the JSON keeps
-//! seconds.  A fresh planner replays no candidate, but the division walks
-//! keep their replay lists per thread, so whenever the plans run on one
-//! thread (one CPU, as under `taskset`), every plan after the first replays
-//! the lists of the walks it repeats.
+//! `--smoke` runs only the 64-GPU S3 breakdown (it skips the 1024-GPU plan
+//! and the scenario matrix of cold 128/256/512-GPU plans); the JSON artifact
+//! is written in both modes.  The phase table prints
+//! milliseconds of wall-clock time — a plan runs its phases one after another
+//! on the calling thread, so a row's total is at most that plan's elapsed
+//! time — and the JSON keeps seconds.  The 64-GPU row is the median of five
+//! cold plans, each from a fresh planner.  A fresh planner replays no
+//! candidate, but the division walks keep their replay lists per thread, and
+//! every plan runs on the harness's thread, so every plan after the first
+//! replays the lists of the walks it repeats.
 
 use malleus_bench::paper_workloads;
 use malleus_bench::table::Table;
 use malleus_bench::{write_json, JsonValue, ScenarioMatrix};
 use malleus_cluster::{Cluster, GpuId, PaperSituation, StragglerLevel};
-use malleus_core::{Parallelism, PlanTiming, Planner, PlannerConfig};
+use malleus_core::{PlanTiming, Planner, PlannerConfig};
 use malleus_model::{HardwareParams, ProfiledCoefficients};
 use malleus_solver::reference::divide_pipelines_reference;
 use malleus_solver::{divide_pipelines, Division, DivisionProblem};
@@ -101,8 +103,8 @@ fn main() {
 
     // ---- 64 GPUs, S3: the median of five cold plans ----
     // Each plan comes from a fresh planner, so no candidate memo replays an
-    // earlier plan; the row is the plan with the median total.  Plans on one
-    // thread share its division replay lists, which the first plan records.
+    // earlier plan; the row is the plan with the median total.  The plans
+    // share this thread's division replay lists, which the first records.
     let snapshot = workload.snapshot_for(PaperSituation::S3);
     let mut cold: Vec<PlanTiming> = (0..5)
         .map(|_| {
@@ -171,69 +173,44 @@ fn main() {
     println!();
     table.print();
     println!(
-        "\n(64-GPU row: the median of 5 cold plans, each from a fresh planner; plans \
-         on one thread reuse the division replay lists after the first.)"
+        "\n(64-GPU row: the median of 5 cold plans, each from a fresh planner; every \
+         plan after the first reuses the division replay lists the first recorded.)"
     );
     println!("(The planner runs on background CPU processes and is overlapped with one training step, §5.3.)");
 
-    // ---- Scenario matrix: serial oracle vs parallel candidate fan-out ----
+    // ---- Scenario matrix: one cold plan per large-scale scenario ----
     let mut matrix_records = Vec::new();
     if !smoke {
-        let workers = Parallelism::Auto.workers();
-        println!(
-            "\nScenario matrix: serial vs parallel planning wall-clock ({workers} workers at auto)"
-        );
-        let mut table = Table::new([
-            "scenario",
-            "serial (s)",
-            "parallel (s)",
-            "speedup",
-            "plans identical",
-        ]);
+        println!("\nScenario matrix: cold-plan wall-clock");
+        let mut table = Table::new(["scenario", "cold plan (ms)"]);
         for scenario in &ScenarioMatrix::large_scale().scenarios {
             let snapshot = scenario.snapshot();
-            let serial_planner = scenario.planner(Parallelism::Fixed(1));
+            let planner = scenario.planner();
             let t0 = Instant::now();
-            let serial = serial_planner.plan(&snapshot);
-            let serial_secs = t0.elapsed().as_secs_f64();
-
-            let parallel_planner = scenario.planner(Parallelism::Auto);
-            let t0 = Instant::now();
-            let parallel = parallel_planner.plan(&snapshot);
-            let parallel_secs = t0.elapsed().as_secs_f64();
-
-            let identical = match (&serial, &parallel) {
-                (Ok(a), Ok(b)) => a == b,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            };
+            let planned = planner.plan(&snapshot);
+            let cold_secs = t0.elapsed().as_secs_f64();
             table.row([
                 scenario.label.to_string(),
-                format!("{serial_secs:.2}"),
-                format!("{parallel_secs:.2}"),
-                format!("{:.2}x", serial_secs / parallel_secs.max(1e-9)),
-                identical.to_string(),
+                format!("{:.1}", cold_secs * 1e3),
             ]);
             matrix_records.push(JsonValue::obj(vec![
                 ("scenario", JsonValue::str(scenario.label)),
-                ("serial_secs", JsonValue::Num(serial_secs)),
-                ("parallel_secs", JsonValue::Num(parallel_secs)),
-                ("identical", JsonValue::Bool(identical)),
+                ("cold_secs", JsonValue::Num(cold_secs)),
             ]));
-            if let Ok(outcome) = &parallel {
-                println!(
+            match &planned {
+                Ok(outcome) => println!(
                     "{}: DP {} | max TP {} | estimated {:.2} s/step | {} standby GPUs",
                     scenario.label,
                     outcome.dp,
                     outcome.chosen_tp,
                     outcome.estimated_step_time,
                     outcome.plan.removed_gpus.len()
-                );
+                ),
+                Err(e) => println!("{}: planning failed: {e}", scenario.label),
             }
         }
         println!();
         table.print();
-        println!("\n(Speedups require a multi-core host; at auto=1 worker both columns run the serial path.)");
     }
 
     // ---- Division micro-breakdown: frozen seed reference vs scratch-arena solver ----

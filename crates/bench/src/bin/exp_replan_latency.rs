@@ -29,7 +29,6 @@
 use malleus_bench::table::Table;
 use malleus_bench::{write_json, JsonValue, ScenarioMatrix};
 use malleus_cluster::{GpuId, StragglerLevel};
-use malleus_core::Parallelism;
 use std::time::Instant;
 
 fn main() {
@@ -47,12 +46,12 @@ fn main() {
 
     // Delta side: the candidate memo on (the default).  Full side: the same
     // planner with it off — every replan re-enumerates the lattice.
-    let delta_planner = scenario.planner(Parallelism::Fixed(1));
+    let delta_planner = scenario.planner();
     assert!(
         delta_planner.config.incremental,
         "incremental replanning must default on"
     );
-    let mut full_planner = scenario.planner(Parallelism::Fixed(1));
+    let mut full_planner = scenario.planner();
     full_planner.config.incremental = false;
 
     let mut delta_prev = delta_planner.plan(&base).expect("initial delta plan");

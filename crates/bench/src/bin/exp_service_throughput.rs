@@ -85,20 +85,17 @@ impl Workload {
 }
 
 /// Serial baseline: one tenant, direct `Planner::plan`, no cache — the floor
-/// the service must beat even at a single client.  The baseline planner runs
-/// at the *same per-plan worker width* the service grants its invocations,
-/// so the comparison (and the acceptance assert) measures what the service
-/// adds — caching and coalescing — rather than a thread-count mismatch that
-/// would flip with the host's core count.
+/// the service must beat even at a single client.  Every plan runs on one
+/// thread, in the baseline as in each service invocation, so the comparison
+/// (and the acceptance assert) measures what the service adds: caching and
+/// coalescing.
 fn serial_baseline(workload: &Workload) -> (f64, Vec<malleus_core::PlanOutcome>) {
-    let per_plan = ServiceConfig::default().per_plan_parallelism();
     let t0 = Instant::now();
     let outcomes: Vec<_> = workload
         .requests
         .iter()
         .map(|r| {
             Planner::new(r.coeffs.clone(), r.config.clone())
-                .with_parallelism(per_plan)
                 .plan(&r.snapshot)
                 .expect("serial baseline plan")
         })
@@ -460,7 +457,7 @@ fn main() {
     println!(
         "\n(Each row is the fastest of {REPS} runs, each on a fresh service/daemon, alternating \
          with {REPS} serial-baseline runs whose fastest is 'serial/sec' (direct Planner::plan, no \
-         cache, matched per-plan worker width). 'planner runs' counts actual Planner::plan \
+         cache). 'planner runs' counts actual Planner::plan \
          invocations — everything else was served from a cache tier or coalesced onto an \
          in-flight computation. 'L1 hit' is the tenant-side client cache (socket path only), \
          'L2 hit' the shared service cache; socket counts include each tenant's drift request, \

@@ -8,7 +8,7 @@
 //! planning-scalability experiment and the parallel-planner benchmarks.
 
 use malleus_cluster::{Cluster, ClusterSnapshot, GpuId, PaperSituation, StragglerLevel};
-use malleus_core::{Parallelism, Planner, PlannerConfig};
+use malleus_core::{Planner, PlannerConfig};
 use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
 use rand::prelude::*;
 use rand::rngs::StdRng;
@@ -152,8 +152,7 @@ impl SyntheticScenario {
 
     /// Planner configuration: the Appendix A.2 scaling methodology (global
     /// batch grows linearly with the cluster), enumerating DP degrees around
-    /// the maintained ZeRO-1 degree of 8 and micro-batches {1, 2} — a
-    /// candidate lattice wide enough to exercise the parallel fan-out.
+    /// the maintained ZeRO-1 degree of 8 and micro-batches {1, 2}.
     pub fn planner_config(&self) -> PlannerConfig {
         PlannerConfig {
             global_batch_size: self.global_batch_size,
@@ -163,11 +162,11 @@ impl SyntheticScenario {
         }
     }
 
-    /// A planner for this scenario with the given worker-count knob.
-    pub fn planner(&self, parallelism: Parallelism) -> Planner {
+    /// A fresh planner for this scenario.
+    pub fn planner(&self) -> Planner {
         let coeffs =
             ProfiledCoefficients::derive(self.spec.clone(), HardwareParams::a800_cluster());
-        Planner::new(coeffs, self.planner_config()).with_parallelism(parallelism)
+        Planner::new(coeffs, self.planner_config())
     }
 }
 

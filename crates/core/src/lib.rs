@@ -18,10 +18,10 @@
 //!
 //! The [`planner::Planner`] ties the two levels together, enumerating candidate
 //! maximum TP degrees {1, 2, 4, 8} and micro-batch sizes exactly as §4.3.3
-//! describes, and reports a per-phase timing breakdown (Appendix A.2).  The
-//! candidate lattice is evaluated across worker threads ([`parallel`]) with a
-//! deterministic lattice-index reduction, so planning scales with cores while
-//! staying bit-identical to the serial reference path.
+//! describes, and reports a per-phase timing breakdown (Appendix A.2).  A
+//! plan runs on its caller's thread and folds the candidate lattice in order;
+//! [`parallel`] holds what plans share across threads (the grouping memo and
+//! the ranked locks).
 //! [`migration`] computes the slice-level model-state movements needed to adopt
 //! a new plan on the fly (§5.1).  [`delta`] holds the candidate memo: every
 //! plan and replan, whatever the cluster event, reuses the candidate

@@ -1,79 +1,46 @@
-//! Parallel evaluation of the planner's candidate lattice.
+//! State that planner invocations share across threads.
 //!
-//! The Malleus planner (§4.3.3) enumerates a lattice of candidate
-//! configurations — every (maximum TP degree, DP degree, micro-batch size,
-//! division mode) tuple — and evaluates each candidate independently through
-//! grouping, pipeline division, group ordering and work assignment.  The
-//! evaluations share no mutable state, so the lattice is embarrassingly
-//! parallel.  This module provides the pieces the planner uses to fan the
-//! lattice across threads without changing its output:
+//! A plan runs on its caller's thread: the planner walks its candidate
+//! lattice (§4.3.3) in order and folds each candidate as it goes.
+//! Concurrency lives across requests — the planning service runs one plan
+//! per admitted request, and its tenants' planners share a grouping memo.
+//! This module holds what they share:
 //!
-//! * [`Parallelism`] — the `PlannerConfig` knob selecting the worker count
-//!   (`Auto` uses [`std::thread::available_parallelism`], `Fixed(1)` keeps the
-//!   serial reference path that the equivalence test-suite treats as the
-//!   oracle).
 //! * [`GroupingCache`] — a memo cache for [`group_cluster`] results keyed by
 //!   ([`ClusterSnapshot::fingerprint`], max TP degree), with hits confirmed
-//!   against the full snapshot and coefficients.  Grouping is independent of
-//!   the rest of the lattice, so the cache is filled once per plan invocation
-//!   and then shared *read-only* by every worker (and by subsequent
-//!   re-planning rounds on an unchanged snapshot).
-//! * [`fan_out`] — a scoped-thread work queue (`std::thread::scope`, no
-//!   external dependencies) that evaluates `num_items` closures on `workers`
-//!   threads and returns the results **indexed by item**, not by completion
-//!   order.
+//!   against the full snapshot and coefficients.  Clones of a planner, and
+//!   every tenant of a service, share one cache, so re-planning rounds on an
+//!   unchanged snapshot skip grouping.
 //! * [`RankedMutex`] and [`lock_rank`] — the workspace's only lock type and
 //!   the table of lock ranks it checks in debug builds.
-//!
-//! # Deterministic tie-break
-//!
-//! Thread scheduling must never influence the chosen plan.  The planner
-//! guarantees this by assigning every candidate a lattice index equal to its
-//! position in the serial enumeration order and *reducing the results in index
-//! order* with exactly the serial comparison: a candidate replaces the current
-//! best only if its estimated step time is smaller by more than `1e-12`
-//! seconds.  Ties (and near-ties within the epsilon) therefore always resolve
-//! to the candidate with the smallest lattice index — i.e. the same winner the
-//! serial oracle picks — no matter which worker finished first.  Because each
-//! candidate's floating-point evaluation is self-contained (no cross-candidate
-//! accumulation), the reduction is bit-identical to the serial fold.
+//! * [`Parallelism`] — a configuration value the planner ignores, kept only
+//!   until the benchmark stops naming it.
 
 use crate::grouping::{group_cluster, GroupingResult};
 use malleus_cluster::ClusterSnapshot;
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 #[expect(
     clippy::disallowed_types,
     reason = "RankedMutex wraps the raw lock; everything else locks through it"
 )]
 use std::sync::Mutex;
-use std::sync::{Arc, Condvar, OnceLock};
+use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-/// Worker-count knob for the candidate-lattice fan-out.
+/// Former worker-count knob of an in-plan candidate fan-out.  The planner
+/// ignores it: every plan runs on its caller's thread.  It stays, with its
+/// wire encoding, only because the replan benchmark still sets it; ROADMAP
+/// "One planner thread", step 2, deletes it with that benchmark's next
+/// revision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
-    /// Use every available core (`std::thread::available_parallelism`).
+    /// Formerly one worker per core.
     #[default]
     Auto,
-    /// Use exactly this many workers.  `Fixed(1)` is the serial reference
-    /// path — the oracle the deterministic-equivalence harness compares
-    /// against.
+    /// Formerly exactly this many workers.
     Fixed(usize),
-}
-
-impl Parallelism {
-    /// Resolve the knob to a concrete worker count (≥ 1).
-    pub fn workers(&self) -> usize {
-        match self {
-            Parallelism::Fixed(n) => (*n).max(1),
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
 }
 
 /// A memoized grouping: the snapshot and coefficients it was computed for
@@ -91,11 +58,11 @@ impl CachedGrouping {
     }
 }
 
-/// Shared read-only memo cache for [`group_cluster`] results, keyed by
-/// (snapshot fingerprint, max TP degree, straggler threshold bits, splitting
-/// flag).  Entries are immutable once inserted; cloning the cache shares the
-/// underlying storage, so every clone of a `Planner` (and every worker thread)
-/// sees the same memo.
+/// Shared memo cache for [`group_cluster`] results, keyed by (snapshot
+/// fingerprint, max TP degree, straggler threshold bits, splitting flag).
+/// Entries are immutable once inserted; cloning the cache shares the
+/// underlying storage, so every clone of a `Planner` (and every service
+/// tenant's planner) sees the same memo.
 #[derive(Debug, Clone)]
 pub struct GroupingCache {
     entries: Arc<RankedMutex<GroupingMap>>,
@@ -150,8 +117,8 @@ impl GroupingCache {
                 return Arc::clone(&hit.grouping);
             }
         }
-        // Compute outside the lock so concurrent misses on different TP
-        // degrees proceed in parallel.
+        // Compute outside the lock so concurrent misses from different
+        // tenants proceed in parallel.
         let grouping = Arc::new(group_cluster(
             snapshot,
             coeffs,
@@ -165,7 +132,7 @@ impl GroupingCache {
             entries.clear();
         }
         match entries.get(&key) {
-            // A racing worker inserted the same key meanwhile; reuse its
+            // A racing tenant inserted the same key meanwhile; reuse its
             // result only if it was computed for the same inputs.
             Some(existing) if existing.matches(snapshot, coeffs) => Arc::clone(&existing.grouping),
             // Empty slot, a fingerprint collision, or a stale entry for other
@@ -194,43 +161,6 @@ impl GroupingCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
-
-/// Evaluate `num_items` independent tasks on `workers` scoped threads and
-/// return the results in item order.
-///
-/// Work is distributed through a single atomic cursor, so threads self-balance
-/// over items of uneven cost.  Results land in per-item slots; completion
-/// order is irrelevant to the caller, which is what keeps the planner's
-/// reduction deterministic.  With `workers <= 1` (or one item) the tasks run
-/// inline on the calling thread — the serial reference path.
-pub fn fan_out<T, F>(num_items: usize, workers: usize, eval: F) -> Vec<T>
-where
-    T: Send + Sync,
-    F: Fn(usize) -> T + Sync,
-{
-    if workers <= 1 || num_items <= 1 {
-        return (0..num_items).map(eval).collect();
-    }
-    let slots: Vec<OnceLock<T>> = (0..num_items).map(|_| OnceLock::new()).collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers.min(num_items) {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= num_items {
-                    break;
-                }
-                // Each slot is set exactly once: indices are handed out
-                // uniquely by the cursor.
-                let _ = slots[i].set(eval(i));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every index was claimed"))
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -465,39 +395,6 @@ mod tests {
     use super::*;
     use malleus_cluster::{Cluster, GpuId};
     use malleus_model::{HardwareParams, ModelSpec};
-
-    #[test]
-    fn fan_out_returns_results_in_item_order() {
-        for workers in [1, 2, 4, 8] {
-            let out = fan_out(37, workers, |i| i * i);
-            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fan_out_handles_empty_and_single_item() {
-        assert_eq!(fan_out(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(fan_out(1, 4, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn fan_out_balances_uneven_work() {
-        // Tasks of wildly different cost still come back correctly indexed.
-        let out = fan_out(16, 4, |i| {
-            if i % 5 == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            i
-        });
-        assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallelism_resolves_to_at_least_one_worker() {
-        assert_eq!(Parallelism::Fixed(0).workers(), 1);
-        assert_eq!(Parallelism::Fixed(3).workers(), 3);
-        assert!(Parallelism::Auto.workers() >= 1);
-    }
 
     #[test]
     fn grouping_cache_hits_return_equal_results() {

@@ -7,12 +7,13 @@
 //! recorded so the planning-scalability experiment (Appendix A.2, Table 5) can
 //! be reproduced.
 //!
-//! Candidate (max-TP, DP, micro-batch, division-mode) tuples are independent,
-//! so the planner fans them across worker threads according to
-//! [`PlannerConfig::parallelism`] (see [`crate::parallel`]).  The reduction is
-//! performed in lattice-enumeration order with the serial comparison rule, so
-//! the chosen plan is bit-identical to the `Parallelism::Fixed(1)` reference
-//! path regardless of thread scheduling.
+//! A plan runs on its caller's thread.  The planner walks the candidate
+//! lattice — every (max-TP, DP, micro-batch, division-mode) tuple — in a
+//! fixed order and folds each candidate as soon as it is scored: a candidate
+//! replaces the incumbent only if its estimated step time is smaller by more
+//! than `1e-12` seconds, so ties resolve to the earliest candidate.
+//! Concurrency lives across requests, in `malleus-service`, not inside a
+//! plan.
 
 use crate::assignment::assign_data;
 use crate::backend::DEFAULT_STRAGGLER_THRESHOLD;
@@ -21,7 +22,7 @@ use crate::delta::{CandidateMemo, GroupingInputs, LatticeEntry, ScoredLattice};
 use crate::error::PlanError;
 use crate::grouping::GroupingResult;
 use crate::orchestration::{divide_groups, order_and_assign_layers};
-use crate::parallel::{fan_out, GroupingCache, Parallelism};
+use crate::parallel::{GroupingCache, Parallelism};
 use crate::plan::{ParallelizationPlan, PipelinePlan};
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
@@ -56,18 +57,18 @@ pub struct PlannerConfig {
     /// Enable non-uniform stage partitioning (Eq. (4) pipeline division);
     /// disabled = equal group counts per pipeline.
     pub nonuniform_stages: bool,
-    /// Worker count for the candidate-lattice fan-out (`Auto` = one worker per
-    /// core, `Fixed(1)` = the serial reference path).  The chosen plan is
-    /// independent of this knob — see [`crate::parallel`].
+    /// Ignored: every plan runs on its caller's thread.  The field stays,
+    /// with its wire encoding, only because the replan benchmark still sets
+    /// it; ROADMAP "One planner thread", step 2, deletes it (see
+    /// [`Parallelism`]).
     pub parallelism: Parallelism,
     /// Enable the candidate memo (see [`crate::delta`]): every
     /// [`Planner::plan`] and [`Planner::replan`] serves candidates whose
     /// inputs it has evaluated before from the memo, memoizes the rest, and
-    /// attaches its scored lattice to [`PlanOutcome::lattice`].  Like
-    /// `parallelism` this is *execution policy*: memo hits are confirmed
-    /// bitwise against the full candidate inputs, so the chosen plan is
-    /// independent of this knob, and a planner with it off is the
-    /// full-enumeration equivalence oracle.
+    /// attaches its scored lattice to [`PlanOutcome::lattice`].  This is
+    /// *execution policy*: memo hits are confirmed bitwise against the full
+    /// candidate inputs, so the chosen plan is independent of this knob, and
+    /// a planner with it off is the full-enumeration equivalence oracle.
     pub incremental: bool,
 }
 
@@ -106,11 +107,11 @@ impl PlannerConfig {
 
 /// Per-phase breakdown of one planning invocation (Appendix A.2, Table 5).
 ///
-/// Durations are summed over every candidate evaluation, i.e. aggregate
-/// compute time per phase.  With one worker this equals elapsed wall-clock;
-/// with a parallel fan-out it exceeds it (measure elapsed time around
-/// `Planner::plan` when wall-clock matters, as the overlapped replanner and
-/// `exp_planning_scalability` do).
+/// Each duration is the wall-clock time the plan spent in that phase,
+/// summed over the TP degrees (grouping) or the candidates it evaluated (the
+/// other three; a candidate served from the memo adds nothing).  The phases
+/// run one after another on the caller's thread, so [`PlanTiming::total`] is
+/// at most the elapsed time around the call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct PlanTiming {
     /// GPU grouping (Theorem 1 + splitting enumeration).
@@ -176,16 +177,11 @@ impl PartialEq for PlanOutcome {
 
 /// One point of the candidate lattice: a (grouping, DP, micro-batch,
 /// division-mode) tuple evaluated independently of every other point.
-#[derive(Debug, Clone)]
-struct Candidate {
-    /// Grouping result for this candidate's maximum TP degree (shared
-    /// read-only across all candidates of the same degree).
-    grouping: Arc<GroupingResult>,
-    /// Index of `max_tp` in the configured TP-degree list (used to share the
-    /// per-grouping memo inputs across candidates of one degree).
-    tp_idx: usize,
-    /// The maximum TP degree the grouping was produced for.
-    max_tp: u32,
+#[derive(Debug, Clone, Copy)]
+struct Candidate<'a> {
+    /// Grouping result for this candidate's maximum TP degree (shared by
+    /// every candidate of that degree).
+    grouping: &'a GroupingResult,
     /// Data-parallel degree.
     dp: usize,
     /// Micro-batch size.
@@ -209,8 +205,8 @@ pub struct Planner {
     pub cost: CostModel,
     /// Configuration.
     pub config: PlannerConfig,
-    /// Memoized grouping results, shared read-only across candidate workers
-    /// and across re-planning rounds on unchanged snapshots.
+    /// Memoized grouping results, shared across re-planning rounds on
+    /// unchanged snapshots and with every planner holding a clone.
     grouping_memo: GroupingCache,
     /// Memoized candidate evaluations (see [`crate::delta`]), consulted and
     /// filled by every plan when [`PlannerConfig::incremental`] is on, and
@@ -229,8 +225,9 @@ impl Planner {
         }
     }
 
-    /// Builder-style override of the parallelism knob (used by benches and the
-    /// equivalence test-suite to pin the worker count).
+    /// Builder-style override of [`PlannerConfig::parallelism`], which the
+    /// planner ignores.  It stays only because the replan benchmark still
+    /// calls it; ROADMAP "One planner thread", step 2, deletes it.
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.config.parallelism = parallelism;
         self
@@ -327,78 +324,48 @@ impl Planner {
         dps
     }
 
-    /// Enumerate the candidate lattice in the serial reference order: TP
-    /// degrees in config order, then DP degrees, micro-batch sizes and
-    /// division modes.  The position in the returned vector is the candidate's
-    /// lattice index, which the reduction uses as the deterministic tie-break.
-    fn enumerate_candidates(
+    /// Score one candidate: serve it from the memo when `shared` is given
+    /// and the memo holds its confirmed inputs, else evaluate it (and
+    /// memoize the evaluation when `shared` is given).  The flag says whether
+    /// the memo served it.
+    fn score_candidate(
         &self,
-        groupings: &[Arc<GroupingResult>],
-        forced_dp: Option<usize>,
-        healthy_gpus: usize,
-        b_candidates: &[u64],
-    ) -> Vec<Candidate> {
-        let mut candidates = Vec::new();
-        for (tp_idx, &max_tp) in self.config.candidate_tp_degrees.iter().enumerate() {
-            let grouping = &groupings[tp_idx];
-            if grouping.groups.is_empty() {
-                continue;
-            }
-            for dp in self.dp_candidates(forced_dp, grouping.groups.len(), healthy_gpus) {
-                if dp == 0 || dp > grouping.groups.len() {
-                    continue;
-                }
-                for &b in b_candidates {
-                    let total_micro_batches = self.config.global_batch_size / b;
-                    if total_micro_batches < dp as u64 {
-                        continue;
-                    }
-                    // When non-uniform stages are enabled the MINLP division is
-                    // tried *in addition to* the uniform equal-count division,
-                    // so enabling the extra freedom can never hurt.
-                    let division_modes: &[bool] = if self.config.nonuniform_stages {
-                        &[true, false]
-                    } else {
-                        &[false]
-                    };
-                    for &nonuniform_division in division_modes {
-                        candidates.push(Candidate {
-                            grouping: Arc::clone(grouping),
-                            tp_idx,
-                            max_tp,
-                            dp,
-                            micro_batch: b,
-                            nonuniform_division,
-                        });
-                    }
-                }
-            }
+        snapshot: &ClusterSnapshot,
+        cand: &Candidate<'_>,
+        shared: Option<&GroupingInputs<'_>>,
+        timing: &mut PlanTiming,
+    ) -> (Arc<CandidateEval>, bool) {
+        let Some(shared) = shared else {
+            return (
+                Arc::new(self.evaluate_candidate(snapshot, cand, timing)),
+                false,
+            );
+        };
+        let inputs = shared.candidate(cand.dp, cand.micro_batch, cand.nonuniform_division);
+        let key = inputs.key();
+        if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
+            return (hit, true);
         }
-        candidates
+        let eval = Arc::new(self.evaluate_candidate(snapshot, cand, timing));
+        self.candidate_memo.insert(key, &inputs, Arc::clone(&eval));
+        (eval, false)
     }
 
     /// Evaluate one lattice point: pipeline division, group ordering / layer
-    /// assignment, data assignment, validation, and cost estimation, plus this
-    /// candidate's share of the per-phase timing breakdown.  Entirely
-    /// self-contained — no shared mutable state — so candidates can run on any
-    /// worker thread.
+    /// assignment, data assignment, validation, and cost estimation, adding
+    /// the time of each phase to `timing`.
     fn evaluate_candidate(
         &self,
         snapshot: &ClusterSnapshot,
-        cand: &Candidate,
-    ) -> (CandidateEval, PlanTiming) {
+        cand: &Candidate<'_>,
+        timing: &mut PlanTiming,
+    ) -> CandidateEval {
         let num_layers = self.cost.coeffs.spec.num_layers as u64;
-        let (max_tp, dp, b) = (cand.max_tp, cand.dp, cand.micro_batch);
+        let (max_tp, dp, b) = (cand.grouping.max_tp, cand.dp, cand.micro_batch);
         let total_micro_batches = self.config.global_batch_size / b;
-        let mut timing = PlanTiming::default();
-        let failed = |failure: Option<String>, timing: PlanTiming| {
-            (
-                CandidateEval {
-                    outcome: None,
-                    failure,
-                },
-                timing,
-            )
+        let failed = |failure: Option<String>| CandidateEval {
+            outcome: None,
+            failure,
         };
 
         #[expect(
@@ -406,56 +373,47 @@ impl Planner {
             reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
         )]
         let t0 = Instant::now();
-        let division = match divide_groups(
+        let division = divide_groups(
             &self.cost,
-            &cand.grouping,
+            cand.grouping,
             snapshot,
             dp,
             total_micro_batches,
             b,
             cand.nonuniform_division,
-        ) {
-            Ok(d) => d,
-            Err(e) => {
-                timing.division += t0.elapsed();
-                return failed(Some(e.to_string()), timing);
-            }
-        };
+        );
         timing.division += t0.elapsed();
+        let division = match division {
+            Ok(d) => d,
+            Err(e) => return failed(Some(e.to_string())),
+        };
 
         #[expect(
             clippy::disallowed_methods,
             reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
         )]
         let t0 = Instant::now();
-        let mut assignments = Vec::with_capacity(dp);
-        let mut feasible = true;
-        for pipeline_groups in &division.pipelines {
-            match order_and_assign_layers(
-                &self.cost,
-                pipeline_groups,
-                snapshot,
-                num_layers,
-                b,
-                dp as u32,
-                !self.config.nonuniform_layers,
-            ) {
-                Some(a) => assignments.push(a),
-                None => {
-                    feasible = false;
-                    break;
-                }
-            }
-        }
+        let assignments: Option<Vec<_>> = division
+            .pipelines
+            .iter()
+            .map(|pipeline_groups| {
+                order_and_assign_layers(
+                    &self.cost,
+                    pipeline_groups,
+                    snapshot,
+                    num_layers,
+                    b,
+                    dp as u32,
+                    !self.config.nonuniform_layers,
+                )
+            })
+            .collect();
         timing.ordering += t0.elapsed();
-        if !feasible {
-            return failed(
-                Some(format!(
-                    "layer assignment infeasible for tp={max_tp} dp={dp} b={b}"
-                )),
-                timing,
-            );
-        }
+        let Some(assignments) = assignments else {
+            return failed(Some(format!(
+                "layer assignment infeasible for tp={max_tp} dp={dp} b={b}"
+            )));
+        };
 
         #[expect(
             clippy::disallowed_methods,
@@ -463,26 +421,22 @@ impl Planner {
         )]
         let t0 = Instant::now();
         let objectives: Vec<f64> = assignments.iter().map(|a| a.objective).collect();
-        let Some(micro_batches) = assign_data(
+        let micro_batches = assign_data(
             &objectives,
             total_micro_batches,
             !self.config.nonuniform_data,
-        ) else {
-            timing.assignment += t0.elapsed();
-            return failed(None, timing);
+        );
+        timing.assignment += t0.elapsed();
+        let Some(micro_batches) = micro_batches else {
+            return failed(None);
         };
         // A pipeline with zero micro-batches would idle an entire replica;
         // reject such degenerate splits.
         if micro_batches.contains(&0) {
-            timing.assignment += t0.elapsed();
-            return failed(
-                Some(format!(
-                    "data assignment starved a pipeline for tp={max_tp} dp={dp} b={b}"
-                )),
-                timing,
-            );
+            return failed(Some(format!(
+                "data assignment starved a pipeline for tp={max_tp} dp={dp} b={b}"
+            )));
         }
-        timing.assignment += t0.elapsed();
 
         let pipelines: Vec<PipelinePlan> = assignments
             .into_iter()
@@ -515,31 +469,25 @@ impl Planner {
             .is_err()
             || !self.cost.memory_feasible(&plan)
         {
-            return failed(
-                Some(format!(
-                    "candidate plan failed validation for tp={max_tp} dp={dp} b={b}"
-                )),
-                timing,
-            );
+            return failed(Some(format!(
+                "candidate plan failed validation for tp={max_tp} dp={dp} b={b}"
+            )));
         }
 
         let exact = self.cost.step_time(&plan, snapshot);
         let simplified = self.cost.step_time_simplified(&plan, snapshot);
-        (
-            CandidateEval {
-                outcome: Some(PlanOutcome {
-                    plan,
-                    estimated_step_time: exact,
-                    estimated_step_time_simplified: simplified,
-                    chosen_tp: max_tp,
-                    dp,
-                    timing: PlanTiming::default(),
-                    lattice: None,
-                }),
-                failure: None,
-            },
-            timing,
-        )
+        CandidateEval {
+            outcome: Some(PlanOutcome {
+                plan,
+                estimated_step_time: exact,
+                estimated_step_time_simplified: simplified,
+                chosen_tp: max_tp,
+                dp,
+                timing: PlanTiming::default(),
+                lattice: None,
+            }),
+            failure: None,
+        }
     }
 
     fn plan_with_dp(
@@ -564,141 +512,123 @@ impl Planner {
             });
         }
 
-        let workers = self.config.parallelism.workers();
-        let mut timing = PlanTiming::default();
-
-        // Phase 1 — grouping: memoized per (snapshot, TP degree) and fanned
-        // across workers; each grouping is pure, so the fan-out is
-        // order-independent.  The snapshot is hashed once for every degree.
-        let tp_degrees = &self.config.candidate_tp_degrees;
-        let fingerprint = snapshot.fingerprint();
-        let grouped: Vec<(Arc<GroupingResult>, Duration)> = fan_out(
-            tp_degrees.len(),
-            workers.min(tp_degrees.len()),
-            |i| {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
-                )]
-                let t0 = Instant::now();
-                let grouping = self.grouping_memo.get_or_compute(
-                    snapshot,
-                    fingerprint,
-                    &self.cost.coeffs,
-                    tp_degrees[i],
-                    self.config.straggler_threshold,
-                    self.config.enable_group_splitting,
-                );
-                (grouping, t0.elapsed())
-            },
-        );
-        let groupings: Vec<Arc<GroupingResult>> =
-            grouped.iter().map(|(g, _)| Arc::clone(g)).collect();
-        for (_, elapsed) in &grouped {
-            timing.grouping += *elapsed;
-        }
-
-        // Phase 2 — enumerate the lattice in the serial reference order.
-        let candidates = self.enumerate_candidates(&groupings, forced_dp, usable, &b_candidates);
-
-        // Per-grouping memo inputs: together with the group membership, each
-        // group's straggling-rate bits are the only way the snapshot enters a
-        // candidate evaluation.  Their key prefix is hashed here, once per
-        // grouping, and every candidate of the grouping extends it.
-        let memoize = self.config.incremental;
-        let memo_inputs: Vec<GroupingInputs<'_>> = if memoize {
-            groupings
-                .iter()
-                .map(|g| GroupingInputs::new(&self.cost.coeffs, &self.config, snapshot, g))
-                .collect()
+        // When non-uniform stages are enabled the MINLP division is tried *in
+        // addition to* the uniform equal-count division, so enabling the
+        // extra freedom can never hurt.
+        let division_modes: &[bool] = if self.config.nonuniform_stages {
+            &[true, false]
         } else {
-            Vec::new()
+            &[false]
         };
-
-        // Phase 3 — evaluate candidates across workers; `fan_out` returns the
-        // results indexed by lattice position, never by completion order.
-        // With the memo on, a candidate whose confirmed inputs are unchanged
-        // since a previous invocation is served from the memo — the shared
-        // evaluation, bitwise what a fresh one would produce — whatever the
-        // event was, and every fresh evaluation moves into the memo.
-        let evals: Vec<(Arc<CandidateEval>, PlanTiming, bool)> =
-            fan_out(candidates.len(), workers, |i| {
-                let cand = &candidates[i];
-                if !memoize {
-                    let (eval, eval_timing) = self.evaluate_candidate(snapshot, cand);
-                    return (Arc::new(eval), eval_timing, false);
-                }
-                let inputs = memo_inputs[cand.tp_idx].candidate(
-                    cand.dp,
-                    cand.micro_batch,
-                    cand.nonuniform_division,
-                );
-                let key = inputs.key();
-                if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
-                    return (hit, PlanTiming::default(), true);
-                }
-                let (eval, eval_timing) = self.evaluate_candidate(snapshot, cand);
-                let eval = Arc::new(eval);
-                self.candidate_memo.insert(key, &inputs, Arc::clone(&eval));
-                (eval, eval_timing, false)
-            });
-
-        // Phase 4 — deterministic reduction: fold in lattice order over the
-        // borrowed evaluations with the serial comparison (strictly better by
-        // > 1e-12 s replaces the incumbent), so ties resolve to the smallest
-        // lattice index and the winner is independent of thread scheduling.
-        // Only the winner is cloned.
-        let mut best: Option<&PlanOutcome> = None;
-        let mut last_failure = "no candidate configuration was feasible";
-        let mut entries = Vec::with_capacity(candidates.len());
+        let memoize = self.config.incremental;
+        let fingerprint = snapshot.fingerprint();
+        let mut timing = PlanTiming::default();
+        let mut best: Option<Arc<CandidateEval>> = None;
+        let mut last_failure: Option<Arc<CandidateEval>> = None;
+        let mut entries = Vec::new();
         let mut reused_count = 0usize;
-        for (cand, (eval, eval_timing, reused)) in candidates.iter().zip(&evals) {
-            timing.division += eval_timing.division;
-            timing.ordering += eval_timing.ordering;
-            timing.assignment += eval_timing.assignment;
-            reused_count += *reused as usize;
-            if memoize {
-                entries.push(LatticeEntry {
-                    max_tp: cand.max_tp,
-                    dp: cand.dp,
-                    micro_batch: cand.micro_batch,
-                    nonuniform_division: cand.nonuniform_division,
-                    estimated_step_time: eval.outcome.as_ref().map(|o| o.estimated_step_time),
-                    reused: *reused,
-                });
+
+        // The lattice in its reference order: TP degrees in config order,
+        // then DP degrees, micro-batch sizes and division modes.  Each
+        // candidate is folded as soon as it is scored: it replaces the
+        // incumbent only if it is faster by more than 1e-12 s, so ties
+        // resolve to the earliest candidate.
+        for &max_tp in &self.config.candidate_tp_degrees {
+            // Grouping is memoized per (snapshot, TP degree); the snapshot is
+            // hashed once for every degree.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
+            )]
+            let t0 = Instant::now();
+            let grouping = self.grouping_memo.get_or_compute(
+                snapshot,
+                fingerprint,
+                &self.cost.coeffs,
+                max_tp,
+                self.config.straggler_threshold,
+                self.config.enable_group_splitting,
+            );
+            timing.grouping += t0.elapsed();
+            let num_groups = grouping.groups.len();
+            if num_groups == 0 {
+                continue;
             }
-            if let Some(reason) = &eval.failure {
-                last_failure = reason;
-            }
-            if let Some(outcome) = &eval.outcome {
-                if best
-                    .map(|o| outcome.estimated_step_time < o.estimated_step_time - 1e-12)
-                    .unwrap_or(true)
-                {
-                    best = Some(outcome);
+            // Per-grouping memo inputs: together with the group membership,
+            // each group's straggling-rate bits are the only way the snapshot
+            // enters a candidate evaluation.  Their key prefix is hashed here,
+            // once per grouping, and every candidate of the grouping extends
+            // it.  A candidate whose confirmed inputs are unchanged since an
+            // earlier plan is served from the memo — the shared evaluation,
+            // bitwise what a fresh one would produce — and every fresh
+            // evaluation moves into the memo.
+            let shared = memoize
+                .then(|| GroupingInputs::new(&self.cost.coeffs, &self.config, snapshot, &grouping));
+            for dp in self.dp_candidates(forced_dp, num_groups, usable) {
+                if dp == 0 || dp > num_groups {
+                    continue;
+                }
+                for &micro_batch in &b_candidates {
+                    if self.config.global_batch_size / micro_batch < dp as u64 {
+                        continue;
+                    }
+                    for &nonuniform_division in division_modes {
+                        let cand = Candidate {
+                            grouping: &grouping,
+                            dp,
+                            micro_batch,
+                            nonuniform_division,
+                        };
+                        let (eval, reused) =
+                            self.score_candidate(snapshot, &cand, shared.as_ref(), &mut timing);
+                        if memoize {
+                            reused_count += reused as usize;
+                            entries.push(LatticeEntry {
+                                max_tp,
+                                dp,
+                                micro_batch,
+                                nonuniform_division,
+                                estimated_step_time: eval
+                                    .outcome
+                                    .as_ref()
+                                    .map(|o| o.estimated_step_time),
+                                reused,
+                            });
+                        }
+                        if eval.failure.is_some() {
+                            last_failure = Some(Arc::clone(&eval));
+                        }
+                        if let Some(outcome) = &eval.outcome {
+                            let incumbent = best.as_ref().and_then(|b| b.outcome.as_ref());
+                            if incumbent.is_none_or(|o| {
+                                outcome.estimated_step_time < o.estimated_step_time - 1e-12
+                            }) {
+                                best = Some(Arc::clone(&eval));
+                            }
+                        }
+                    }
                 }
             }
         }
 
-        match best {
-            Some(best) => {
-                let mut outcome = best.clone();
-                outcome.timing = timing;
-                if memoize {
-                    let evaluated = entries.len() - reused_count;
-                    outcome.lattice = Some(Arc::new(ScoredLattice {
-                        entries,
-                        reused: reused_count,
-                        evaluated,
-                        delta: true,
-                    }));
-                }
-                Ok(outcome)
-            }
-            None => Err(PlanError::NoFeasiblePlan {
-                reason: last_failure.to_owned(),
-            }),
+        let Some(mut outcome) = best.and_then(|eval| eval.outcome.clone()) else {
+            return Err(PlanError::NoFeasiblePlan {
+                reason: last_failure
+                    .and_then(|eval| eval.failure.clone())
+                    .unwrap_or_else(|| "no candidate configuration was feasible".into()),
+            });
+        };
+        outcome.timing = timing;
+        if memoize {
+            let evaluated = entries.len() - reused_count;
+            outcome.lattice = Some(Arc::new(ScoredLattice {
+                entries,
+                reused: reused_count,
+                evaluated,
+                delta: true,
+            }));
         }
+        Ok(outcome)
     }
 }
 
@@ -859,6 +789,42 @@ mod tests {
         assert!(outcome.timing.total() > Duration::ZERO);
     }
 
+    /// The phases of a plan run one after another on the caller's thread,
+    /// so their sum is wall-clock time spent inside the call.
+    #[test]
+    fn timing_total_is_at_most_the_elapsed_time() {
+        let within_elapsed = |what: &str, call: &dyn Fn() -> PlanOutcome| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test measures the wall-clock time around a plan"
+            )]
+            let start = Instant::now();
+            let outcome = call();
+            let elapsed = start.elapsed();
+            assert!(
+                outcome.timing.total() <= elapsed,
+                "{what}: phases {:?} > elapsed {elapsed:?}",
+                outcome.timing
+            );
+            outcome
+        };
+        let cluster = Cluster::homogeneous(4, 8);
+        let p = planner(ModelSpec::llama2_32b(), 64);
+        let cold = within_elapsed("cold plan", &|| p.plan(&cluster.snapshot()).expect("plan"));
+        let drifted = cluster.snapshot().with_rate(GpuId(3), 2.57);
+        let warm = within_elapsed("drift replan", &|| {
+            p.replan(&drifted, &cold.plan).expect("replan")
+        });
+        let memo = within_elapsed("memo replan", &|| {
+            p.replan(&cluster.snapshot(), &warm.plan).expect("replan")
+        });
+        assert_eq!(memo.lattice.as_ref().expect("lattice").evaluated, 0);
+        let failed = cluster.snapshot().with_rate(GpuId(5), f64::INFINITY);
+        within_elapsed("failure replan", &|| {
+            p.replan(&failed, &memo.plan).expect("replan")
+        });
+    }
+
     #[test]
     fn no_usable_gpus_is_an_error() {
         let mut cluster = Cluster::homogeneous(1, 2);
@@ -869,27 +835,6 @@ mod tests {
             p.plan(&cluster.snapshot()),
             Err(PlanError::NoUsableGpus)
         ));
-    }
-
-    #[test]
-    fn parallel_plan_is_bit_identical_to_serial_oracle() {
-        let mut cluster = Cluster::homogeneous(4, 8);
-        let sit = PaperSituation::S3.situation(&cluster);
-        cluster.apply_situation(&sit.rates);
-        let snapshot = cluster.snapshot();
-        let serial = planner(ModelSpec::llama2_32b(), 64).with_parallelism(Parallelism::Fixed(1));
-        let parallel = planner(ModelSpec::llama2_32b(), 64).with_parallelism(Parallelism::Fixed(4));
-        let a = serial.plan(&snapshot).expect("serial plan");
-        let b = parallel.plan(&snapshot).expect("parallel plan");
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn more_workers_than_candidates_is_harmless() {
-        let cluster = Cluster::homogeneous(1, 8);
-        let p = planner(ModelSpec::llama2_7b(), 8).with_parallelism(Parallelism::Fixed(64));
-        let outcome = p.plan(&cluster.snapshot()).expect("plan");
-        outcome.plan.validate(32, 8).unwrap();
     }
 
     #[test]
@@ -948,7 +893,6 @@ mod tests {
         let drifted = cluster.snapshot().with_rate(GpuId(3), 2.57);
         let warm = delta.replan(&drifted, &initial.plan).expect("delta replan");
         let oracle = planner(ModelSpec::llama2_32b(), 64)
-            .with_parallelism(Parallelism::Fixed(1))
             .replan(&drifted, &initial.plan)
             .expect("oracle replan");
         assert_eq!(warm, oracle);
@@ -965,7 +909,6 @@ mod tests {
         assert_eq!(recurred_lattice.evaluated, 0, "full candidate reuse");
         assert_eq!(recurred_lattice.reused, recurred_lattice.entries.len());
         let oracle2 = planner(ModelSpec::llama2_32b(), 64)
-            .with_parallelism(Parallelism::Fixed(1))
             .replan(&cluster.snapshot(), &warm.plan)
             .expect("oracle replan");
         assert_eq!(recurred, oracle2);
@@ -978,7 +921,6 @@ mod tests {
         let initial = p.plan(&cluster.snapshot()).expect("initial plan");
         let oracle = |snapshot: &ClusterSnapshot, previous: &ParallelizationPlan| {
             planner(ModelSpec::llama2_32b(), 64)
-                .with_parallelism(Parallelism::Fixed(1))
                 .replan(snapshot, previous)
                 .expect("oracle replan")
         };

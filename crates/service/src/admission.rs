@@ -1,11 +1,10 @@
 //! Bounded admission for planner invocations.
 //!
 //! The service caps how many planner invocations execute at once
-//! (`max_concurrent_plans`) so the total planner thread count stays bounded
-//! however many tenants call in: each admitted invocation fans its candidate
-//! lattice over `worker_budget / max_concurrent_plans` threads via
-//! `malleus_core::parallel`.  Requests beyond the cap queue on a condvar up
-//! to `max_queue_depth` waiters; past that the gate sheds load by returning
+//! (`max_concurrent_plans`) so the number of busy planner threads stays
+//! bounded however many tenants call in: each admitted invocation plans on
+//! its requesting thread.  Requests beyond the cap queue on a condvar up to
+//! `max_queue_depth` waiters; past that the gate sheds load by returning
 //! [`ServiceError::Overloaded`] — the backpressure knob.
 //!
 //! Queued waiters additionally honor an optional `queue_wait_timeout`: if no

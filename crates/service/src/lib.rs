@@ -21,20 +21,17 @@
 //! * **Request coalescing** (`coalesce`): concurrent identical requests
 //!   block on one in-flight computation (singleflight) instead of re-planning.
 //! * **Bounded admission** (`admission`): at most `max_concurrent_plans`
-//!   planner invocations run at once, each fanning its candidate lattice over
-//!   `worker_budget / max_concurrent_plans` threads via
-//!   `malleus_core::parallel` — total planner threads stay capped however many
-//!   tenants call in, and a bounded wait queue sheds load
-//!   ([`ServiceError::Overloaded`]) past the backpressure knob.
+//!   planner invocations run at once, each on its requesting thread — the
+//!   service's concurrency is across requests, never inside a plan — and a
+//!   bounded wait queue sheds load ([`ServiceError::Overloaded`]) past the
+//!   backpressure knob.
 //! * **[`ServiceMetrics`]**: hit/coalesce/eviction counters, queue depth, and
 //!   p50/p99 service times.
 //!
-//! Because the planner's candidate-lattice reduction is deterministic in the
-//! worker count (see `malleus_core::parallel`), the service's parallelism
-//! override changes only wall-clock, never the plan: cached, coalesced and
-//! freshly computed results are all byte-identical to a direct
-//! `Planner::plan` call — `tests/parallel_equivalence.rs` in the facade crate
-//! proves it against the serial oracle.
+//! Caching, coalescing and admission change who pays for a plan, never the
+//! plan: cached, coalesced and freshly computed results are all
+//! byte-identical to a direct `Planner::plan` call —
+//! `tests/plan_equivalence.rs` in the facade crate proves it.
 
 mod admission;
 mod cache;
@@ -50,8 +47,8 @@ use cache::ShardedPlanCache;
 use coalesce::{InFlightTable, Publication, Role};
 use malleus_cluster::{ClusterSnapshot, Fnv1a};
 use malleus_core::{
-    lock_rank, BackendConstructor, BackendId, GroupingCache, Parallelism, PlanBackend, PlanError,
-    PlanOutcome, PlannedOutcome, Planner, PlannerConfig, RankedMutex,
+    lock_rank, BackendConstructor, BackendId, GroupingCache, PlanBackend, PlanError, PlanOutcome,
+    PlannedOutcome, Planner, PlannerConfig, RankedMutex,
 };
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
@@ -67,10 +64,9 @@ pub struct PlanRequest {
     pub coeffs: ProfiledCoefficients,
     /// The cluster snapshot to plan against.
     pub snapshot: ClusterSnapshot,
-    /// Planner configuration.  The `parallelism` knob is *execution policy*,
-    /// not plan identity — the planner's output is bit-identical across worker
-    /// counts — so it is excluded from both the cache key and request
-    /// equality, and the service substitutes its own per-plan thread budget.
+    /// Planner configuration.  The planner ignores its `parallelism` field,
+    /// so that field is excluded from both the cache key and request
+    /// equality.
     pub config: PlannerConfig,
 }
 
@@ -150,8 +146,8 @@ impl KeyedRequest {
     }
 }
 
-/// Configuration equality ignoring execution-policy knobs that cannot change
-/// the produced plan: the worker count and the incremental-replanning flag
+/// Configuration equality ignoring knobs that cannot change the produced
+/// plan: the ignored `parallelism` field and the incremental-replanning flag
 /// (delta replans are byte-identical to full enumeration by construction).
 /// The destructuring is exhaustive, so a new field does not compile until it
 /// is classified here.  The threshold is compared by its bits, as
@@ -264,9 +260,9 @@ pub struct ServiceConfig {
     /// execution slot before the service sheds load with
     /// [`ServiceError::Overloaded`].
     pub max_queue_depth: usize,
-    /// Total planner-thread budget, split evenly across concurrent
-    /// invocations (each runs its candidate fan-out on
-    /// `worker_budget / max_concurrent_plans` workers, minimum 1).
+    /// Ignored: every plan runs on its requesting thread.  The field stays
+    /// only because the replan benchmark still sets it; ROADMAP "One planner
+    /// thread", step 2, deletes it.
     pub worker_budget: usize,
     /// How long a queued request may wait for an execution slot before
     /// failing with [`ServiceError::AdmissionTimeout`].  `None` (the
@@ -287,13 +283,6 @@ impl Default for ServiceConfig {
             worker_budget: cores,
             queue_wait_timeout: None,
         }
-    }
-}
-
-impl ServiceConfig {
-    /// The worker count each admitted planner invocation runs with.
-    pub fn per_plan_parallelism(&self) -> Parallelism {
-        Parallelism::Fixed((self.worker_budget / self.max_concurrent_plans.max(1)).max(1))
     }
 }
 
@@ -497,8 +486,8 @@ impl PlanService {
     /// without touching the planner.  Otherwise the request either coalesces
     /// onto an identical in-flight computation or becomes the leader: it
     /// acquires an admission permit (blocking in the bounded queue, shedding
-    /// load past it), invokes the planner with the service's per-plan thread
-    /// budget, stores the result in the cache and wakes every follower.
+    /// load past it), invokes the planner on this thread, stores the result
+    /// in the cache and wakes every follower.
     ///
     /// The returned plan is byte-identical to what a direct
     /// `Planner::plan(&request.snapshot)` call with `request.config` would
@@ -540,9 +529,7 @@ impl PlanService {
             .get(&backend)
             .cloned()
             .ok_or(ServiceError::UnknownBackend { backend })?;
-        let mut exec_config = request.config.clone();
-        exec_config.parallelism = self.config.per_plan_parallelism();
-        let instance = ctor(&request.coeffs, &exec_config);
+        let instance = ctor(&request.coeffs, &request.config);
         debug_assert_eq!(instance.id(), backend);
         let keyed = KeyedRequest {
             backend,
@@ -570,7 +557,7 @@ impl PlanService {
                         // an independent computation rather than surfacing a
                         // synthetic error for a computable plan.
                         metrics::MetricsRecorder::bump(&self.metrics.misses);
-                        self.compute_and_store(key, &keyed, instance.as_ref(), &exec_config)
+                        self.compute_and_store(key, &keyed, instance.as_ref())
                     }
                 }
             }
@@ -579,7 +566,7 @@ impl PlanService {
                 // compute independently (and let our result take the cache
                 // slot) rather than waiting on — or corrupting — its slot.
                 metrics::MetricsRecorder::bump(&self.metrics.misses);
-                self.compute_and_store(key, &keyed, instance.as_ref(), &exec_config)
+                self.compute_and_store(key, &keyed, instance.as_ref())
             }
             Role::Leader(slot) => {
                 // Whatever happens below — including a panic unwinding out of
@@ -605,7 +592,7 @@ impl PlanService {
                     }
                     None => {
                         metrics::MetricsRecorder::bump(&self.metrics.misses);
-                        self.compute_and_store(key, &keyed, instance.as_ref(), &exec_config)
+                        self.compute_and_store(key, &keyed, instance.as_ref())
                     }
                 };
                 guard.disarm(result.clone());
@@ -622,7 +609,6 @@ impl PlanService {
         key: u64,
         keyed: &KeyedRequest,
         instance: &dyn PlanBackend,
-        exec_config: &PlannerConfig,
     ) -> Result<Arc<PlannedOutcome>, ServiceError> {
         let permit = self.admission.admit();
         let _permit = match permit {
@@ -639,7 +625,7 @@ impl PlanService {
         };
         metrics::MetricsRecorder::bump(&self.metrics.planner_invocations);
         metrics::MetricsRecorder::bump(&self.metrics.backend(keyed.backend).planner_invocations);
-        match instance.plan(&keyed.request.snapshot, exec_config) {
+        match instance.plan(&keyed.request.snapshot, &keyed.request.config) {
             Ok(outcome) => {
                 let outcome = Arc::new(outcome);
                 let evicted = self.cache.insert(key, keyed.clone(), Arc::clone(&outcome));
@@ -702,6 +688,7 @@ impl PlanTransport for PlanService {
 mod tests {
     use super::*;
     use malleus_cluster::{Cluster, GpuId};
+    use malleus_core::Parallelism;
     use malleus_model::{HardwareParams, ModelSpec};
     use std::sync::Mutex;
 
@@ -782,7 +769,7 @@ mod tests {
         let mut b = a.clone();
         assert_eq!(a.key(), b.key());
         assert!(a.matches(&b));
-        // The worker knob is execution policy, not identity.
+        // The ignored worker knob is not identity.
         b.config.parallelism = Parallelism::Fixed(7);
         assert_eq!(a.key(), b.key());
         assert!(a.matches(&b));
@@ -1013,21 +1000,5 @@ mod tests {
             .plan_backend(BackendId::Megatron, &request)
             .expect("cached");
         assert!(Arc::ptr_eq(&served, &outcome));
-    }
-
-    #[test]
-    fn per_plan_parallelism_splits_the_worker_budget() {
-        let config = ServiceConfig {
-            worker_budget: 8,
-            max_concurrent_plans: 4,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(config.per_plan_parallelism(), Parallelism::Fixed(2));
-        let starved = ServiceConfig {
-            worker_budget: 1,
-            max_concurrent_plans: 16,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(starved.per_plan_parallelism(), Parallelism::Fixed(1));
     }
 }

@@ -70,26 +70,6 @@ fn service_result_is_byte_identical_to_direct_planner() {
     }
 }
 
-#[test]
-fn worker_budget_does_not_change_the_plan() {
-    // Two services with opposite concurrency/thread budgets must produce
-    // bit-equal plans: the parallelism override is execution policy only.
-    let narrow = PlanService::new(ServiceConfig {
-        max_concurrent_plans: 1,
-        worker_budget: 1,
-        ..ServiceConfig::default()
-    });
-    let wide = PlanService::new(ServiceConfig {
-        max_concurrent_plans: 2,
-        worker_budget: 8,
-        ..ServiceConfig::default()
-    });
-    let request = request_variant(2);
-    let a = narrow.plan(&request).unwrap();
-    let b = wide.plan(&request).unwrap();
-    assert_eq!(a, b);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 

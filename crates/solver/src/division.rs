@@ -192,11 +192,11 @@
 //! (see `MEMO_MAX_WORDS`), 768 KiB in all, and its replay lists, at most
 //! 64 KiB of lists and keys (see `REPLAY_MAX_BYTES`), plus as much for the
 //! list being recorded.  The lists outlive the walk, but only the thread
-//! that recorded one replays it: a plan fanned out over scoped workers
-//! reuses a list only among the candidates one worker evaluates.
+//! that recorded one replays it.  A plan runs on its caller's thread, so a
+//! later plan on that thread replays the lists earlier plans recorded.
 //!
-//! The search is serial: the planner already runs candidates of its lattice
-//! on separate workers, so one division runs on its candidate's worker.
+//! The search is serial, and runs on the thread of the plan that asks for
+//! it.
 
 use crate::minmax::{minmax_objective, solve_minmax_allocation_into};
 use serde::{Deserialize, Serialize};

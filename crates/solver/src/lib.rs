@@ -36,8 +36,8 @@
 //! ids), the assignments its first complete relabelling walk scored past
 //! the descriptor memo; later walks of that shape score only those, at
 //! most 64 KiB of lists per thread.
-//! It is serial and spawns no threads: the planner runs each division on the
-//! worker of its candidate.  The [`reference`](mod@reference) module keeps
+//! It is serial and spawns no threads: a division runs on the thread of the
+//! plan that asks for it.  The [`reference`](mod@reference) module keeps
 //! the original straightforward implementations frozen as the byte-identity
 //! oracle for those optimizations.
 

@@ -61,8 +61,8 @@ pub mod prelude {
         Trace, TracePhase,
     };
     pub use malleus_core::{
-        plan_migration, BackendId, ClusterEvent, CostModel, Parallelism, ParallelizationPlan,
-        PlanBackend, PlanError, PlanOutcome, PlannedOutcome, Planner, PlannerConfig, ScoredLattice,
+        plan_migration, BackendId, ClusterEvent, CostModel, ParallelizationPlan, PlanBackend,
+        PlanError, PlanOutcome, PlannedOutcome, Planner, PlannerConfig, ScoredLattice,
     };
     pub use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
     pub use malleus_runtime::{

@@ -7,8 +7,8 @@
 //! ([`planned`]): every (snapshot, coefficients, config) planning problem is
 //! solved once per binary and shared, with concurrent tests coalescing onto
 //! one in-flight computation.  Service-returned plans are byte-identical to
-//! direct `Planner::plan` calls (proven by `tests/parallel_equivalence.rs`),
-//! so fixtures never change what a test observes.
+//! direct `Planner::plan` calls (proven by `tests/plan_equivalence.rs`), so
+//! fixtures never change what a test observes.
 
 #![allow(dead_code)]
 
@@ -101,44 +101,6 @@ pub fn planned(
     plan_service().plan(&request).unwrap_or_else(|e| {
         panic!(
             "shared plan fixture for {} under {situation:?}: {e}",
-            spec.name
-        )
-    })
-}
-
-/// Binary-scoped *serial-execution* planning service: `worker_budget = 1`
-/// pins every invocation to one worker, so its outputs are exactly the
-/// `Parallelism::Fixed(1)` oracle plans the deterministic-equivalence
-/// harness compares against — computed once per binary and shared.
-pub fn oracle_service() -> &'static Arc<PlanService> {
-    static CACHE: OnceLock<Arc<PlanService>> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        Arc::new(PlanService::new(ServiceConfig {
-            worker_budget: 1,
-            ..ServiceConfig::default()
-        }))
-    })
-}
-
-/// The serial-oracle plan for one of the paper's workloads under a situation,
-/// memoized per binary through [`oracle_service`].
-pub fn oracle_planned(
-    spec: &ModelSpec,
-    batch: u64,
-    nodes: u32,
-    situation: PaperSituation,
-) -> Arc<PlanOutcome> {
-    let request = PlanRequest::new(
-        coeffs_for(spec).clone(),
-        snapshot_for(nodes, situation),
-        PlannerConfig {
-            global_batch_size: batch,
-            ..PlannerConfig::default()
-        },
-    );
-    oracle_service().plan(&request).unwrap_or_else(|e| {
-        panic!(
-            "oracle plan fixture for {} under {situation:?}: {e}",
             spec.name
         )
     })

@@ -1,22 +1,21 @@
-//! Deterministic-equivalence harness for the parallel candidate-lattice
-//! planner.
+//! Deterministic-equivalence harness: every route to a plan returns
+//! **byte-identical** plans — same `ParallelizationPlan`, same chosen TP/DP,
+//! bit-equal cost estimates.
 //!
-//! The serial path (`Parallelism::Fixed(1)`) is the reference oracle; the
-//! parallel path must return **byte-identical** plans — same
-//! `ParallelizationPlan`, same chosen TP/DP, bit-equal cost estimates — for
-//! every golden workload (32B/70B/110B) under every paper straggler situation
-//! S1–S6.  The candidate path is pinned to 4 workers so the fan-out is
-//! exercised even on single-core hosts.
+//! The golden suite plans every paper workload (32B/70B/110B) under every
+//! straggler situation S1–S6 on one direct planner, whose candidate memo
+//! warms from situation to situation, and compares each plan with the
+//! binary's shared planning service, which plans every request on a fresh
+//! planner.  The service and backend suites then hold the service routes and
+//! the `PlanBackend` trait to those plans.
 //!
-//! The incremental suite below replays every situation against the
-//! memo-backed replanner and demands byte-identity with a fresh `Fixed(1)`
-//! full-enumeration oracle — covering transitions from Normal, chained
-//! S_i → S_{i+1} transitions, and the recurrent flap back to an
-//! already-seen situation (full memo reuse).  Each replay runs at every
-//! execution-policy cell: {`Fixed(1)`, `Fixed(4)`} × incremental {off, on}.
-//! Those hops are all-hit or all-miss; the mixed suite at the end replays
-//! hops — drifts, failures and rejoins — whose reduction folds memo hits
-//! and fresh evaluations together.
+//! The incremental suite replays every situation against the memo-backed
+//! replanner and demands byte-identity with a fresh full-enumeration oracle
+//! — covering transitions from Normal, chained S_i → S_{i+1} transitions,
+//! and the recurrent flap back to an already-seen situation (full memo
+//! reuse) — with the memo on and off.  Those hops are all-hit or all-miss;
+//! the mixed suite at the end replays hops — drifts, failures and rejoins —
+//! whose fold takes memo hits and fresh evaluations together.
 
 mod common;
 
@@ -33,29 +32,21 @@ const SITUATIONS: [PaperSituation; 6] = [
     PaperSituation::S6,
 ];
 
-/// The worker knob for the candidate side: a fixed 4-worker fan-out.
-const CANDIDATE_PARALLELISM: Parallelism = Parallelism::Fixed(4);
-
-/// The execution-policy cells the incremental suite replays at: worker
-/// count × incremental replanning.  Plans must not depend on either.
-const POLICY_CELLS: [(Parallelism, bool); 4] = [
-    (Parallelism::Fixed(1), false),
-    (Parallelism::Fixed(1), true),
-    (Parallelism::Fixed(4), false),
-    (Parallelism::Fixed(4), true),
-];
+/// The incremental suite replays with the candidate memo off and on.  Plans
+/// must not depend on it.
+const MEMO_CELLS: [bool; 2] = [false, true];
 
 fn assert_golden_equivalence(spec: ModelSpec, nodes: u32) {
-    // The serial side comes from the shared oracle fixture (a binary-scoped
-    // service whose worker budget pins execution to `Fixed(1)`), so each
-    // oracle plan is computed once per binary however many tests consult it.
-    let parallel = common::planner_for(&spec, 64).with_parallelism(CANDIDATE_PARALLELISM);
+    // The oracle side comes from the shared plan fixture (a binary-scoped
+    // service planning each request on a fresh planner), so each oracle plan
+    // is computed once per binary however many tests consult it.
+    let direct = common::planner_for(&spec, 64);
     for situation in SITUATIONS {
         let snapshot = common::snapshot_for(nodes, situation);
-        let oracle = common::oracle_planned(&spec, 64, nodes, situation);
-        let candidate = parallel
+        let oracle = common::planned(&spec, 64, nodes, situation);
+        let candidate = direct
             .plan(&snapshot)
-            .unwrap_or_else(|e| panic!("{} parallel under {situation:?}: {e}", spec.name));
+            .unwrap_or_else(|e| panic!("{} direct under {situation:?}: {e}", spec.name));
         assert_eq!(*oracle, candidate, "{} under {situation:?}", spec.name);
     }
 }
@@ -80,16 +71,15 @@ fn service_plans_are_byte_identical_to_direct_planner() {
     // The multi-tenant planning service must be invisible in the output:
     // uncached (miss) and cached (hit) results byte-identical to a direct
     // `Planner::plan` call — the service only changes who pays for the
-    // computation.  The direct reference is the shared serial-oracle plan,
-    // which the golden tests above prove bit-equal to every other direct
-    // planner configuration.
+    // computation.  The direct reference is the shared oracle plan, which the
+    // golden tests above prove bit-equal to the direct planner's.
     let service = PlanService::new(ServiceConfig::default());
     for (spec, nodes, situation) in [
         (ModelSpec::llama2_32b(), 4, PaperSituation::S3),
         (ModelSpec::llama2_70b(), 8, PaperSituation::S2),
     ] {
         let snapshot = common::snapshot_for(nodes, situation);
-        let direct = common::oracle_planned(&spec, 64, nodes, situation);
+        let direct = common::planned(&spec, 64, nodes, situation);
         let request = PlanRequest::new(
             common::coeffs_for(&spec).clone(),
             snapshot,
@@ -112,7 +102,7 @@ fn malleus_backend_trait_is_byte_identical_to_direct_planner() {
     // The PlanBackend trait path must be invisible for Malleus: identical
     // `ParallelizationPlan`, bit-equal estimates, for every golden situation.
     let spec = ModelSpec::llama2_32b();
-    let planner = common::planner_for(&spec, 64).with_parallelism(CANDIDATE_PARALLELISM);
+    let planner = common::planner_for(&spec, 64);
     let config = planner.config.clone();
     for situation in SITUATIONS {
         let snapshot = common::snapshot_for(4, situation);
@@ -138,7 +128,7 @@ fn service_backend_route_is_byte_identical_to_direct_planner() {
     let spec = ModelSpec::llama2_32b();
     for situation in [PaperSituation::S1, PaperSituation::S5] {
         let snapshot = common::snapshot_for(4, situation);
-        let direct = common::oracle_planned(&spec, 64, 4, situation);
+        let direct = common::planned(&spec, 64, 4, situation);
         let request = PlanRequest::new(
             common::coeffs_for(&spec).clone(),
             snapshot,
@@ -165,33 +155,25 @@ fn service_backend_route_is_byte_identical_to_direct_planner() {
     assert_eq!(per[0].planner_invocations, 2);
 }
 
-/// The candidate-side planner for the incremental suite at one policy cell,
-/// plus the cell's name for assertion messages.
-fn delta_planner(
-    spec: &ModelSpec,
-    parallelism: Parallelism,
-    incremental: bool,
-) -> (Planner, String) {
+/// The candidate-side planner for the incremental suite with the memo on or
+/// off, plus the cell's name for assertion messages.
+fn delta_planner(spec: &ModelSpec, incremental: bool) -> (Planner, String) {
     let mut config = common::planner_for(spec, 64).config;
     config.incremental = incremental;
-    let planner =
-        Planner::new(common::coeffs_for(spec).clone(), config).with_parallelism(parallelism);
-    let cell = format!(
-        "{parallelism:?}, incremental {}",
-        if incremental { "on" } else { "off" }
-    );
+    let planner = Planner::new(common::coeffs_for(spec).clone(), config);
+    let cell = format!("incremental {}", if incremental { "on" } else { "off" });
     (planner, cell)
 }
 
 #[test]
 fn incremental_replays_from_normal_match_the_full_enumeration_oracle() {
     // Every S1–S6 replay from the healthy plan: the memo-backed replanner
-    // must be byte-identical to a fresh serial full-enumeration replan, and
+    // must be byte-identical to a fresh full-enumeration replan, and
     // attach its lattice exactly when the memo is on.
     let spec = ModelSpec::llama2_32b();
-    let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    for (parallelism, incremental) in POLICY_CELLS {
-        let (delta, cell) = delta_planner(&spec, parallelism, incremental);
+    let oracle = common::planner_for(&spec, 64);
+    for incremental in MEMO_CELLS {
+        let (delta, cell) = delta_planner(&spec, incremental);
         let base = delta
             .plan(&common::snapshot_for(4, PaperSituation::Normal))
             .unwrap_or_else(|e| panic!("{cell}: healthy base plan: {e}"));
@@ -220,14 +202,14 @@ fn chained_incremental_replays_match_the_oracle_at_every_transition() {
     // to already-evaluated rate states, exercising the cross-invocation
     // candidate memo; byte-identity must hold at every hop.
     let spec = ModelSpec::llama2_32b();
-    let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
+    let oracle = common::planner_for(&spec, 64);
     let replay: Vec<PaperSituation> = SITUATIONS
         .iter()
         .copied()
         .chain([PaperSituation::S2, PaperSituation::Normal])
         .collect();
-    for (parallelism, incremental) in POLICY_CELLS {
-        let (delta, cell) = delta_planner(&spec, parallelism, incremental);
+    for incremental in MEMO_CELLS {
+        let (delta, cell) = delta_planner(&spec, incremental);
         let mut current = delta
             .plan(&common::snapshot_for(4, PaperSituation::Normal))
             .unwrap_or_else(|e| panic!("{cell}: healthy base plan: {e}"));
@@ -245,30 +227,9 @@ fn chained_incremental_replays_match_the_oracle_at_every_transition() {
     }
 }
 
-#[test]
-fn equivalence_holds_under_failures_and_forced_dp() {
-    // Replanning fixes the DP degree; the parallel path must agree with the
-    // oracle on the constrained lattice too, including when GPUs fail.
-    let spec = ModelSpec::llama2_32b();
-    let serial = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
-    let parallel = common::planner_for(&spec, 64).with_parallelism(CANDIDATE_PARALLELISM);
-    let previous = common::healthy_plan_32b();
-    let mut cluster = Cluster::homogeneous(4, 8);
-    cluster.set_rate(GpuId(0), StragglerLevel::Level3.rate());
-    cluster.set_rate(GpuId(13), StragglerLevel::Failed.rate());
-    let snapshot = cluster.snapshot();
-    let a = serial
-        .replan(&snapshot, &previous.plan)
-        .expect("serial replan");
-    let b = parallel
-        .replan(&snapshot, &previous.plan)
-        .expect("parallel replan");
-    assert_eq!(a, b);
-}
-
 /// A 13B planner on the 2×8 cluster with global batch 64, incremental
 /// replanning on or off.
-fn planner_13b(parallelism: Parallelism, incremental: bool) -> Planner {
+fn planner_13b(incremental: bool) -> Planner {
     Planner::new(
         ProfiledCoefficients::derive(ModelSpec::llama2_13b(), HardwareParams::a800_cluster()),
         PlannerConfig {
@@ -277,32 +238,31 @@ fn planner_13b(parallelism: Parallelism, incremental: bool) -> Planner {
             ..PlannerConfig::default()
         },
     )
-    .with_parallelism(parallelism)
 }
 
 /// Replay `hops` from the healthy 2×8 plan on a fresh delta planner, checking
-/// every hop against a fresh `Fixed(1)` full-enumeration oracle; returns the
-/// last hop's lattice.
-fn replay_mixed_hops(parallelism: Parallelism, hops: &[ClusterSnapshot]) -> Arc<ScoredLattice> {
-    let delta = planner_13b(parallelism, true);
-    let oracle = planner_13b(Parallelism::Fixed(1), false);
+/// every hop against a fresh full-enumeration oracle; returns the last hop's
+/// lattice.
+fn replay_mixed_hops(hops: &[ClusterSnapshot]) -> Arc<ScoredLattice> {
+    let delta = planner_13b(true);
+    let oracle = planner_13b(false);
     let healthy = Cluster::homogeneous(2, 8).snapshot();
     let mut current = delta.plan(&healthy).expect("healthy delta plan");
     let mut expected = oracle.plan(&healthy).expect("healthy oracle plan");
-    assert_eq!(current, expected, "{parallelism:?}: healthy plan");
+    assert_eq!(current, expected, "healthy plan");
     for (hop, snapshot) in hops.iter().enumerate() {
         current = delta
             .replan(snapshot, &current.plan)
-            .unwrap_or_else(|e| panic!("{parallelism:?}: delta replan at hop {hop}: {e}"));
+            .unwrap_or_else(|e| panic!("delta replan at hop {hop}: {e}"));
         expected = oracle
             .replan(snapshot, &expected.plan)
-            .unwrap_or_else(|e| panic!("{parallelism:?}: oracle replan at hop {hop}: {e}"));
-        assert_eq!(current, expected, "{parallelism:?}: hop {hop}");
+            .unwrap_or_else(|e| panic!("oracle replan at hop {hop}: {e}"));
+        assert_eq!(current, expected, "hop {hop}");
         let lattice = current.lattice.as_ref().expect("lattice present");
         assert_eq!(
             lattice.reused + lattice.evaluated,
             lattice.entries.len(),
-            "{parallelism:?}: hop {hop}"
+            "hop {hop}"
         );
     }
     Arc::clone(current.lattice.as_ref().expect("lattice present"))
@@ -317,12 +277,10 @@ fn mixed_memo_hits_and_fresh_evaluations_match_the_oracle() {
     let healthy = Cluster::homogeneous(2, 8).snapshot();
     let one = healthy.with_rate(GpuId(0), 1.02);
     let two = one.with_rate(GpuId(1), 1.02);
-    for parallelism in [Parallelism::Fixed(1), Parallelism::Fixed(4)] {
-        let last = replay_mixed_hops(parallelism, &[one.clone(), two.clone()]);
-        assert_eq!(last.entries.len(), 18, "{parallelism:?}");
-        assert_eq!(last.reused, 12, "{parallelism:?}");
-        assert_eq!(last.evaluated, 6, "{parallelism:?}");
-    }
+    let last = replay_mixed_hops(&[one, two]);
+    assert_eq!(last.entries.len(), 18);
+    assert_eq!(last.reused, 12);
+    assert_eq!(last.evaluated, 6);
 }
 
 /// The straggling rates the mixed chains draw from, for GPUs 0, 1 and 9;
@@ -339,7 +297,6 @@ proptest! {
     #[test]
     fn random_mixed_chains_match_the_oracle(
         chain in prop::collection::vec((0usize..6, 0usize..6, 0usize..6), 1..5),
-        workers in prop::sample::select(vec![1usize, 4]),
     ) {
         let healthy = Cluster::homogeneous(2, 8).snapshot();
         let hops: Vec<ClusterSnapshot> = chain
@@ -351,6 +308,6 @@ proptest! {
                     .with_rate(GpuId(9), MIXED_RATES[c])
             })
             .collect();
-        replay_mixed_hops(Parallelism::Fixed(workers), &hops);
+        replay_mixed_hops(&hops);
     }
 }

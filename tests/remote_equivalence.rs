@@ -56,7 +56,7 @@ fn socket_plans_match_the_serial_oracle_across_all_situations() {
     let spec = ModelSpec::llama2_32b();
     let client = fresh_client();
     for situation in SITUATIONS {
-        let oracle = common::oracle_planned(&spec, 64, 4, situation);
+        let oracle = common::planned(&spec, 64, 4, situation);
         let served = client
             .plan(&request_for(&spec, 4, situation))
             .unwrap_or_else(|e| panic!("socket plan under {situation:?}: {e}"));
@@ -71,9 +71,9 @@ fn chained_replans_over_the_socket_match_the_direct_path() {
     // serial replanner threading the same previous plans.
     let spec = ModelSpec::llama2_32b();
     let client = fresh_client();
-    let oracle = common::planner_for(&spec, 64).with_parallelism(Parallelism::Fixed(1));
+    let oracle = common::planner_for(&spec, 64);
     let config = common::planner_for(&spec, 64).config;
-    let mut previous = common::oracle_planned(&spec, 64, 4, PaperSituation::Normal)
+    let mut previous = common::planned(&spec, 64, 4, PaperSituation::Normal)
         .plan
         .clone();
     for situation in [
@@ -159,7 +159,7 @@ fn unix_socket_daemon_matches_the_oracle() {
         .expect("bind unix daemon");
     let client = PlanClient::connect_unix(&path, ClientConfig::default()).expect("connect");
     let situation = PaperSituation::S1;
-    let oracle = common::oracle_planned(&spec, 64, 4, situation);
+    let oracle = common::planned(&spec, 64, 4, situation);
     let served = client
         .plan(&request_for(&spec, 4, situation))
         .expect("plan over the unix socket");
