@@ -498,6 +498,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a second thread to wait on the lock"
+    )]
     fn ranked_mutex_wait_timeout_releases_and_reacquires() {
         let lock = Arc::new(RankedMutex::new(10, "test.waited", 0u32));
         let cv = Arc::new(Condvar::new());
@@ -534,6 +538,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test poisons the lock from a second thread"
+    )]
     fn ranked_mutex_recovers_from_poison() {
         let lock = Arc::new(RankedMutex::new(10, "test.poisoned", 5u32));
         let lock2 = Arc::clone(&lock);

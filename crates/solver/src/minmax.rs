@@ -929,6 +929,10 @@ mod tests {
     fn solve_or_time_out(weights: &[f64], total: u64) -> AllocationResult {
         let (tx, rx) = std::sync::mpsc::channel();
         let owned = weights.to_vec();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds a solver call by running it on a thread of its own"
+        )]
         let solver =
             std::thread::spawn(move || tx.send(solve_minmax_allocation(&owned, total, &[])));
         let result = rx

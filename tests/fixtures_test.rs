@@ -188,3 +188,42 @@ fn ml005_reasoned_pragma_suppresses_and_reasonless_is_flagged() {
     assert_eq!(lints(&found), expected);
     assert!(found[1].1.contains("without specifying a reason"));
 }
+
+#[test]
+fn ml006_threads_inside_a_plan_are_flagged() {
+    let src = r#"
+        pub fn score(candidates: &[u64]) -> u64 {
+            let owned = candidates.to_vec();
+            let left = std::thread::spawn(move || owned.iter().sum::<u64>());
+            let right = std::thread::scope(|s| s.spawn(|| candidates.len() as u64).join());
+            left.join().unwrap_or(0) + right.unwrap_or(0)
+        }
+    "#;
+    for (name, host) in [
+        ("ml006_threads_core", "crates/core/src/planner.rs"),
+        ("ml006_threads_solver", "crates/solver/src/division.rs"),
+    ] {
+        let found = clippy(name, host, src);
+        assert_eq!(lints(&found), ["disallowed_methods"; 2], "{host}");
+        assert!(found[0].1.contains("caller's thread"), "{host}");
+    }
+}
+
+#[test]
+fn ml006_thread_local_scratch_is_clean() {
+    let src = r#"
+        use std::cell::RefCell;
+        thread_local! {
+            static SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+        }
+        pub fn score(candidates: &[u64]) -> u64 {
+            SCRATCH.with_borrow_mut(|scratch| {
+                scratch.clear();
+                scratch.extend_from_slice(candidates);
+                scratch.iter().copied().min().unwrap_or(0)
+            })
+        }
+    "#;
+    let found = clippy("ml006_serial", "crates/solver/src/division.rs", src);
+    assert_eq!(found, []);
+}
