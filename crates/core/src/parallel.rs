@@ -29,17 +29,16 @@ use std::sync::Mutex;
 use std::sync::{Arc, Condvar};
 use std::time::Duration;
 
-/// Former worker-count knob of an in-plan candidate fan-out.  The planner
-/// ignores it: every plan runs on its caller's thread.  It stays, with its
-/// wire encoding, only because the replan benchmark still sets it; ROADMAP
-/// "One planner thread", step 2, deletes it with that benchmark's next
-/// revision.
+/// A worker-count setting the planner ignores: every plan runs on its
+/// caller's thread.  It stays, with its wire encoding, only because the
+/// replan benchmark still sets it; ROADMAP "One planner thread", step 2,
+/// deletes it with that benchmark's next revision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Parallelism {
-    /// Formerly one worker per core.
+    /// The default.
     #[default]
     Auto,
-    /// Formerly exactly this many workers.
+    /// A worker count.
     Fixed(usize),
 }
 

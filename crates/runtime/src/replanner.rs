@@ -333,6 +333,20 @@ mod tests {
         let routed = replan_overlapped_backend(&p, &drifted, &previous, 12.0).unwrap();
         let outcome = routed.outcome.malleus.as_ref().expect("malleus outcome");
         within("backend replan", &outcome.timing, routed.planning_time);
+        // A service miss plans inside the call too.
+        let service = malleus_service::PlanService::new(malleus_service::ServiceConfig::default());
+        let shared = replan_overlapped_shared(
+            &service,
+            BackendId::Malleus,
+            &p.cost.coeffs,
+            &p.config,
+            &drifted,
+            &initial.plan,
+            12.0,
+        )
+        .unwrap();
+        let outcome = shared.outcome.malleus.as_ref().expect("malleus outcome");
+        within("shared replan", &outcome.timing, shared.planning_time);
     }
 
     #[test]
