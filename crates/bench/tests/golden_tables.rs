@@ -10,6 +10,10 @@
 //! pinned too. A golden file changes only by a reviewed edit that names its
 //! reason.
 //!
+//! A harness that prints wall-clock readings is pinned through a rule named
+//! for that one binary, which selects the lines and columns that do not
+//! depend on the clock; everything else it prints stays unpinned.
+//!
 //! Each binary runs in a fresh directory of its own under the target's
 //! scratch directory, because some write artifacts into their working
 //! directory.
@@ -26,6 +30,14 @@ const WINDOW: usize = 40;
 /// Run `exe` with `args` in a fresh directory named after `bin`, compare
 /// its stdout with `golden`, and return the directory.
 fn run_golden(bin: &str, exe: &str, args: &[&str], golden: &str) -> PathBuf {
+    let (dir, stdout) = run_harness(bin, exe, args);
+    assert_same(&format!("{bin}.txt"), golden, &stdout);
+    dir
+}
+
+/// Run `exe` with `args` in a fresh directory named after `bin`, and return
+/// the directory and the harness's stdout.
+fn run_harness(bin: &str, exe: &str, args: &[&str]) -> (PathBuf, String) {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join("golden_tables")
         .join(bin);
@@ -45,8 +57,7 @@ fn run_golden(bin: &str, exe: &str, args: &[&str], golden: &str) -> PathBuf {
         String::from_utf8_lossy(&output.stderr)
     );
     let stdout = String::from_utf8(output.stdout).expect("stdout is UTF-8");
-    assert_same(&format!("{bin}.txt"), golden, &stdout);
-    dir
+    (dir, stdout)
 }
 
 /// Panic unless `actual` equals `golden` (the content of
@@ -144,5 +155,47 @@ fn backend_arena_smoke() {
         "BENCH_arena.json",
         include_str!("golden/BENCH_arena.json"),
         &artifact,
+    );
+}
+
+/// `exp_replan_latency --smoke` times every replan, so only its counts are
+/// pinned: the event, phase, reused and evaluated columns of each table row,
+/// and the line that says every event was byte-identical to full
+/// enumeration.  The two ms columns and the speed-up line are wall-clock
+/// readings and stay unpinned.
+fn replan_latency_counts(stdout: &str) -> String {
+    let mut pinned = String::new();
+    let rows = stdout
+        .lines()
+        .skip_while(|line| !line.starts_with("---"))
+        .skip(1)
+        .take_while(|line| !line.is_empty());
+    for row in rows {
+        let cells: Vec<&str> = row.split_whitespace().collect();
+        let [event @ .., phase, _delta_ms, _full_ms, reused, evaluated] = cells.as_slice() else {
+            panic!("exp_replan_latency printed a short table row: {row:?}");
+        };
+        pinned += &format!("{} | {phase} | {reused} | {evaluated}\n", event.join(" "));
+    }
+    let identity = stdout
+        .lines()
+        .find(|line| line.contains("byte-identical to full enumeration"))
+        .expect("exp_replan_latency reports byte-identity");
+    pinned += identity;
+    pinned.push('\n');
+    pinned
+}
+
+#[test]
+fn replan_latency_smoke_counts() {
+    let (_, stdout) = run_harness(
+        "exp_replan_latency",
+        env!("CARGO_BIN_EXE_exp_replan_latency"),
+        &["--smoke"],
+    );
+    assert_same(
+        "exp_replan_latency.txt",
+        include_str!("golden/exp_replan_latency.txt"),
+        &replan_latency_counts(&stdout),
     );
 }
