@@ -116,7 +116,9 @@ impl PlannerConfig {
 pub struct PlanTiming {
     /// GPU grouping (Theorem 1 + splitting enumeration).
     pub grouping: Duration,
-    /// Pipeline division (the Eq. (4) MINLP).
+    /// Pipeline division (the Eq. (4) MINLP), including the memory pre-check
+    /// ([`Planner::memory_infeasible`]) that every evaluated candidate runs
+    /// first.
     pub division: Duration,
     /// Group ordering (Theorem 3 + bundle permutations, each evaluated through
     /// the layer ILP).
@@ -188,6 +190,17 @@ struct Candidate<'a> {
     micro_batch: u64,
     /// Whether the Eq. (4) MINLP division is used (vs equal group counts).
     nonuniform_division: bool,
+}
+
+impl Candidate<'_> {
+    /// The reason the candidate fails when some pipeline cannot take the
+    /// model's layers.
+    fn layer_failure(&self) -> String {
+        format!(
+            "layer assignment infeasible for tp={} dp={} b={}",
+            self.grouping.max_tp, self.dp, self.micro_batch
+        )
+    }
 }
 
 /// Result of evaluating one candidate: a feasible outcome (timing zeroed, no
@@ -302,7 +315,9 @@ impl Planner {
     /// `healthy_gpus · per_gpu_capacity` bytes.  A degree violating that bound
     /// cannot produce any plan passing [`CostModel::memory_feasible`], so a
     /// degraded cluster (failed GPUs or nodes) no longer wastes planning time
-    /// enumerating DP degrees its healthy remainder can never host.
+    /// enumerating DP degrees its healthy remainder can never host.  The
+    /// second memory bound, [`Planner::memory_infeasible`], drops single
+    /// candidates whose pipelines cannot hold the model's layers.
     pub fn derived_dp_candidates(&self, num_groups: usize, healthy_gpus: usize) -> Vec<usize> {
         let memory = &self.cost.coeffs.memory;
         let total_params = self.cost.coeffs.spec.total_params() as f64;
@@ -322,6 +337,88 @@ impl Planner {
             dp *= 2;
         }
         dps
+    }
+
+    /// Whether no division of `grouping` into `dp` pipelines can pass layer
+    /// assignment at micro-batch size `micro_batch_size`: a proof, read
+    /// before the Eq. (4) division runs, from the Appendix B.4 memory caps
+    /// alone.
+    ///
+    /// Let `cap(j, p)` be the most layers any TP degree of the grouping can
+    /// hold at stage `j` of a `p`-stage pipeline, `min(L, max_layers)`, or 0
+    /// where even an empty stage overflows ([`CostModel::max_layers`]), and
+    /// let `C(p) = Σ_{j<p} cap(j, p)`.  A pipeline passes layer assignment
+    /// only if it ends with some `p` stages that hold all `L` layers within
+    /// their caps, so with `C(p) ≥ L`.  Dropping zero-layer stages only
+    /// shortens a pipeline, and the `dp` pipelines share no group, so the
+    /// smallest of them ends with at most `⌊groups / dp⌋` stages.  When no
+    /// such `p` has `C(p) ≥ L`, that pipeline fails whatever the division,
+    /// and so does the candidate, with the reason the full path gives.
+    ///
+    /// `C(p)` is summed incrementally: an interior stage's cap depends on
+    /// `(j, p)` only through its in-flight count `p − 1 − j`, and the last
+    /// stage's is the same for every `p ≥ 2`.  So each depth adds one first
+    /// stage and one new interior stage: `O(⌊groups / dp⌋ · degrees)`
+    /// `max_layers` calls, no allocation.  Returns `false`, leaving the
+    /// candidate to the full path, when `dp` is 0 or exceeds the group count
+    /// (division rejects those first, with its own reason), or when the
+    /// grouping has more than eight distinct TP degrees.
+    pub fn memory_infeasible(
+        &self,
+        grouping: &GroupingResult,
+        dp: usize,
+        micro_batch_size: u64,
+    ) -> bool {
+        let groups = grouping.groups.len();
+        if dp == 0 || groups < dp {
+            return false;
+        }
+        let mut degrees = [0_u32; 8];
+        let mut met = 0;
+        for group in &grouping.groups {
+            let degree = group.tp_degree();
+            if !degrees[..met].contains(&degree) {
+                let Some(slot) = degrees.get_mut(met) else {
+                    return false;
+                };
+                *slot = degree;
+                met += 1;
+            }
+        }
+        let degrees = &degrees[..met];
+        let layers = self.cost.coeffs.spec.num_layers as u64;
+        let cap = |j: usize, p: usize| {
+            degrees
+                .iter()
+                .map(|&d| {
+                    self.cost
+                        .max_layers(d, j, p, micro_batch_size, dp as u32)
+                        .map_or(0, |l| l.min(layers))
+                })
+                .max()
+                .unwrap_or(0)
+        };
+        let longest = groups / dp;
+        if cap(0, 1) >= layers {
+            return false;
+        }
+        if longest < 2 {
+            return true;
+        }
+        let last = cap(1, 2);
+        // The interior stages of a `p`-stage pipeline hold in-flight counts
+        // 1..=p−2; going from `p − 1` to `p` stages adds count `p − 2`,
+        // which is stage 1 of the `p`-stage pipeline.
+        let mut interior = 0;
+        for p in 2..=longest {
+            if p >= 3 {
+                interior += cap(1, p);
+            }
+            if cap(0, p) + last + interior >= layers {
+                return false;
+            }
+        }
+        true
     }
 
     /// Score one candidate: serve it from the memo when `shared` is given
@@ -351,10 +448,51 @@ impl Planner {
         (eval, false)
     }
 
-    /// Evaluate one lattice point: pipeline division, group ordering / layer
-    /// assignment, data assignment, validation, and cost estimation, adding
-    /// the time of each phase to `timing`.
+    /// Evaluate one lattice point.  A candidate that
+    /// [`Planner::memory_infeasible`] proves cannot pass layer assignment
+    /// fails at once with layer assignment's reason; every other goes
+    /// through `evaluate_in_full`.  The proof's time counts as division.
+    /// Debug builds evaluate every proven candidate in full as well and
+    /// assert that it fails with the same reason.
     fn evaluate_candidate(
+        &self,
+        snapshot: &ClusterSnapshot,
+        cand: &Candidate<'_>,
+        timing: &mut PlanTiming,
+    ) -> CandidateEval {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
+        )]
+        let t0 = Instant::now();
+        let proven = self.memory_infeasible(cand.grouping, cand.dp, cand.micro_batch);
+        timing.division += t0.elapsed();
+        if !proven {
+            return self.evaluate_in_full(snapshot, cand, timing);
+        }
+        let eval = CandidateEval {
+            outcome: None,
+            failure: Some(cand.layer_failure()),
+        };
+        #[cfg(debug_assertions)]
+        {
+            let full = self.evaluate_in_full(snapshot, cand, &mut PlanTiming::default());
+            assert!(
+                full.outcome.is_none() && full.failure == eval.failure,
+                "a proven memory-infeasible candidate must fail in full with {:?}, \
+                 got {:?} (feasible: {})",
+                eval.failure,
+                full.failure,
+                full.outcome.is_some()
+            );
+        }
+        eval
+    }
+
+    /// Evaluate one lattice point in full: pipeline division, group ordering
+    /// / layer assignment, data assignment, validation, and cost estimation,
+    /// adding the time of each phase to `timing`.
+    fn evaluate_in_full(
         &self,
         snapshot: &ClusterSnapshot,
         cand: &Candidate<'_>,
@@ -410,9 +548,7 @@ impl Planner {
             .collect();
         timing.ordering += t0.elapsed();
         let Some(assignments) = assignments else {
-            return failed(Some(format!(
-                "layer assignment infeasible for tp={max_tp} dp={dp} b={b}"
-            )));
+            return failed(Some(cand.layer_failure()));
         };
 
         #[expect(
@@ -955,6 +1091,99 @@ mod tests {
         let outcome = p.plan(&cluster.snapshot()).expect("plan");
         assert!(outcome.lattice.is_none());
         assert!(p.candidate_memo().is_empty());
+    }
+
+    /// The pre-check sums `C(p)` incrementally on two identities of the
+    /// Appendix B.4 caps: an interior stage's `max_layers` depends on
+    /// `(j, p)` only through its in-flight count `p − 1 − j`, and the last
+    /// stage's is the same for every `p ≥ 2`.
+    #[test]
+    fn stage_caps_depend_on_the_in_flight_count_only() {
+        for spec in [
+            ModelSpec::llama2_7b(),
+            ModelSpec::llama2_32b(),
+            ModelSpec::llama2_70b(),
+            ModelSpec::llama2_110b(),
+        ] {
+            let cost = CostModel::new(ProfiledCoefficients::derive(
+                spec,
+                HardwareParams::a800_cluster(),
+            ));
+            for (tp, b, dp) in tp_b_dp_grid() {
+                let cap = |j, p| cost.max_layers(tp, j, p, b, dp);
+                for p in 2..=40 {
+                    assert_eq!(cap(p - 1, p), cap(1, 2), "last stage of {p}");
+                    for j in 1..p - 1 {
+                        // Stage 1 of a `p − j + 1`-stage pipeline has the
+                        // same in-flight count, `p − 1 − j`.
+                        assert_eq!(cap(j, p), cap(1, p - j + 1), "stage {j} of {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every (TP degree, micro-batch, DP) the identity test covers.
+    fn tp_b_dp_grid() -> impl Iterator<Item = (u32, u64, u32)> {
+        [1, 2, 4, 8].into_iter().flat_map(|tp| {
+            [1, 2, 4]
+                .into_iter()
+                .flat_map(move |b| [1, 2, 4, 8, 16].into_iter().map(move |dp| (tp, b, dp)))
+        })
+    }
+
+    /// The incremental sum agrees with `C(p)` summed stage by stage, on
+    /// split and unsplit groupings at every DP degree they admit.
+    #[test]
+    fn memory_precheck_matches_the_direct_sum() {
+        let direct = |p: &Planner, grouping: &GroupingResult, dp: usize, b: u64| {
+            let layers = p.cost.coeffs.spec.num_layers as u64;
+            let cap = |j, pp| {
+                grouping
+                    .groups
+                    .iter()
+                    .map(|g| {
+                        p.cost
+                            .max_layers(g.tp_degree(), j, pp, b, dp as u32)
+                            .map_or(0, |l| l.min(layers))
+                    })
+                    .max()
+                    .unwrap_or(0)
+            };
+            !(1..=grouping.groups.len() / dp)
+                .any(|pp| (0..pp).map(|j| cap(j, pp)).sum::<u64>() >= layers)
+        };
+        let mut proofs = 0;
+        for spec in [ModelSpec::llama2_32b(), ModelSpec::llama2_110b()] {
+            let p = planner(spec, 64);
+            let mut cluster = Cluster::homogeneous(8, 8);
+            let healthy = cluster.snapshot();
+            cluster.apply_situation(&PaperSituation::S4.situation(&cluster).rates);
+            for snapshot in [healthy, cluster.snapshot()] {
+                for max_tp in [1, 2, 4, 8] {
+                    let grouping = crate::grouping::group_cluster(
+                        &snapshot,
+                        &p.cost.coeffs,
+                        max_tp,
+                        1,
+                        1.05,
+                        true,
+                    );
+                    for dp in 1..=grouping.groups.len() {
+                        for b in [1, 2, 4] {
+                            let proven = p.memory_infeasible(&grouping, dp, b);
+                            assert_eq!(
+                                proven,
+                                direct(&p, &grouping, dp, b),
+                                "tp={max_tp} dp={dp} b={b}"
+                            );
+                            proofs += proven as usize;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(proofs > 0, "the sweep proves some candidates");
     }
 
     #[test]
