@@ -465,18 +465,17 @@ impl Planner {
             reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
         )]
         let t0 = Instant::now();
-        let proven = self.memory_infeasible(cand.grouping, cand.dp, cand.micro_batch);
-        timing.division += t0.elapsed();
-        if !proven {
-            return self.evaluate_in_full(snapshot, cand, timing);
+        if !self.memory_infeasible(cand.grouping, cand.dp, cand.micro_batch) {
+            return self.evaluate_in_full(snapshot, cand, timing, t0);
         }
+        timing.division += t0.elapsed();
         let eval = CandidateEval {
             outcome: None,
             failure: Some(cand.layer_failure()),
         };
         #[cfg(debug_assertions)]
         {
-            let full = self.evaluate_in_full(snapshot, cand, &mut PlanTiming::default());
+            let full = self.evaluate_in_full(snapshot, cand, &mut PlanTiming::default(), t0);
             assert!(
                 full.outcome.is_none() && full.failure == eval.failure,
                 "a proven memory-infeasible candidate must fail in full with {:?}, \
@@ -491,12 +490,14 @@ impl Planner {
 
     /// Evaluate one lattice point in full: pipeline division, group ordering
     /// / layer assignment, data assignment, validation, and cost estimation,
-    /// adding the time of each phase to `timing`.
+    /// adding the time of each phase to `timing`.  The division phase is
+    /// timed from `division_start`, when the pre-check began.
     fn evaluate_in_full(
         &self,
         snapshot: &ClusterSnapshot,
         cand: &Candidate<'_>,
         timing: &mut PlanTiming,
+        division_start: Instant,
     ) -> CandidateEval {
         let num_layers = self.cost.coeffs.spec.num_layers as u64;
         let (max_tp, dp, b) = (cand.grouping.max_tp, cand.dp, cand.micro_batch);
@@ -506,11 +507,6 @@ impl Planner {
             failure,
         };
 
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
-        )]
-        let t0 = Instant::now();
         let division = divide_groups(
             &self.cost,
             cand.grouping,
@@ -520,7 +516,7 @@ impl Planner {
             b,
             cand.nonuniform_division,
         );
-        timing.division += t0.elapsed();
+        timing.division += division_start.elapsed();
         let division = match division {
             Ok(d) => d,
             Err(e) => return failed(Some(e.to_string())),
