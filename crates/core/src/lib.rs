@@ -45,6 +45,7 @@ mod ordering_reference;
 pub mod parallel;
 pub mod plan;
 pub mod planner;
+mod precheck;
 
 pub use backend::{
     BackendConstructor, BackendId, ClusterEvent, PlanBackend, PlannedOutcome,

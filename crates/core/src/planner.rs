@@ -24,9 +24,11 @@ use crate::grouping::GroupingResult;
 use crate::orchestration::{divide_groups, order_and_assign_layers};
 use crate::parallel::{GroupingCache, Parallelism};
 use crate::plan::{ParallelizationPlan, PipelinePlan};
+use crate::precheck::Precheck;
 use malleus_cluster::{ClusterSnapshot, GpuId};
 use malleus_model::ProfiledCoefficients;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -117,8 +119,9 @@ pub struct PlanTiming {
     /// GPU grouping (Theorem 1 + splitting enumeration).
     pub grouping: Duration,
     /// Pipeline division (the Eq. (4) MINLP), including the memory pre-check
-    /// ([`Planner::memory_infeasible`]) that every evaluated candidate runs
-    /// first.
+    /// ([`Planner::memory_infeasible`]), which runs once per (grouping, DP,
+    /// micro-batch) at the first evaluated candidate of the two division
+    /// modes, and counts there.
     pub division: Duration,
     /// Group ordering (Theorem 3 + bundle permutations, each evaluated through
     /// the layer ILP).
@@ -190,6 +193,10 @@ struct Candidate<'a> {
     micro_batch: u64,
     /// Whether the Eq. (4) MINLP division is used (vs equal group counts).
     nonuniform_division: bool,
+    /// The memory pre-check's answer for this (grouping, DP, micro-batch),
+    /// shared by both division modes and computed at the first of them the
+    /// memo misses.
+    proof: &'a OnceCell<bool>,
 }
 
 impl Candidate<'_> {
@@ -344,81 +351,57 @@ impl Planner {
     /// before the Eq. (4) division runs, from the Appendix B.4 memory caps
     /// alone.
     ///
-    /// Let `cap(j, p)` be the most layers any TP degree of the grouping can
-    /// hold at stage `j` of a `p`-stage pipeline, `min(L, max_layers)`, or 0
-    /// where even an empty stage overflows ([`CostModel::max_layers`]), and
-    /// let `C(p) = Σ_{j<p} cap(j, p)`.  A pipeline passes layer assignment
-    /// only if it ends with some `p` stages that hold all `L` layers within
-    /// their caps, so with `C(p) ≥ L`.  Dropping zero-layer stages only
-    /// shortens a pipeline, and the `dp` pipelines share no group, so the
-    /// smallest of them ends with at most `⌊groups / dp⌋` stages.  When no
-    /// such `p` has `C(p) ≥ L`, that pipeline fails whatever the division,
-    /// and so does the candidate, with the reason the full path gives.
+    /// A pipeline passes layer assignment only if it ends with some `p` of
+    /// its groups as stages that hold all `L` layers within their caps
+    /// (`min(L, max_layers)`, or 0 where even an empty stage overflows;
+    /// [`CostModel::max_layers`]).  Dropping zero-layer stages only shortens
+    /// a pipeline, and the `dp` pipelines share no group.  Two bounds rest on
+    /// that:
     ///
-    /// `C(p)` is summed incrementally: an interior stage's cap depends on
-    /// `(j, p)` only through its in-flight count `p − 1 − j`, and the last
-    /// stage's is the same for every `p ≥ 2`.  So each depth adds one first
-    /// stage and one new interior stage: `O(⌊groups / dp⌋ · degrees)`
-    /// `max_layers` calls, no allocation.  Returns `false`, leaving the
-    /// candidate to the full path, when `dp` is 0 or exceeds the group count
-    /// (division rejects those first, with its own reason), or when the
-    /// grouping has more than eight distinct TP degrees.
+    /// 1. *Direct sum.*  Let `cap(j, p)` be the most layers any TP degree of
+    ///    the grouping holds at stage `j` of a `p`-stage pipeline and
+    ///    `C(p) = Σ_{j<p} cap(j, p)`.  The smallest pipeline has at most
+    ///    `⌊groups / dp⌋` groups, so the candidate fails when no such `p`
+    ///    has `C(p) ≥ L`.
+    /// 2. *Groups per degree.*  For each TP degree `t` of the grouping above
+    ///    its smallest, the `n_h` groups of degree `≥ t` are high and the
+    ///    `n_l` others low, and each stage is capped by the best degree of
+    ///    its class.  A pipeline holding `k` high groups needs `need(k)` low
+    ///    groups: the fewest `p − m` over depths `p` and `m ≤ k` high
+    ///    positions for which the low caps at every position plus the `m`
+    ///    largest high-minus-low gains reach `L`.  The candidate fails when
+    ///    no split `k_1 + … + k_dp ≤ n_h` has `Σ need(k_i) ≤ n_l`.  This runs
+    ///    only when the direct sum proves nothing, and skips a threshold
+    ///    when `⌊n_h / dp⌋` high groups alone hold `L`.
+    ///
+    /// A proven candidate fails with the reason the full path gives.  Both
+    /// bounds read one table of caps per degree, built one depth at a time
+    /// in a per-thread scratch: an interior stage's cap depends on `(j, p)`
+    /// only through its in-flight count `p − 1 − j`, and the last stage's is
+    /// the same for every `p ≥ 2`, so each depth costs one `max_layers` call
+    /// per degree for its first stage and one for its new interior stage.
+    /// Caps never grow with the in-flight count, so the table stops at the
+    /// first interior stage that holds nothing at any degree.  The planner
+    /// asks once per (grouping, DP, micro-batch), at the first evaluated
+    /// candidate of the two division modes, and both read the answer.
+    ///
+    /// Returns `false`, leaving the candidate to the full path, when `dp` is
+    /// 0 or exceeds the group count (division rejects those first, with its
+    /// own reason), or when the grouping has more than eight distinct TP
+    /// degrees.
     pub fn memory_infeasible(
         &self,
         grouping: &GroupingResult,
         dp: usize,
         micro_batch_size: u64,
     ) -> bool {
-        let groups = grouping.groups.len();
-        if dp == 0 || groups < dp {
+        if dp == 0 || grouping.groups.len() < dp {
             return false;
         }
-        let mut degrees = [0_u32; 8];
-        let mut met = 0;
-        for group in &grouping.groups {
-            let degree = group.tp_degree();
-            if !degrees[..met].contains(&degree) {
-                let Some(slot) = degrees.get_mut(met) else {
-                    return false;
-                };
-                *slot = degree;
-                met += 1;
-            }
-        }
-        let degrees = &degrees[..met];
         let layers = self.cost.coeffs.spec.num_layers as u64;
-        let cap = |j: usize, p: usize| {
-            degrees
-                .iter()
-                .map(|&d| {
-                    self.cost
-                        .max_layers(d, j, p, micro_batch_size, dp as u32)
-                        .map_or(0, |l| l.min(layers))
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        let longest = groups / dp;
-        if cap(0, 1) >= layers {
-            return false;
-        }
-        if longest < 2 {
-            return true;
-        }
-        let last = cap(1, 2);
-        // The interior stages of a `p`-stage pipeline hold in-flight counts
-        // 1..=p−2; going from `p − 1` to `p` stages adds count `p − 2`,
-        // which is stage 1 of the `p`-stage pipeline.
-        let mut interior = 0;
-        for p in 2..=longest {
-            if p >= 3 {
-                interior += cap(1, p);
-            }
-            if cap(0, p) + last + interior >= layers {
-                return false;
-            }
-        }
-        true
+        Precheck::with(|check| {
+            check.load(grouping, dp, micro_batch_size, layers) && check.proves(&self.cost)
+        })
     }
 
     /// Score one candidate: serve it from the memo when `shared` is given
@@ -451,9 +434,11 @@ impl Planner {
     /// Evaluate one lattice point.  A candidate that
     /// [`Planner::memory_infeasible`] proves cannot pass layer assignment
     /// fails at once with layer assignment's reason; every other goes
-    /// through `evaluate_in_full`.  The proof's time counts as division.
-    /// Debug builds evaluate every proven candidate in full as well and
-    /// assert that it fails with the same reason.
+    /// through `evaluate_in_full`.  The proof is shared with the
+    /// candidate's other division mode (`Candidate::proof`), and its time
+    /// counts as division where it is computed.  Debug builds evaluate every
+    /// proven candidate in full as well and assert that it fails with the
+    /// same reason.
     fn evaluate_candidate(
         &self,
         snapshot: &ClusterSnapshot,
@@ -465,7 +450,10 @@ impl Planner {
             reason = "wall-clock timing is observability-only; it feeds PlanTiming, never plan selection"
         )]
         let t0 = Instant::now();
-        if !self.memory_infeasible(cand.grouping, cand.dp, cand.micro_batch) {
+        let proven = *cand
+            .proof
+            .get_or_init(|| self.memory_infeasible(cand.grouping, cand.dp, cand.micro_batch));
+        if !proven {
             return self.evaluate_in_full(snapshot, cand, timing, t0);
         }
         timing.division += t0.elapsed();
@@ -704,12 +692,14 @@ impl Planner {
                     if self.config.global_batch_size / micro_batch < dp as u64 {
                         continue;
                     }
+                    let proof = OnceCell::new();
                     for &nonuniform_division in division_modes {
                         let cand = Candidate {
                             grouping: &grouping,
                             dp,
                             micro_batch,
                             nonuniform_division,
+                            proof: &proof,
                         };
                         let (eval, reused) =
                             self.score_candidate(snapshot, &cand, shared.as_ref(), &mut timing);
@@ -767,8 +757,10 @@ impl Planner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::TpGroup;
     use malleus_cluster::{Cluster, PaperSituation};
     use malleus_model::{HardwareParams, ModelSpec};
+    use std::collections::HashMap;
 
     fn planner(spec: ModelSpec, batch: u64) -> Planner {
         let coeffs = ProfiledCoefficients::derive(spec, HardwareParams::a800_cluster());
@@ -1128,28 +1120,62 @@ mod tests {
         })
     }
 
-    /// The incremental sum agrees with `C(p)` summed stage by stage, on
-    /// split and unsplit groupings at every DP degree they admit.
+    /// The pre-check stops deepening at the first interior stage that holds
+    /// nothing at any degree, on two orders of the Appendix B.4 caps: an
+    /// interior stage's cap never grows with its in-flight count, and a
+    /// first stage's never grows with the depth from two stages on.  `None`,
+    /// a stage that overflows when empty, orders below every cap.
     #[test]
-    fn memory_precheck_matches_the_direct_sum() {
-        let direct = |p: &Planner, grouping: &GroupingResult, dp: usize, b: u64| {
-            let layers = p.cost.coeffs.spec.num_layers as u64;
-            let cap = |j, pp| {
-                grouping
-                    .groups
-                    .iter()
-                    .map(|g| {
-                        p.cost
-                            .max_layers(g.tp_degree(), j, pp, b, dp as u32)
-                            .map_or(0, |l| l.min(layers))
-                    })
-                    .max()
-                    .unwrap_or(0)
-            };
-            !(1..=grouping.groups.len() / dp)
-                .any(|pp| (0..pp).map(|j| cap(j, pp)).sum::<u64>() >= layers)
+    fn stage_caps_never_grow_with_depth() {
+        for spec in [
+            ModelSpec::llama2_7b(),
+            ModelSpec::llama2_32b(),
+            ModelSpec::llama2_70b(),
+            ModelSpec::llama2_110b(),
+        ] {
+            let cost = CostModel::new(ProfiledCoefficients::derive(
+                spec,
+                HardwareParams::a800_cluster(),
+            ));
+            for (tp, b, dp) in tp_b_dp_grid() {
+                let cap = |j, p| cost.max_layers(tp, j, p, b, dp);
+                for p in 2..=200 {
+                    assert!(cap(0, p + 1) <= cap(0, p), "first stage of {p}");
+                    if p >= 3 {
+                        assert!(cap(1, p + 1) <= cap(1, p), "interior stage of {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// `C(p)` summed stage by stage over the best degree of the grouping:
+    /// whether no `p ≤ ⌊groups / dp⌋` has `C(p) ≥ L`, the direct-sum bound
+    /// on its own.
+    fn direct_sum_proves(p: &Planner, grouping: &GroupingResult, dp: usize, b: u64) -> bool {
+        let layers = p.cost.coeffs.spec.num_layers as u64;
+        let cap = |j, pp| {
+            grouping
+                .groups
+                .iter()
+                .map(|g| {
+                    p.cost
+                        .max_layers(g.tp_degree(), j, pp, b, dp as u32)
+                        .map_or(0, |l| l.min(layers))
+                })
+                .max()
+                .unwrap_or(0)
         };
-        let mut proofs = 0;
+        !(1..=grouping.groups.len() / dp)
+            .any(|pp| (0..pp).map(|j| cap(j, pp)).sum::<u64>() >= layers)
+    }
+
+    /// The pre-check proves every candidate the direct sum proves, on split
+    /// and unsplit groupings at every DP degree they admit, and counting the
+    /// groups of each degree proves more.  Both counts are pinned.
+    #[test]
+    fn memory_precheck_proves_what_the_direct_sum_proves() {
+        let (mut by_sum, mut proofs) = (0, 0);
         for spec in [ModelSpec::llama2_32b(), ModelSpec::llama2_110b()] {
             let p = planner(spec, 64);
             let mut cluster = Cluster::homogeneous(8, 8);
@@ -1168,18 +1194,169 @@ mod tests {
                     for dp in 1..=grouping.groups.len() {
                         for b in [1, 2, 4] {
                             let proven = p.memory_infeasible(&grouping, dp, b);
-                            assert_eq!(
-                                proven,
-                                direct(&p, &grouping, dp, b),
-                                "tp={max_tp} dp={dp} b={b}"
-                            );
+                            let summed = direct_sum_proves(&p, &grouping, dp, b);
+                            assert!(proven || !summed, "tp={max_tp} dp={dp} b={b}");
+                            by_sum += summed as usize;
                             proofs += proven as usize;
                         }
                     }
                 }
             }
         }
-        assert!(proofs > 0, "the sweep proves some candidates");
+        assert_eq!(
+            (by_sum, proofs),
+            (1176, 1320),
+            "proofs by the direct sum, in all"
+        );
+    }
+
+    /// The pre-check's brute-force reference: whether some split of the
+    /// groups over `dp` pipelines lets every pipeline hold the model's `L`
+    /// layers, where `counts[i]` groups have TP degree `degrees[i]`.  It
+    /// tries every split of each degree's groups over the pipelines and, in
+    /// each pipeline, every choice of its groups as `pp` stages in every
+    /// order, capping stage `j` at `min(L, max_layers(·, j, pp))`, or 0
+    /// where even an empty stage overflows.
+    fn reference_admits(p: &Planner, degrees: &[u32], counts: &[usize], dp: usize, b: u64) -> bool {
+        let layers = p.cost.coeffs.spec.num_layers as u64;
+        let groups: usize = counts.iter().sum();
+        // caps[pp][j][d]: degree `degrees[d]` at stage `j` of `pp` stages.
+        let caps: Vec<Vec<Vec<u64>>> = (0..=groups)
+            .map(|pp| {
+                (0..pp)
+                    .map(|j| {
+                        degrees
+                            .iter()
+                            .map(|&d| {
+                                p.cost
+                                    .max_layers(d, j, pp, b, dp as u32)
+                                    .map_or(0, |l| l.min(layers))
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        // The most layers stages `j..` hold, over every order of the
+        // groups in `left` (which holds enough groups for every stage).
+        fn most(caps: &[Vec<u64>], j: usize, left: &mut [usize]) -> u64 {
+            if j == caps.len() {
+                return 0;
+            }
+            (0..left.len())
+                .filter_map(|d| {
+                    let more = left[d].checked_sub(1)?;
+                    left[d] = more;
+                    let held = caps[j][d] + most(caps, j + 1, left);
+                    left[d] += 1;
+                    Some(held)
+                })
+                .max()
+                .unwrap_or(0)
+        }
+        let mut holds = |pipeline: &[usize]| {
+            let mut left = pipeline.to_vec();
+            (1..=pipeline.iter().sum()).any(|pp| most(&caps[pp], 0, &mut left) >= layers)
+        };
+        // Whether `pipelines` pipelines can share the groups in `left` so
+        // that each holds `L`: every share of the first, then the rest.
+        fn split(
+            left: &[usize],
+            pipelines: usize,
+            holds: &mut dyn FnMut(&[usize]) -> bool,
+            seen: &mut HashMap<(usize, Vec<usize>), bool>,
+        ) -> bool {
+            if pipelines == 0 {
+                return true;
+            }
+            if let Some(&known) = seen.get(&(pipelines, left.to_vec())) {
+                return known;
+            }
+            let mut share = vec![0; left.len()];
+            let found = loop {
+                let rest: Vec<usize> = left.iter().zip(&share).map(|(l, s)| l - s).collect();
+                if holds(&share) && split(&rest, pipelines - 1, holds, seen) {
+                    break true;
+                }
+                // The next share, counting in mixed radix `left[d] + 1`.
+                let Some(d) = (0..share.len()).find(|&d| share[d] < left[d]) else {
+                    break false;
+                };
+                share[d] += 1;
+                share[..d].fill(0);
+            };
+            seen.insert((pipelines, left.to_vec()), found);
+            found
+        }
+        split(counts, dp, &mut holds, &mut HashMap::new())
+    }
+
+    /// A synthetic grouping with `counts[i]` groups of TP degree
+    /// `degrees[i]`.
+    fn synthetic_grouping(degrees: &[u32], counts: &[usize]) -> GroupingResult {
+        let mut next = 0;
+        let mut groups = Vec::new();
+        for (&degree, &count) in degrees.iter().zip(counts) {
+            for _ in 0..count {
+                groups.push(TpGroup::new((next..next + degree).map(GpuId).collect()));
+                next += degree;
+            }
+        }
+        GroupingResult {
+            max_tp: degrees.iter().copied().max().unwrap_or(1),
+            groups,
+        }
+    }
+
+    /// The pre-check against the brute-force reference on small groupings:
+    /// nodes of eight GPUs at maximum TP degree 4, each healthy (two TP-4
+    /// groups) or split around one straggler into the Appendix B.7 `{4, 2,
+    /// 1}` and the straggler's TP-1 group, and TP-8 plus TP-1 groupings, at
+    /// every DP degree up to 8 they admit.  It never proves what the
+    /// reference admits, and with two degrees it proves all the reference
+    /// proves.  With three, 10 of the 360 cases are proven by the reference
+    /// alone: each class of a threshold takes its best degree's cap, so a
+    /// TP-2 group counts as TP-4 among the high groups and TP-1 groups
+    /// count as TP-2 among the low ones.
+    #[test]
+    fn memory_precheck_matches_a_brute_force_reference() {
+        let mut shapes: Vec<(Vec<u32>, Vec<usize>)> = Vec::new();
+        for (healthy, split) in [(1, 1), (2, 1), (0, 2), (1, 2)] {
+            shapes.push((vec![1, 2, 4], vec![2 * split, split, 2 * healthy + split]));
+        }
+        for (tp8, tp1) in [(2, 4), (3, 5), (1, 8)] {
+            shapes.push((vec![1, 8], vec![tp1, tp8]));
+        }
+        let (mut proofs, mut cases, mut three_degree, mut reference_only) = (0, 0, 0, 0);
+        for spec in [
+            ModelSpec::llama2_13b(),
+            ModelSpec::llama2_32b(),
+            ModelSpec::llama2_70b(),
+            ModelSpec::llama2_110b(),
+        ] {
+            let p = planner(spec, 64);
+            for (degrees, counts) in &shapes {
+                let grouping = synthetic_grouping(degrees, counts);
+                for dp in 1..=grouping.groups.len().min(8) {
+                    for b in [1, 2, 4] {
+                        let case = format!("{} {counts:?} dp={dp} b={b}", p.cost.coeffs.spec.name);
+                        let proven = p.memory_infeasible(&grouping, dp, b);
+                        let admitted = reference_admits(&p, degrees, counts, dp, b);
+                        assert!(!(proven && admitted), "{case}: proven but admitted");
+                        if degrees.len() == 2 {
+                            assert!(proven || admitted, "{case}: not proven");
+                        } else {
+                            three_degree += 1;
+                            reference_only += !(proven || admitted) as usize;
+                        }
+                        proofs += proven as usize;
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!((proofs, cases), (433, 624), "proofs of all cases");
+        assert_eq!((reference_only, three_degree), (10, 360));
     }
 
     #[test]
