@@ -1,16 +1,8 @@
-//! The memory pre-check's cap table and its two bounds (see
-//! [`Planner::memory_infeasible`](crate::Planner::memory_infeasible)).
-//!
-//! Both bounds read the Appendix B.4 layer caps of one (grouping, DP, b)
-//! from one table, built one depth at a time on two identities of the caps:
-//! an interior stage's cap depends on `(j, p)` only through its in-flight
-//! count `p − 1 − j`, and the last stage's is the same for every `p ≥ 2`.
-//! So each depth adds one first stage per TP degree and one interior stage
-//! per TP degree.  Caps never grow with the in-flight count, nor a first
-//! stage's with the depth, so once a new interior stage holds nothing at
-//! any degree no deeper pipeline holds more, and the table stops there.
-//! The table and the class bound's work lists live in a per-thread scratch,
-//! so a warm check allocates nothing.
+//! The memory pre-check's cap table and its two bounds.  See
+//! [`Planner::memory_infeasible`](crate::Planner::memory_infeasible) for
+//! the bounds, why each is a proof, and how the table is built and cut
+//! short.  The table and the class bound's work lists live in a per-thread
+//! scratch, so a warm check allocates nothing.
 
 use crate::cost::CostModel;
 use crate::grouping::GroupingResult;
