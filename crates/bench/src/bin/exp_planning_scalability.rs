@@ -28,11 +28,8 @@ use malleus_bench::{write_json, JsonValue, ScenarioMatrix};
 use malleus_cluster::{Cluster, GpuId, PaperSituation, StragglerLevel};
 use malleus_core::{PlanTiming, Planner, PlannerConfig};
 use malleus_model::{HardwareParams, ProfiledCoefficients};
-use malleus_solver::reference::divide_pipelines_reference;
-use malleus_solver::{divide_pipelines, Division, DivisionProblem};
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use std::hint::black_box;
 use std::time::Instant;
 
 fn row(label: &str, timing: &PlanTiming, table: &mut Table) {
@@ -59,29 +56,6 @@ fn timing_json(label: &str, timing: &PlanTiming) -> JsonValue {
         ),
         ("total", JsonValue::Num(timing.total().as_secs_f64())),
     ])
-}
-
-/// Best-of-`iters` wall clock of the seed reference and of the optimized
-/// solver on one instance, timed in alternation (reference, optimized,
-/// reference, ...) so a shift in host speed hits both sides alike.  Returns
-/// each side's division so the caller can assert byte-identity.
-fn interleaved_best_secs(
-    iters: usize,
-    problem: &DivisionProblem,
-) -> ((f64, Division), (f64, Division)) {
-    let (mut ref_best, mut opt_best) = (f64::INFINITY, f64::INFINITY);
-    let mut last = None;
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        let reference = black_box(divide_pipelines_reference(problem).expect("reference division"));
-        ref_best = ref_best.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        let optimized = black_box(divide_pipelines(problem).expect("optimized division"));
-        opt_best = opt_best.min(t0.elapsed().as_secs_f64());
-        last = Some((reference, optimized));
-    }
-    let (reference, optimized) = last.expect("at least one iteration");
-    ((ref_best, reference), (opt_best, optimized))
 }
 
 fn main() {
@@ -213,117 +187,11 @@ fn main() {
         table.print();
     }
 
-    // ---- Division micro-breakdown: frozen seed reference vs scratch-arena solver ----
-    // Runs in both modes: the pipeline-division phase dominates planning time on
-    // straggler-heavy fleets, so this is where the solver rework must pay off.
-    // Every optimized plan is asserted byte-identical to the seed reference, the
-    // best speedup over the division-dominated instances must clear 5x, and so
-    // must each instance walked in counter order (`true` below): the first two
-    // walk 15 relabelling-canonical assignments each, so only the last two
-    // time the counter walk and its order-statistic scoring.
-    let division_iters = if smoke { 3 } else { 7 };
-    let division_cases: Vec<(&str, DivisionProblem, bool)> = vec![
-        (
-            "dp8_ms4_fast24 (4k candidates)",
-            DivisionProblem::new(8, 24, 1.0, vec![2.0, 3.0, 2.5, 4.0], 256),
-            false,
-        ),
-        (
-            "dp16_ms4_fast48 (65k candidates)",
-            DivisionProblem::new(16, 48, 1.0, vec![2.0, 2.5, 3.0, 3.5], 512),
-            false,
-        ),
-        // Nine unit classes need 4 bits each, and 17 × 4 > 64: the descriptor
-        // memo stays off and the walk keeps counter order.
-        (
-            "dp2_ms17_fast6 (131k candidates, descriptor memo off)",
-            DivisionProblem::new(
-                2,
-                6,
-                1.0,
-                (0..17).map(|k| 2.0 + 0.25 * (k % 9) as f64).collect(),
-                128,
-            ),
-            true,
-        ),
-        // Dyadic greedy levels tie between different pipeline states, so the
-        // relabelling walk restarts in counter order.
-        (
-            "dp4_ms8_fast12 dyadic (65k candidates, restart)",
-            DivisionProblem::new(
-                4,
-                12,
-                1.0,
-                vec![2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0],
-                256,
-            ),
-            true,
-        ),
-    ];
-    println!("\nDivision micro-breakdown: seed reference vs scratch-arena solver (best of {division_iters}, interleaved)");
-    let mut division_table = Table::new([
-        "instance",
-        "seed ref (ms)",
-        "optimized (ms)",
-        "speedup",
-        "identical",
-    ]);
-    let mut division_records = Vec::new();
-    let mut best_division_speedup = 0.0f64;
-    let mut counter_walk_speedup = f64::INFINITY;
-    for (label, problem, counter_walk) in &division_cases {
-        let ((ref_secs, ref_d), (opt_secs, opt_d)) = interleaved_best_secs(division_iters, problem);
-        assert_eq!(opt_d, ref_d, "{label}");
-        let speedup = ref_secs / opt_secs.max(1e-12);
-        best_division_speedup = best_division_speedup.max(speedup);
-        if *counter_walk {
-            counter_walk_speedup = counter_walk_speedup.min(speedup);
-        }
-        division_table.row([
-            label.to_string(),
-            format!("{:.2}", ref_secs * 1e3),
-            format!("{:.2}", opt_secs * 1e3),
-            format!("{speedup:.2}x"),
-            "true".to_string(),
-        ]);
-        division_records.push(JsonValue::obj(vec![
-            ("instance", JsonValue::str(*label)),
-            ("reference_secs", JsonValue::Num(ref_secs)),
-            ("optimized_secs", JsonValue::Num(opt_secs)),
-            ("speedup", JsonValue::Num(speedup)),
-            ("identical", JsonValue::Bool(true)),
-        ]));
-    }
-    division_table.print();
-    println!(
-        "\nBest division speedup vs seed: {best_division_speedup:.2}x (gate: >= 5x on division-dominated instances)"
-    );
-    println!(
-        "Worst counter-walk speedup vs seed: {counter_walk_speedup:.2}x (gate: >= 5x on each counter-order walk)"
-    );
-    assert!(
-        best_division_speedup >= 5.0,
-        "division solver speedup regressed: best {best_division_speedup:.2}x < 5x vs seed reference"
-    );
-    assert!(
-        counter_walk_speedup >= 5.0,
-        "counter-walk division speedup regressed: {counter_walk_speedup:.2}x < 5x vs seed reference"
-    );
-
     let artifact = JsonValue::obj(vec![
         ("experiment", JsonValue::str("planning_scalability")),
         ("smoke", JsonValue::Bool(smoke)),
         ("breakdowns", JsonValue::Arr(breakdowns)),
         ("scenario_matrix", JsonValue::Arr(matrix_records)),
-        ("division", JsonValue::Arr(division_records)),
-        (
-            "division_speedup_vs_seed",
-            JsonValue::Num(best_division_speedup),
-        ),
-        (
-            "counter_walk_speedup_vs_seed",
-            JsonValue::Num(counter_walk_speedup),
-        ),
     ]);
     match write_json("BENCH_planning.json", &artifact) {
         Ok(()) => println!("\nWrote BENCH_planning.json"),

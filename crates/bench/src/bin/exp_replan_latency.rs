@@ -2,14 +2,14 @@
 //!
 //! A 256-GPU cluster whose stragglers flap between discrete severity levels
 //! is the worst case the paper's §5.3 overlap has to hide: every drift
-//! re-triggers planning.  With `PlannerConfig::incremental` on, every plan
-//! memoizes its candidate evaluations and replays any whose inputs recur,
-//! whatever the event, so a *recurrent* cluster state replans from memo hits
-//! instead of re-evaluating the lattice.  This harness is self-asserting:
+//! re-triggers planning.  Every plan memoizes its candidate evaluations and
+//! replays any whose inputs recur, whatever the event, so a *recurrent*
+//! cluster state replans from memo hits instead of re-evaluating the
+//! lattice.  This harness is self-asserting:
 //!
 //! * every event — drift, failure or rejoin — must produce a plan
-//!   **byte-identical** to the full-enumeration (`incremental = false`)
-//!   reference;
+//!   **byte-identical** to the full-enumeration reference: a fresh planner
+//!   for each event, whose memo is empty;
 //! * on the warm flap cycle every replan must be fully memoized
 //!   (`evaluated == 0`) and, in full mode, at least **10x** faster in
 //!   aggregate than the full-enumeration reference;
@@ -44,27 +44,13 @@ fn main() {
         .unwrap_or_else(|| panic!("no {label} scenario"));
     let base = scenario.snapshot();
 
-    // Delta side: the candidate memo on (the default).  Full side: the same
-    // planner with it off — every replan re-enumerates the lattice.
+    // Delta side: one planner, whose candidate memo every event reads and
+    // fills.  Full side: a fresh planner for every event, whose empty memo
+    // makes it enumerate the whole lattice.
     let delta_planner = scenario.planner();
-    assert!(
-        delta_planner.config.incremental,
-        "incremental replanning must default on"
-    );
-    let mut full_planner = scenario.planner();
-    full_planner.config.incremental = false;
-
     let mut delta_prev = delta_planner.plan(&base).expect("initial delta plan");
-    let mut full_prev = full_planner.plan(&base).expect("initial full plan");
+    let mut full_prev = scenario.planner().plan(&base).expect("initial full plan");
     assert_eq!(delta_prev, full_prev, "initial plan");
-    assert!(
-        delta_prev.lattice.is_some(),
-        "incremental planner must attach the scored lattice"
-    );
-    assert!(
-        full_prev.lattice.is_none(),
-        "non-incremental planner must not attach a lattice"
-    );
 
     // The flapping straggler: one of the scenario's baked-in stragglers
     // cycles through two foreign severity levels and back to its base rate.
@@ -123,6 +109,7 @@ fn main() {
             .replan(&snapshot, &delta_prev.plan)
             .unwrap_or_else(|e| panic!("{event}: delta replan: {e}"));
         let delta_secs = t0.elapsed().as_secs_f64();
+        let full_planner = scenario.planner();
         let t0 = Instant::now();
         let full_out = full_planner
             .replan(&snapshot, &full_prev.plan)

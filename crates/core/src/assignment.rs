@@ -7,12 +7,12 @@
 //! pipeline — this is the mechanism by which heavy stragglers are removed from
 //! training and parked as standby devices.
 //!
-//! [`assign_layers`] and the ordering search of
-//! [`crate::orchestration::order_and_assign_layers`] share one
-//! drop-and-re-solve loop.  It runs on group indices in a per-thread
-//! `LayerScratch`, reading each group's TP degree and group rate computed
-//! once per call, and only the winning order's groups are cloned into the
-//! returned [`LayerAssignment`].
+//! Layer assignment runs inside the ordering search of
+//! [`crate::orchestration::order_and_assign_layers`], one
+//! drop-and-re-solve loop per bundle order.  The loop runs on group indices
+//! in a per-thread `LayerScratch`, reading each group's TP degree and group
+//! rate computed once per call, and only the winning order's groups are
+//! cloned into the returned [`LayerAssignment`].
 
 use crate::cost::CostModel;
 use crate::grouping::load_group_rates;
@@ -31,29 +31,6 @@ pub struct LayerAssignment {
     pub dropped_groups: Vec<TpGroup>,
     /// The per-micro-batch bottleneck `o_i = max_j y_{i,j} · l_{i,j}`.
     pub objective: f64,
-}
-
-/// Assign `num_layers` layers to the ordered `groups` of one pipeline.
-///
-/// When `uniform` is set, layers are split evenly (the Megatron-style baseline
-/// and the Figure 9 ablation); otherwise the Eq. (2) ILP is solved.  Returns
-/// `None` when no feasible assignment exists under the memory model.
-pub fn assign_layers(
-    cost: &CostModel,
-    groups: &[TpGroup],
-    snapshot: &ClusterSnapshot,
-    num_layers: u64,
-    micro_batch_size: u64,
-    zero_dp: u32,
-    uniform: bool,
-) -> Option<LayerAssignment> {
-    LayerScratch::with(|s| {
-        s.load(cost, groups, snapshot, micro_batch_size);
-        s.order.clear();
-        s.order.extend(0..groups.len());
-        s.solve_order(cost, num_layers, micro_batch_size, zero_dp, uniform);
-        s.best_assignment(groups)
-    })
 }
 
 /// Reusable buffers of the layer assignment, one per thread.  A replan
@@ -277,6 +254,7 @@ pub fn assign_data(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestration::order_and_assign_layers;
     use malleus_cluster::{Cluster, GpuId};
     use malleus_model::{HardwareParams, ModelSpec, ProfiledCoefficients};
 
@@ -299,35 +277,69 @@ mod tests {
             .collect()
     }
 
+    /// Order `groups` and assign them `num_layers` layers at micro-batch 1
+    /// and ZeRO DP 1.
+    fn assign(
+        spec: ModelSpec,
+        groups: &[TpGroup],
+        cluster: &Cluster,
+        num_layers: u64,
+        uniform: bool,
+    ) -> Option<LayerAssignment> {
+        let cost = cost_model(spec);
+        order_and_assign_layers(
+            &cost,
+            groups,
+            &cluster.snapshot(),
+            num_layers,
+            1,
+            1,
+            uniform,
+        )
+    }
+
+    /// The layers each of `groups` holds, 0 for a dropped group.  Theorem 3
+    /// orders a bundle by rate, so a group's stage need not sit at its
+    /// index.
+    fn layers_per_group(a: &LayerAssignment, groups: &[TpGroup]) -> Vec<u32> {
+        groups
+            .iter()
+            .map(|g| {
+                a.stages
+                    .iter()
+                    .find(|s| s.group == *g)
+                    .map_or(0, |s| s.layers)
+            })
+            .collect()
+    }
+
     #[test]
     fn healthy_equal_groups_get_equal_layers() {
-        let cost = cost_model(ModelSpec::llama2_32b());
         let cluster = Cluster::homogeneous(4, 8);
         let groups = groups_of(&[8, 8, 8, 8]);
-        let a = assign_layers(&cost, &groups, &cluster.snapshot(), 60, 1, 1, false).unwrap();
-        let layers: Vec<u32> = a.stages.iter().map(|s| s.layers).collect();
-        assert_eq!(layers.iter().sum::<u32>(), 60);
-        assert_eq!(layers, vec![15, 15, 15, 15]);
+        let a = assign(ModelSpec::llama2_32b(), &groups, &cluster, 60, false).unwrap();
+        assert_eq!(layers_per_group(&a, &groups), vec![15, 15, 15, 15]);
         assert!(a.dropped_groups.is_empty());
     }
 
     #[test]
     fn straggling_stage_receives_fewer_layers() {
-        let cost = cost_model(ModelSpec::llama2_32b());
         let mut cluster = Cluster::homogeneous(4, 8);
         cluster.set_rate(GpuId(0), 2.57);
         let groups = groups_of(&[8, 8, 8, 8]);
-        let a = assign_layers(&cost, &groups, &cluster.snapshot(), 60, 1, 1, false).unwrap();
-        let layers: Vec<u32> = a.stages.iter().map(|s| s.layers).collect();
+        let a = assign(ModelSpec::llama2_32b(), &groups, &cluster, 60, false).unwrap();
+        let layers = layers_per_group(&a, &groups);
         assert_eq!(layers.iter().sum::<u32>(), 60);
-        assert!(layers[0] < layers[1], "straggling stage got {layers:?}");
+        assert!(
+            layers[1..].iter().all(|&l| layers[0] < l),
+            "straggling group got {layers:?}"
+        );
     }
 
     #[test]
     fn heavy_straggler_stage_is_dropped() {
         // A TP-1 group with a very heavy straggler should end up with zero
         // layers and be removed from the pipeline.
-        let cost = cost_model(ModelSpec::llama2_7b());
         let mut cluster = Cluster::homogeneous(4, 8);
         cluster.set_rate(GpuId(0), 100.0);
         let mut groups = groups_of(&[1]);
@@ -335,33 +347,30 @@ mod tests {
             // shift ids to avoid overlap with the straggler group
             TpGroup::new(g.gpus.iter().map(|id| GpuId(id.0 + 8)).collect())
         }));
-        let a = assign_layers(&cost, &groups, &cluster.snapshot(), 32, 1, 1, false).unwrap();
-        assert_eq!(a.dropped_groups.len(), 1);
-        assert_eq!(a.dropped_groups[0].gpus, vec![GpuId(0)]);
+        let a = assign(ModelSpec::llama2_7b(), &groups, &cluster, 32, false).unwrap();
+        assert_eq!(a.dropped_groups, groups[..1]);
+        let layers = layers_per_group(&a, &groups);
+        assert_eq!(layers[0], 0);
         assert_eq!(a.stages.len(), 3);
-        assert_eq!(a.stages.iter().map(|s| s.layers).sum::<u32>(), 32);
+        assert_eq!(layers.iter().sum::<u32>(), 32);
     }
 
     #[test]
     fn uniform_assignment_ignores_rates() {
-        let cost = cost_model(ModelSpec::llama2_32b());
         let mut cluster = Cluster::homogeneous(4, 8);
         cluster.set_rate(GpuId(0), 5.42);
         let groups = groups_of(&[8, 8, 8, 8]);
-        let a = assign_layers(&cost, &groups, &cluster.snapshot(), 60, 1, 1, true).unwrap();
-        let layers: Vec<u32> = a.stages.iter().map(|s| s.layers).collect();
-        assert_eq!(layers, vec![15, 15, 15, 15]);
+        let a = assign(ModelSpec::llama2_32b(), &groups, &cluster, 60, true).unwrap();
+        assert_eq!(layers_per_group(&a, &groups), vec![15, 15, 15, 15]);
     }
 
     #[test]
     fn infeasible_when_memory_cannot_hold_model() {
         // 110B on a single 8-GPU group with micro-batch 1: one stage cannot
         // hold 80 layers of optimizer state.
-        let cost = cost_model(ModelSpec::llama2_110b());
         let cluster = Cluster::homogeneous(1, 8);
         let groups = groups_of(&[8]);
-        let a = assign_layers(&cost, &groups, &cluster.snapshot(), 80, 1, 1, false);
-        assert!(a.is_none());
+        assert!(assign(ModelSpec::llama2_110b(), &groups, &cluster, 80, false).is_none());
     }
 
     #[test]

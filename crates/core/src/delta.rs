@@ -19,9 +19,9 @@
 //!   [`crate::GroupingCache`].  A confirmed hit returns the bitwise-identical
 //!   evaluation a fresh computation would produce, whatever the event was
 //!   (drift, failure or rejoin), so memo-backed plans are byte-identical to
-//!   from-scratch plans *by construction*; a planner with
-//!   [`crate::PlannerConfig::incremental`] off remains the equivalence
-//!   oracle.
+//!   from-scratch plans *by construction*, and a fresh planner, whose memo
+//!   is empty, is the equivalence oracle.  Debug builds evaluate every hit
+//!   afresh as well and assert the same evaluation.
 //! - [`ScoredLattice`]: the scored candidate lattice and its reuse counts,
 //!   attached to the chosen plan (in [`crate::PlanOutcome::lattice`]) as
 //!   diagnostics; no plan reads it.
@@ -83,8 +83,8 @@ pub struct ScoredLattice {
     /// How many candidates were evaluated from scratch.
     pub evaluated: usize,
     /// Whether the memo was consulted: `true` on every attached lattice,
-    /// since every plan with the memo on consults it.  Kept because the
-    /// replanbench harness reads it.
+    /// since every plan consults it.  Kept because the replanbench harness
+    /// reads it.
     pub delta: bool,
 }
 

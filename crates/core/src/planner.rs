@@ -64,13 +64,11 @@ pub struct PlannerConfig {
     /// it; ROADMAP "One planner thread", step 2, deletes it (see
     /// [`Parallelism`]).
     pub parallelism: Parallelism,
-    /// Enable the candidate memo (see [`crate::delta`]): every
-    /// [`Planner::plan`] and [`Planner::replan`] serves candidates whose
-    /// inputs it has evaluated before from the memo, memoizes the rest, and
-    /// attaches its scored lattice to [`PlanOutcome::lattice`].  This is
-    /// *execution policy*: memo hits are confirmed bitwise against the full
-    /// candidate inputs, so the chosen plan is independent of this knob, and
-    /// a planner with it off is the full-enumeration equivalence oracle.
+    /// Ignored: every plan consults the candidate memo (see
+    /// [`crate::delta`]), and a fresh planner is the full-enumeration
+    /// oracle.  The field stays, with its wire encoding, only because the
+    /// replan benchmark's oracle still sets it; ROADMAP "Collapse" deletes
+    /// it together with [`PlannerConfig::parallelism`].
     pub incremental: bool,
 }
 
@@ -154,8 +152,8 @@ pub struct PlanOutcome {
     /// Per-phase planning time.
     pub timing: PlanTiming,
     /// The scored candidate lattice this outcome was selected from, with its
-    /// memo reuse counts: diagnostics only, no later plan reads it
-    /// (populated when [`PlannerConfig::incremental`] is on).
+    /// memo reuse counts: diagnostics only, no later plan reads it.  Every
+    /// [`Planner`] plan attaches one.
     pub lattice: Option<Arc<ScoredLattice>>,
 }
 
@@ -229,8 +227,7 @@ pub struct Planner {
     /// unchanged snapshots and with every planner holding a clone.
     grouping_memo: GroupingCache,
     /// Memoized candidate evaluations (see [`crate::delta`]), consulted and
-    /// filled by every plan when [`PlannerConfig::incremental`] is on, and
-    /// shared by clones of this planner.
+    /// filled by every plan, and shared by clones of this planner.
     candidate_memo: CandidateMemo,
 }
 
@@ -355,35 +352,32 @@ impl Planner {
     /// its groups as stages that hold all `L` layers within their caps
     /// (`min(L, max_layers)`, or 0 where even an empty stage overflows;
     /// [`CostModel::max_layers`]).  Dropping zero-layer stages only shortens
-    /// a pipeline, and the `dp` pipelines share no group.  Two bounds rest on
-    /// that:
+    /// a pipeline, and the `dp` pipelines share no group.  One bound rests on
+    /// that, tried at each TP degree `t` of the grouping in ascending order:
+    /// the `n_h` groups of degree `≥ t` are high and the `n_l` others low,
+    /// and each stage is capped by the best degree of its class.  A pipeline
+    /// holding `k` high groups needs `need(k)` low groups: the fewest `p − m`
+    /// over depths `p` and `m ≤ k` high positions for which the low caps at
+    /// every position plus the `m` largest high-minus-low gains reach `L`.
+    /// The candidate fails when no split `k_1 + … + k_dp ≤ n_h` has
+    /// `Σ need(k_i) ≤ n_l`.  A threshold is skipped when `⌊n_h / dp⌋` high
+    /// groups alone hold `L`.  At the smallest degree every group is high and
+    /// none is low, so there the bound is a direct sum: the candidate fails
+    /// when no `p ≤ ⌊groups / dp⌋` stages, each capped by the grouping's best
+    /// degree, hold `L`, since the smallest pipeline has at most that many
+    /// groups.
     ///
-    /// 1. *Direct sum.*  Let `cap(j, p)` be the most layers any TP degree of
-    ///    the grouping holds at stage `j` of a `p`-stage pipeline and
-    ///    `C(p) = Σ_{j<p} cap(j, p)`.  The smallest pipeline has at most
-    ///    `⌊groups / dp⌋` groups, so the candidate fails when no such `p`
-    ///    has `C(p) ≥ L`.
-    /// 2. *Groups per degree.*  For each TP degree `t` of the grouping above
-    ///    its smallest, the `n_h` groups of degree `≥ t` are high and the
-    ///    `n_l` others low, and each stage is capped by the best degree of
-    ///    its class.  A pipeline holding `k` high groups needs `need(k)` low
-    ///    groups: the fewest `p − m` over depths `p` and `m ≤ k` high
-    ///    positions for which the low caps at every position plus the `m`
-    ///    largest high-minus-low gains reach `L`.  The candidate fails when
-    ///    no split `k_1 + … + k_dp ≤ n_h` has `Σ need(k_i) ≤ n_l`.  This runs
-    ///    only when the direct sum proves nothing, and skips a threshold
-    ///    when `⌊n_h / dp⌋` high groups alone hold `L`.
-    ///
-    /// A proven candidate fails with the reason the full path gives.  Both
-    /// bounds read one table of caps per degree, built one depth at a time
-    /// in a per-thread scratch: an interior stage's cap depends on `(j, p)`
-    /// only through its in-flight count `p − 1 − j`, and the last stage's is
-    /// the same for every `p ≥ 2`, so each depth costs one `max_layers` call
-    /// per degree for its first stage and one for its new interior stage.
-    /// Caps never grow with the in-flight count, so the table stops at the
-    /// first interior stage that holds nothing at any degree.  The planner
-    /// asks once per (grouping, DP, micro-batch), at the first evaluated
-    /// candidate of the two division modes, and both read the answer.
+    /// A proven candidate fails with the reason the full path gives.  All
+    /// thresholds read one table of caps per degree, built one depth at a
+    /// time in a per-thread scratch: an interior stage's cap depends on
+    /// `(j, p)` only through its in-flight count `p − 1 − j`, and the last
+    /// stage's is the same for every `p ≥ 2`, so each depth costs one
+    /// `max_layers` call per degree for its first stage and one for its new
+    /// interior stage.  Caps never grow with the in-flight count, so the
+    /// table stops at the first interior stage that holds nothing at any
+    /// degree.  The planner asks once per (grouping, DP, micro-batch), at
+    /// the first evaluated candidate of the two division modes, and both
+    /// read the answer.
     ///
     /// Returns `false`, leaving the candidate to the full path, when `dp` is
     /// 0 or exceeds the group count (division rejects those first, with its
@@ -404,26 +398,44 @@ impl Planner {
         })
     }
 
-    /// Score one candidate: serve it from the memo when `shared` is given
-    /// and the memo holds its confirmed inputs, else evaluate it (and
-    /// memoize the evaluation when `shared` is given).  The flag says whether
-    /// the memo served it.
+    /// Score one candidate: serve it from the memo when the memo holds its
+    /// confirmed inputs, else evaluate and memoize it.  The flag says
+    /// whether the memo served it.  Debug builds evaluate every hit afresh
+    /// as well, with a proof cell of its own so that the plan's timing and
+    /// the other division mode's pre-check are untouched, and assert the
+    /// same outcome, bitwise, and the same failure.
     fn score_candidate(
         &self,
         snapshot: &ClusterSnapshot,
         cand: &Candidate<'_>,
-        shared: Option<&GroupingInputs<'_>>,
+        shared: &GroupingInputs<'_>,
         timing: &mut PlanTiming,
     ) -> (Arc<CandidateEval>, bool) {
-        let Some(shared) = shared else {
-            return (
-                Arc::new(self.evaluate_candidate(snapshot, cand, timing)),
-                false,
-            );
-        };
         let inputs = shared.candidate(cand.dp, cand.micro_batch, cand.nonuniform_division);
         let key = inputs.key();
         if let Some(hit) = self.candidate_memo.lookup(key, &inputs) {
+            #[cfg(debug_assertions)]
+            {
+                let proof = OnceCell::new();
+                let fresh = Candidate {
+                    proof: &proof,
+                    ..*cand
+                };
+                let fresh = self.evaluate_candidate(snapshot, &fresh, &mut PlanTiming::default());
+                assert!(
+                    fresh.outcome == hit.outcome && fresh.failure == hit.failure,
+                    "a candidate-memo hit must match a fresh evaluation at tp={} dp={} b={} \
+                     (MINLP division: {}): memo {:?} / {:?}, fresh {:?} / {:?}",
+                    cand.grouping.max_tp,
+                    cand.dp,
+                    cand.micro_batch,
+                    cand.nonuniform_division,
+                    hit.outcome.as_ref().map(|o| o.estimated_step_time),
+                    hit.failure,
+                    fresh.outcome.as_ref().map(|o| o.estimated_step_time),
+                    fresh.failure,
+                );
+            }
             return (hit, true);
         }
         let eval = Arc::new(self.evaluate_candidate(snapshot, cand, timing));
@@ -640,13 +652,11 @@ impl Planner {
         } else {
             &[false]
         };
-        let memoize = self.config.incremental;
         let fingerprint = snapshot.fingerprint();
         let mut timing = PlanTiming::default();
         let mut best: Option<Arc<CandidateEval>> = None;
         let mut last_failure: Option<Arc<CandidateEval>> = None;
         let mut entries = Vec::new();
-        let mut reused_count = 0usize;
 
         // The lattice in its reference order: TP degrees in config order,
         // then DP degrees, micro-batch sizes and division modes.  Each
@@ -682,8 +692,7 @@ impl Planner {
             // earlier plan is served from the memo — the shared evaluation,
             // bitwise what a fresh one would produce — and every fresh
             // evaluation moves into the memo.
-            let shared = memoize
-                .then(|| GroupingInputs::new(&self.cost.coeffs, &self.config, snapshot, &grouping));
+            let shared = GroupingInputs::new(&self.cost.coeffs, &self.config, snapshot, &grouping);
             for dp in self.dp_candidates(forced_dp, num_groups, usable) {
                 if dp == 0 || dp > num_groups {
                     continue;
@@ -702,21 +711,18 @@ impl Planner {
                             proof: &proof,
                         };
                         let (eval, reused) =
-                            self.score_candidate(snapshot, &cand, shared.as_ref(), &mut timing);
-                        if memoize {
-                            reused_count += reused as usize;
-                            entries.push(LatticeEntry {
-                                max_tp,
-                                dp,
-                                micro_batch,
-                                nonuniform_division,
-                                estimated_step_time: eval
-                                    .outcome
-                                    .as_ref()
-                                    .map(|o| o.estimated_step_time),
-                                reused,
-                            });
-                        }
+                            self.score_candidate(snapshot, &cand, &shared, &mut timing);
+                        entries.push(LatticeEntry {
+                            max_tp,
+                            dp,
+                            micro_batch,
+                            nonuniform_division,
+                            estimated_step_time: eval
+                                .outcome
+                                .as_ref()
+                                .map(|o| o.estimated_step_time),
+                            reused,
+                        });
                         if eval.failure.is_some() {
                             last_failure = Some(Arc::clone(&eval));
                         }
@@ -741,15 +747,13 @@ impl Planner {
             });
         };
         outcome.timing = timing;
-        if memoize {
-            let evaluated = entries.len() - reused_count;
-            outcome.lattice = Some(Arc::new(ScoredLattice {
-                entries,
-                reused: reused_count,
-                evaluated,
-                delta: true,
-            }));
-        }
+        let reused = entries.iter().filter(|e| e.reused).count();
+        outcome.lattice = Some(Arc::new(ScoredLattice {
+            evaluated: entries.len() - reused,
+            entries,
+            reused,
+            delta: true,
+        }));
         Ok(outcome)
     }
 }
@@ -1061,24 +1065,6 @@ mod tests {
         assert_eq!(lattice.evaluated, 0, "the rejoin is a memo replay");
         assert_eq!(lattice.reused, lattice.entries.len());
         assert_eq!(after_join, oracle(&rejoined, &after_loss.plan));
-    }
-
-    #[test]
-    fn incremental_off_disables_lattice_and_memo() {
-        let cluster = Cluster::homogeneous(2, 8);
-        let coeffs =
-            ProfiledCoefficients::derive(ModelSpec::llama2_13b(), HardwareParams::a800_cluster());
-        let p = Planner::new(
-            coeffs,
-            PlannerConfig {
-                global_batch_size: 64,
-                incremental: false,
-                ..PlannerConfig::default()
-            },
-        );
-        let outcome = p.plan(&cluster.snapshot()).expect("plan");
-        assert!(outcome.lattice.is_none());
-        assert!(p.candidate_memo().is_empty());
     }
 
     /// The pre-check sums `C(p)` incrementally on two identities of the

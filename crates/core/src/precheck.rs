@@ -1,8 +1,9 @@
-//! The memory pre-check's cap table and its two bounds.  See
+//! The memory pre-check's cap table and its one bound, the class bound at
+//! each TP degree of the grouping.  See
 //! [`Planner::memory_infeasible`](crate::Planner::memory_infeasible) for
-//! the bounds, why each is a proof, and how the table is built and cut
-//! short.  The table and the class bound's work lists live in a per-thread
-//! scratch, so a warm check allocates nothing.
+//! the bound, why it is a proof, and how the table is built and cut short.
+//! The table and the bound's work lists live in a per-thread scratch, so a
+//! warm check allocates nothing.
 
 use crate::cost::CostModel;
 use crate::grouping::GroupingResult;
@@ -103,13 +104,10 @@ impl Precheck {
         true
     }
 
-    /// Whether either bound proves the loaded candidate infeasible.  The
-    /// class bound runs only when the direct sum proves nothing.
+    /// Whether the class bound at some threshold proves the loaded
+    /// candidate infeasible, trying the thresholds in ascending order.
     pub(crate) fn proves(&mut self, cost: &CostModel) -> bool {
-        let best = |row: &[u64]| row.iter().copied().max().unwrap_or(0);
-        self.shallowest_holding(cost, self.groups / self.dp, best)
-            .is_none()
-            || (1..self.n).any(|s| self.class_bound_proves(cost, s))
+        (0..self.n).any(|s| self.class_bound_proves(cost, s))
     }
 
     /// Degree `i`'s cap at stage `stage` of a `p`-stage pipeline.
@@ -211,6 +209,12 @@ impl Precheck {
             .is_some()
         {
             return false;
+        }
+        // With no low groups, each pipeline needs the shallowest all-high
+        // depth, and some pipeline has at most `⌊n_high / dp⌋` groups,
+        // which the shortcut has just shown to be too few.
+        if n_low == 0 {
+            return true;
         }
         // A stage's low cap and its high-minus-low gain.
         let classes = |row: &[u64]| {

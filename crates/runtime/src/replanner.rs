@@ -67,10 +67,10 @@ fn overlapped<O, E>(
 }
 
 /// Overlapped re-planning from the previous [`PlanOutcome`] with
-/// [`Planner::replan`]: with [`malleus_core::PlannerConfig::incremental`] on,
-/// candidates whose inputs recur — after a drift, a failure or a rejoin —
-/// are replayed from the planner's memo instead of re-evaluated, and the
-/// adapted plan is byte-identical to a fresh planner's `replan`.
+/// [`Planner::replan`]: candidates whose inputs recur — after a drift, a
+/// failure or a rejoin — are replayed from the planner's memo instead of
+/// re-evaluated, and the adapted plan is byte-identical to a fresh planner's
+/// `replan`.
 pub fn replan_overlapped_incremental(
     planner: &Planner,
     snapshot: &ClusterSnapshot,

@@ -146,9 +146,8 @@ impl KeyedRequest {
     }
 }
 
-/// Configuration equality ignoring knobs that cannot change the produced
-/// plan: the ignored `parallelism` field and the incremental-replanning flag
-/// (delta replans are byte-identical to full enumeration by construction).
+/// Configuration equality ignoring the fields the planner ignores:
+/// `parallelism` and `incremental`.
 /// The destructuring is exhaustive, so a new field does not compile until it
 /// is classified here.  The threshold is compared by its bits, as
 /// [`config_fingerprint`] hashes it, so a NaN threshold matches itself.
@@ -773,8 +772,7 @@ mod tests {
         b.config.parallelism = Parallelism::Fixed(7);
         assert_eq!(a.key(), b.key());
         assert!(a.matches(&b));
-        // So is the incremental-replanning flag: delta replans are
-        // byte-identical to full enumeration.
+        // So is the ignored incremental-replanning flag.
         b.config.incremental = !a.config.incremental;
         assert_eq!(a.key(), b.key());
         assert!(a.matches(&b));

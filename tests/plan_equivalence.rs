@@ -10,12 +10,12 @@
 //! the `PlanBackend` trait to those plans.
 //!
 //! The incremental suite replays every situation against the memo-backed
-//! replanner and demands byte-identity with a fresh full-enumeration oracle
-//! — covering transitions from Normal, chained S_i → S_{i+1} transitions,
-//! and the recurrent flap back to an already-seen situation (full memo
-//! reuse) — with the memo on and off.  Those hops are all-hit or all-miss;
-//! the mixed suite at the end replays hops — drifts, failures and rejoins —
-//! whose fold takes memo hits and fresh evaluations together.
+//! replanner and demands byte-identity with the oracle, a fresh planner
+//! built for each call, whose memo is empty — covering transitions from
+//! Normal, chained S_i → S_{i+1} transitions, and the recurrent flap back to
+//! an already-seen situation (full memo reuse).  Those hops are all-hit or
+//! all-miss; the mixed suite at the end replays hops — drifts, failures and
+//! rejoins — whose fold takes memo hits and fresh evaluations together.
 
 mod common;
 
@@ -31,10 +31,6 @@ const SITUATIONS: [PaperSituation; 6] = [
     PaperSituation::S5,
     PaperSituation::S6,
 ];
-
-/// The incremental suite replays with the candidate memo off and on.  Plans
-/// must not depend on it.
-const MEMO_CELLS: [bool; 2] = [false, true];
 
 fn assert_golden_equivalence(spec: ModelSpec, nodes: u32) {
     // The oracle side comes from the shared plan fixture (a binary-scoped
@@ -155,43 +151,34 @@ fn service_backend_route_is_byte_identical_to_direct_planner() {
     assert_eq!(per[0].planner_invocations, 2);
 }
 
-/// The candidate-side planner for the incremental suite with the memo on or
-/// off, plus the cell's name for assertion messages.
-fn delta_planner(spec: &ModelSpec, incremental: bool) -> (Planner, String) {
-    let mut config = common::planner_for(spec, 64).config;
-    config.incremental = incremental;
-    let planner = Planner::new(common::coeffs_for(spec).clone(), config);
-    let cell = format!("incremental {}", if incremental { "on" } else { "off" });
-    (planner, cell)
+/// A fresh planner with `planner`'s coefficients and configuration: the
+/// oracle, since its candidate memo is empty.
+fn fresh(planner: &Planner) -> Planner {
+    Planner::new(planner.cost.coeffs.clone(), planner.config.clone())
 }
 
 #[test]
 fn incremental_replays_from_normal_match_the_full_enumeration_oracle() {
     // Every S1–S6 replay from the healthy plan: the memo-backed replanner
-    // must be byte-identical to a fresh full-enumeration replan, and
-    // attach its lattice exactly when the memo is on.
-    let spec = ModelSpec::llama2_32b();
-    let oracle = common::planner_for(&spec, 64);
-    for incremental in MEMO_CELLS {
-        let (delta, cell) = delta_planner(&spec, incremental);
-        let base = delta
-            .plan(&common::snapshot_for(4, PaperSituation::Normal))
-            .unwrap_or_else(|e| panic!("{cell}: healthy base plan: {e}"));
-        for situation in SITUATIONS {
-            let snapshot = common::snapshot_for(4, situation);
-            let warm = delta
-                .replan(&snapshot, &base.plan)
-                .unwrap_or_else(|e| panic!("{cell}: delta replan under {situation:?}: {e}"));
-            let full = oracle
-                .replan(&snapshot, &base.plan)
-                .unwrap_or_else(|e| panic!("{cell}: oracle replan under {situation:?}: {e}"));
-            assert_eq!(warm, full, "{cell} under {situation:?}");
-            assert_eq!(
-                warm.lattice.is_some(),
-                incremental,
-                "{cell} under {situation:?}: lattice attached exactly when the memo is on"
-            );
-        }
+    // must be byte-identical to a fresh planner's replan, and attach its
+    // lattice.
+    let delta = common::planner_for(&ModelSpec::llama2_32b(), 64);
+    let base = delta
+        .plan(&common::snapshot_for(4, PaperSituation::Normal))
+        .expect("healthy base plan");
+    for situation in SITUATIONS {
+        let snapshot = common::snapshot_for(4, situation);
+        let warm = delta
+            .replan(&snapshot, &base.plan)
+            .unwrap_or_else(|e| panic!("delta replan under {situation:?}: {e}"));
+        let full = fresh(&delta)
+            .replan(&snapshot, &base.plan)
+            .unwrap_or_else(|e| panic!("oracle replan under {situation:?}: {e}"));
+        assert_eq!(warm, full, "under {situation:?}");
+        assert!(
+            warm.lattice.is_some(),
+            "under {situation:?}: lattice attached"
+        );
     }
 }
 
@@ -201,69 +188,57 @@ fn chained_incremental_replays_match_the_oracle_at_every_transition() {
     // outcome's plan into the next replan.  The S2 and Normal revisits recur
     // to already-evaluated rate states, exercising the cross-invocation
     // candidate memo; byte-identity must hold at every hop.
-    let spec = ModelSpec::llama2_32b();
-    let oracle = common::planner_for(&spec, 64);
-    let replay: Vec<PaperSituation> = SITUATIONS
+    let delta = common::planner_for(&ModelSpec::llama2_32b(), 64);
+    let replay = SITUATIONS
         .iter()
         .copied()
-        .chain([PaperSituation::S2, PaperSituation::Normal])
-        .collect();
-    for incremental in MEMO_CELLS {
-        let (delta, cell) = delta_planner(&spec, incremental);
-        let mut current = delta
-            .plan(&common::snapshot_for(4, PaperSituation::Normal))
-            .unwrap_or_else(|e| panic!("{cell}: healthy base plan: {e}"));
-        for &situation in &replay {
-            let snapshot = common::snapshot_for(4, situation);
-            let warm = delta
-                .replan(&snapshot, &current.plan)
-                .unwrap_or_else(|e| panic!("{cell}: delta replan under {situation:?}: {e}"));
-            let full = oracle
-                .replan(&snapshot, &current.plan)
-                .unwrap_or_else(|e| panic!("{cell}: oracle replan under {situation:?}: {e}"));
-            assert_eq!(warm, full, "{cell} under {situation:?}");
-            current = warm;
-        }
+        .chain([PaperSituation::S2, PaperSituation::Normal]);
+    let mut current = delta
+        .plan(&common::snapshot_for(4, PaperSituation::Normal))
+        .expect("healthy base plan");
+    for situation in replay {
+        let snapshot = common::snapshot_for(4, situation);
+        let warm = delta
+            .replan(&snapshot, &current.plan)
+            .unwrap_or_else(|e| panic!("delta replan under {situation:?}: {e}"));
+        let full = fresh(&delta)
+            .replan(&snapshot, &current.plan)
+            .unwrap_or_else(|e| panic!("oracle replan under {situation:?}: {e}"));
+        assert_eq!(warm, full, "under {situation:?}");
+        current = warm;
     }
 }
 
-/// A 13B planner on the 2×8 cluster with global batch 64, incremental
-/// replanning on or off.
-fn planner_13b(incremental: bool) -> Planner {
-    Planner::new(
+/// Replay `hops` from the healthy 2×8 plan of the 13B model (global batch
+/// 64) on one delta planner, checking every hop against a fresh planner;
+/// returns the last hop's lattice.
+fn replay_mixed_hops(hops: &[ClusterSnapshot]) -> Arc<ScoredLattice> {
+    let delta = Planner::new(
         ProfiledCoefficients::derive(ModelSpec::llama2_13b(), HardwareParams::a800_cluster()),
         PlannerConfig {
             global_batch_size: 64,
-            incremental,
             ..PlannerConfig::default()
         },
-    )
-}
-
-/// Replay `hops` from the healthy 2×8 plan on a fresh delta planner, checking
-/// every hop against a fresh full-enumeration oracle; returns the last hop's
-/// lattice.
-fn replay_mixed_hops(hops: &[ClusterSnapshot]) -> Arc<ScoredLattice> {
-    let delta = planner_13b(true);
-    let oracle = planner_13b(false);
+    );
     let healthy = Cluster::homogeneous(2, 8).snapshot();
     let mut current = delta.plan(&healthy).expect("healthy delta plan");
-    let mut expected = oracle.plan(&healthy).expect("healthy oracle plan");
+    let expected = fresh(&delta).plan(&healthy).expect("healthy oracle plan");
     assert_eq!(current, expected, "healthy plan");
     for (hop, snapshot) in hops.iter().enumerate() {
-        current = delta
+        let warm = delta
             .replan(snapshot, &current.plan)
             .unwrap_or_else(|e| panic!("delta replan at hop {hop}: {e}"));
-        expected = oracle
-            .replan(snapshot, &expected.plan)
+        let expected = fresh(&delta)
+            .replan(snapshot, &current.plan)
             .unwrap_or_else(|e| panic!("oracle replan at hop {hop}: {e}"));
-        assert_eq!(current, expected, "hop {hop}");
-        let lattice = current.lattice.as_ref().expect("lattice present");
+        assert_eq!(warm, expected, "hop {hop}");
+        let lattice = warm.lattice.as_ref().expect("lattice present");
         assert_eq!(
             lattice.reused + lattice.evaluated,
             lattice.entries.len(),
             "hop {hop}"
         );
+        current = warm;
     }
     Arc::clone(current.lattice.as_ref().expect("lattice present"))
 }
